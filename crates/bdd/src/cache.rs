@@ -116,12 +116,12 @@ const DEAD: Entry = Entry {
 /// needs more.
 pub(crate) const DEFAULT_LOG2_CAPACITY: u32 = 16;
 
-/// Hard ceiling for adaptive growth: 2^18 entries = 6 MiB. Measured on the
-/// `perf_smoke` ITE storm, throughput is flat from 2^16 to 2^18 and then
-/// falls off a cliff (0.68x at 2^20): once the table outgrows the last-level
-/// cache, every probe is a DRAM round-trip, and on GC-heavy workloads the
-/// extra capacity buys almost no hits because most misses are compulsory
-/// (first touch within a GC window). The ceiling therefore stops growth at
+/// Hard ceiling for adaptive growth: 2^18 entries = 6 MiB. Measured on an
+/// ITE storm (a random `ite` stream with periodic GC), throughput was flat
+/// from 2^16 to 2^18 and then fell off a cliff (0.68x at 2^20): once the
+/// table outgrows the last-level cache, every probe is a DRAM round-trip,
+/// and on GC-heavy workloads the extra capacity buys almost no hits
+/// because most misses are compulsory (first touch within a GC window). The ceiling therefore stops growth at
 /// the locality knee; the manager's node-store budget binds first on small
 /// managers.
 pub(crate) const DEFAULT_MAX_LOG2_CAPACITY: u32 = 18;

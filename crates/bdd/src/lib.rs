@@ -81,9 +81,3 @@ pub use reorder::{ReorderMethod, ReorderSettings, ReorderStats};
 pub use sig::{SigEvaluator, SIG_LANES, SIG_SEED};
 pub use transfer::TransferError;
 pub use util::{FastBuild, FastHasher};
-
-// Property-based suite: needs the external `proptest` crate, which the
-// offline build cannot resolve. Enable with `--features proptest` after
-// restoring the dev-dependency (see Cargo.toml).
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;

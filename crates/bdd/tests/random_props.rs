@@ -1,10 +1,9 @@
-//! Randomized property tests for the BDD substrate, ported from the
-//! feature-gated `proptest` suite (`src/proptests.rs`) to the in-tree
-//! [`XorShift64`] generator so they run under plain `cargo test -q` in
-//! the offline container. Same strategy: random truth tables over a
-//! small variable set, built through the public API and checked against
-//! direct truth-table evaluation. Fixed seeds keep every run identical;
-//! a failure message always includes the offending table(s).
+//! Randomized property tests for the BDD substrate, driven by the in-tree
+//! [`XorShift64`] generator so they run offline under plain
+//! `cargo test -q`. Strategy: random truth tables over a small variable
+//! set, built through the public API and checked against direct
+//! truth-table evaluation. Fixed seeds keep every run identical; a
+//! failure message always includes the offending table(s).
 
 use bddmin_bdd::{Bdd, Cube, Edge, Var};
 use bddmin_core::rng::XorShift64;
@@ -221,6 +220,65 @@ fn gc_preserves_roots_and_canonicity() {
         let b2 = from_table(&mut bdd, tb);
         let keep2 = bdd.xor(a2, b2);
         assert_eq!(keep2, keep, "post-gc canonicity on {ta:#06x} {tb:#06x}");
+    }
+}
+
+#[test]
+fn cubes_partition_onset() {
+    let mut rng = XorShift64::seed_from_u64(0xC0BE);
+    for _ in 0..CASES {
+        let table = rng.gen_u16();
+        let mut bdd = Bdd::new(NVARS);
+        let f = from_table(&mut bdd, table);
+        let cubes: Vec<Cube> = bdd.cubes(f).collect();
+        let mut union = Edge::ZERO;
+        let mut total = 0.0;
+        for q in &cubes {
+            let e = q.to_edge(&mut bdd);
+            total += bdd.sat_fraction(e);
+            union = bdd.or(union, e);
+        }
+        assert_eq!(union, f, "cube union of {table:#06x}");
+        // BDD 1-paths are disjoint, so their fractions add up exactly.
+        assert!(
+            (total - bdd.sat_fraction(f)).abs() < 1e-12,
+            "overlapping cubes in {table:#06x}"
+        );
+    }
+}
+
+#[test]
+fn support_is_exact() {
+    let mut rng = XorShift64::seed_from_u64(0x5097);
+    for _ in 0..CASES {
+        let table = rng.gen_u16();
+        let mut bdd = Bdd::new(NVARS);
+        let f = from_table(&mut bdd, table);
+        let support = bdd.support(f);
+        for v in 0..NVARS as u32 {
+            let f1 = bdd.cofactor(f, Var(v), true);
+            let f0 = bdd.cofactor(f, Var(v), false);
+            assert_eq!(
+                support.contains(&Var(v)),
+                f1 != f0,
+                "support of {table:#06x} at var {v}"
+            );
+        }
+    }
+}
+
+#[test]
+fn size_is_minimal_under_reduction() {
+    let mut rng = XorShift64::seed_from_u64(0x517E);
+    for table in (0..CASES).map(|_| rng.gen_u16()).chain([0, u16::MAX]) {
+        let mut bdd = Bdd::new(NVARS);
+        let f = from_table(&mut bdd, table);
+        // A canonical ROBDD never exceeds the unreduced decision tree:
+        // 2^NVARS - 1 internal nodes plus the one shared terminal.
+        assert!(bdd.size(f) <= 1 << NVARS, "size of {table:#06x}");
+        if table == 0 || table == u16::MAX {
+            assert_eq!(bdd.size(f), 1, "constant {table:#06x}");
+        }
     }
 }
 

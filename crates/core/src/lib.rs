@@ -89,9 +89,3 @@ pub use schedule::Schedule;
 pub use vector::{minimize_vector, VectorMinimization};
 pub use sibling::{generic_td, generic_td_budgeted, generic_td_stats, SiblingConfig, SiblingStats};
 pub use windowed::{windowed_sibling_pass, windowed_sibling_pass_budgeted, LevelWindow};
-
-// Property-based suite: needs the external `proptest` crate, which the
-// offline build cannot resolve. Enable with `--features proptest` after
-// restoring the dev-dependency (see Cargo.toml).
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;

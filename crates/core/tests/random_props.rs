@@ -1,16 +1,16 @@
-//! Randomized property tests for the minimization framework, ported
-//! from the feature-gated `proptest` suite (`src/proptests.rs`) to the
-//! in-tree [`XorShift64`] generator so they run under plain
-//! `cargo test -q` in the offline container. Random ISFs over 4 (or,
-//! for the exhaustive theorems, 3) variables; every heuristic must
-//! return a cover, and the paper's structural theorems are exercised on
-//! the random stream with fixed seeds.
+//! Randomized property tests for the minimization framework, driven by
+//! the in-tree [`XorShift64`] generator so they run offline under plain
+//! `cargo test -q`. Random ISFs over 4 (or, for the exhaustive theorems,
+//! 3) variables; every heuristic must return a cover, and the paper's
+//! structural theorems are exercised on the random stream with fixed
+//! seeds.
 
 use bddmin_bdd::{Bdd, Cube, Edge, Var};
 use bddmin_core::rng::XorShift64;
 use bddmin_core::{
-    exact_minimum, generic_td, lower_bound, matches_directed, minimize_at_level, try_match,
-    CliqueOptions, ExactConfig, Heuristic, Isf, MatchCriterion, SiblingConfig,
+    exact_minimum, generic_td, lower_bound, matches_directed, minimize_at_level, opt_lv,
+    try_match, windowed_sibling_pass, CliqueOptions, ExactConfig, Heuristic, Isf, LevelWindow,
+    MatchCriterion, Schedule, SiblingConfig,
 };
 
 const NVARS: usize = 4;
@@ -239,6 +239,71 @@ fn level_pass_produces_icover() {
             );
             assert!(bdd.implies_holds(isf.c, out.c), "care must not shrink");
         }
+    }
+}
+
+#[test]
+fn windowed_pass_produces_icover() {
+    let mut rng = XorShift64::seed_from_u64(0x3140);
+    for _ in 0..CASES {
+        let (tf, tc) = instance(&mut rng);
+        let top = rng.gen_range(0..NVARS) as u32;
+        let bottom = (top + rng.gen_range_inclusive(1, NVARS - 1) as u32).min(NVARS as u32);
+        let mut bdd = Bdd::new(NVARS);
+        let f = from_table(&mut bdd, tf);
+        let c = from_table(&mut bdd, tc);
+        let isf = Isf::new(f, c);
+        let window = LevelWindow::new(Var(top), Var(bottom));
+        for crit in MatchCriterion::ALL {
+            for compl in [false, true] {
+                let cfg = SiblingConfig::new(crit).match_complement(compl);
+                let out = windowed_sibling_pass(&mut bdd, isf, cfg, window);
+                assert!(
+                    out.i_covers(&mut bdd, isf),
+                    "{crit} (complement {compl}) window {top}..{bottom} on {tf:#06x}/{tc:#06x}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn schedule_window_sweep_is_sound() {
+    let mut rng = XorShift64::seed_from_u64(0x5C4E);
+    for _ in 0..CASES {
+        let (tf, tc) = instance(&mut rng);
+        let window = rng.gen_range_inclusive(1, 4) as u32;
+        let stop = rng.gen_range(0..3) as u32;
+        let mut bdd = Bdd::new(NVARS);
+        let f = from_table(&mut bdd, tf);
+        let c = from_table(&mut bdd, tc);
+        let isf = Isf::new(f, c);
+        for schedule in [
+            Schedule::new(window, stop),
+            Schedule::new(window, stop).level_passes(false),
+        ] {
+            let g = schedule.apply(&mut bdd, isf);
+            assert!(
+                isf.is_cover(&mut bdd, g),
+                "window {window}, stop {stop} on {tf:#06x}/{tc:#06x}"
+            );
+        }
+    }
+}
+
+#[test]
+fn opt_lv_sound_and_deterministic() {
+    let mut rng = XorShift64::seed_from_u64(0x0971);
+    for _ in 0..CASES {
+        let (tf, tc) = instance(&mut rng);
+        let mut bdd = Bdd::new(NVARS);
+        let f = from_table(&mut bdd, tf);
+        let c = from_table(&mut bdd, tc);
+        let isf = Isf::new(f, c);
+        let g1 = opt_lv(&mut bdd, isf, CliqueOptions::default());
+        let g2 = opt_lv(&mut bdd, isf, CliqueOptions::default());
+        assert_eq!(g1, g2, "opt_lv nondeterministic on {tf:#06x}/{tc:#06x}");
+        assert!(isf.is_cover(&mut bdd, g1), "opt_lv non-cover on {tf:#06x}/{tc:#06x}");
     }
 }
 

@@ -8,20 +8,21 @@
 //!
 //! Usage: `cargo run --release -p bddmin-eval --bin ablation [--quick]`
 
+use bddmin_bdd::{Bdd, Edge};
 use bddmin_core::{opt_lv, CliqueOptions, Heuristic, Isf, Schedule};
-use bddmin_eval::runner::{run_experiment, ExperimentConfig};
-use bddmin_fsm::{generators, product_circuit, SymbolicFsm};
+use bddmin_eval::runner::{
+    run_experiment, selected_benchmarks, traverse, ExperimentConfig, ExperimentResults,
+};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let cap = if quick { Some(4) } else { Some(12) };
 
     // Collect a deterministic instance stream once (constrain drives the
     // traversal; every variant below sees the same instances).
     let config = ExperimentConfig {
         heuristics: vec![Heuristic::Constrain],
         lower_bound_cubes: 0,
-        max_iterations: cap,
+        max_iterations: Some(if quick { 4 } else { 12 }),
         only_benchmarks: vec![
             "tlc".into(),
             "minmax5".into(),
@@ -71,7 +72,7 @@ fn main() {
             },
         ),
     ] {
-        let (total, ms) = run_variant(cap, |bdd, isf| opt_lv(bdd, isf, opts));
+        let (total, ms) = run_variant(&config, |bdd, isf| opt_lv(bdd, isf, opts));
         println!("{label:<28} {total:>12} {ms:>12.1}");
     }
 
@@ -88,7 +89,7 @@ fn main() {
         ),
         ("window 2, stop 4", Schedule::new(2, 4)),
     ] {
-        let (total, ms) = run_variant(cap, move |bdd, isf| schedule.apply(bdd, isf));
+        let (total, ms) = run_variant(&config, move |bdd, isf| schedule.apply(bdd, isf));
         println!("{label:<28} {total:>12} {ms:>12.1}");
     }
 
@@ -104,67 +105,29 @@ fn main() {
         Heuristic::TsmTd,
         Heuristic::OptLv,
     ] {
-        let (total, ms) = run_variant(cap, move |bdd, isf| h.minimize(bdd, isf));
+        let (total, ms) = run_variant(&config, move |bdd, isf| h.minimize(bdd, isf));
         println!("{:<28} {total:>12} {ms:>12.1}", h.name());
     }
 }
 
-/// Runs the SIS-style traversal suite, applying `minimize` to **every**
-/// intercepted EBM instance (frontier choice and per-latch image
-/// constrains) and summing the resulting cover sizes. The traversal itself
-/// always continues with `constrain`, so all variants see the identical
-/// instance stream and the totals are directly comparable.
+/// Runs the SIS traversal over `config`'s machines, applying `minimize` to
+/// **every** intercepted EBM instance (frontier choice and per-latch image
+/// constrains, filtered ones included) and summing the resulting cover
+/// sizes. The traversal itself always continues with `constrain`, so all
+/// variants see the identical instance stream and the totals are directly
+/// comparable.
 fn run_variant(
-    cap: Option<usize>,
-    mut minimize: impl FnMut(&mut bddmin_bdd::Bdd, Isf) -> bddmin_bdd::Edge,
+    config: &ExperimentConfig,
+    mut minimize: impl FnMut(&mut Bdd, Isf) -> Edge,
 ) -> (usize, f64) {
-    let names = ["tlc", "minmax5", "s386", "s820", "mult16b"];
     let start = std::time::Instant::now();
     let mut total = 0usize;
-    for bench in generators::benchmark_suite() {
-        if !names.contains(&bench.paper_name) {
-            continue;
-        }
-        let product = product_circuit(&bench.circuit, &bench.circuit.clone());
-        let mut fsm = SymbolicFsm::new(&product);
-        let init = fsm.initial_states();
-        let mut reached = init;
-        let mut frontier = init;
-        let mut iteration = 0usize;
-        while !frontier.is_zero() {
-            if let Some(c) = cap {
-                if iteration >= c {
-                    break;
-                }
-            }
-            let care = {
-                let bdd = fsm.bdd_mut();
-                let not_reached = bdd.not(reached);
-                bdd.or(frontier, not_reached)
-            };
-            let frontier_isf = Isf::new(frontier, care);
-            let measured = minimize(fsm.bdd_mut(), frontier_isf);
-            total += fsm.bdd().size(measured);
-            let minimized = fsm.bdd_mut().constrain(frontier_isf.f, frontier_isf.c);
-            let next_fns = fsm.next_fns().to_vec();
-            let mut constrained = Vec::with_capacity(next_fns.len());
-            for &delta in &next_fns {
-                let isf = Isf::new(delta, minimized);
-                let m = minimize(fsm.bdd_mut(), isf);
-                total += fsm.bdd().size(m);
-                constrained.push(fsm.bdd_mut().constrain(delta, minimized));
-            }
-            let image = fsm.image_of_constrained(&constrained);
-            let new_reached = fsm.bdd_mut().or(reached, image);
-            frontier = {
-                let bdd = fsm.bdd_mut();
-                let not_reached = bdd.not(reached);
-                bdd.and(image, not_reached)
-            };
-            reached = new_reached;
-            iteration += 1;
-            fsm.collect_garbage(&[reached, frontier]);
-        }
+    let mut unused = ExperimentResults::default();
+    for bench in selected_benchmarks(config) {
+        traverse(&bench.circuit, config, &mut unused, |bdd, isf, _, _| {
+            let cover = minimize(bdd, isf);
+            total += bdd.size(cover);
+        });
     }
     (total, start.elapsed().as_secs_f64() * 1e3)
 }

@@ -7,10 +7,11 @@
 //!   [--quick] [--jobs N] [--only a,b]
 //!   [--step-limit N] [--node-limit N] [--time-limit MS]
 //!   [--reorder {none,sift,group}] [--reorder-growth F]
-//!   [--chain {on,off}]`
+//!   [--chain {on,off}] [--image {mono,part,range}]`
 
 use bddmin_core::Heuristic;
-use bddmin_eval::par::{parse_eval_args, run_experiment_jobs};
+use bddmin_eval::args::parse_eval_args;
+use bddmin_eval::par::run_experiment_jobs;
 use bddmin_eval::report::render_figure3;
 use bddmin_eval::runner::{ExperimentConfig, OnsetBucket};
 use bddmin_eval::tables::figure3;

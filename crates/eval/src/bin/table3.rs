@@ -7,12 +7,13 @@
 //!   [--quick] [--jobs N] [--only a,b] [--no-times] [--csv <dir>]
 //!   [--step-limit N] [--node-limit N] [--time-limit MS]
 //!   [--reorder {none,sift,group}] [--reorder-growth F]
-//!   [--chain {on,off}]`
+//!   [--chain {on,off}] [--image {mono,part,range}]`
 //!
 //! The budget flags bound every heuristic invocation; blown runs degrade
 //! to a valid cover and are counted in a skip-accounting line.
 
-use bddmin_eval::par::{parse_eval_args, run_experiment_jobs};
+use bddmin_eval::args::parse_eval_args;
+use bddmin_eval::par::run_experiment_jobs;
 use bddmin_eval::report::{render_summary, render_table3, table3_csv};
 use bddmin_eval::runner::{ExperimentConfig, OnsetBucket};
 use bddmin_eval::tables::{summary, table3};

@@ -7,11 +7,10 @@
 //! measurements are mutually independent — so this module splits the
 //! pipeline into **record** and **measure** phases:
 //!
-//! 1. *Record* (sequential): run the BFS exactly as
-//!    [`runner::run_benchmark`] does, but instead of measuring each
-//!    surviving instance, pin it and store it. The traversal still
-//!    continues with the `constrain` results, so the instance stream is
-//!    identical to the sequential run's.
+//! 1. *Record* (sequential): run the shared [`runner::traverse`], whose
+//!    sink filters each intercepted call and pins and stores the
+//!    survivors. The traversal is the sequential runner's, so the
+//!    instance stream is identical to the sequential run's.
 //! 2. *Measure* (parallel): shard the recorded instances round-robin
 //!    across `jobs` workers. Each worker owns a **private `Bdd` manager**;
 //!    instances are copied in via the checked [`Bdd::try_transfer`]
@@ -26,16 +25,15 @@
 //!    nondeterministic; strip them with
 //!    [`ExperimentResults::strip_times`] (the `--no-times` flag) when
 //!    comparing outputs.
-
-use std::time::Duration;
+//!
+//! [`runner::traverse`]: crate::runner::traverse
 
 use bddmin_bdd::Bdd;
 use bddmin_core::Isf;
-use bddmin_fsm::{generators, product_circuit, SymbolicFsm};
 
 use crate::runner::{
-    filter_reason, measure_instance, BudgetLimits, CallRecord, ExperimentConfig,
-    ExperimentResults, FilterReason,
+    measure_call, passes_filter, selected_benchmarks, traverse, CallRecord, ExperimentConfig,
+    ExperimentResults,
 };
 use crate::shard;
 
@@ -45,20 +43,6 @@ struct RecordedInstance {
     isf: Isf,
 }
 
-/// The measured payload a worker produces for one instance, keyed by its
-/// position in the recording order.
-struct Measured {
-    index: usize,
-    c_onset_pct: f64,
-    f_size: usize,
-    c_size: usize,
-    sizes: Vec<usize>,
-    times: Vec<Duration>,
-    min_size: usize,
-    lower_bound: usize,
-    skipped: Vec<usize>,
-}
-
 /// [`runner::run_experiment`] with the measurement phase sharded across
 /// `jobs` worker threads (clamped to at least 1).
 ///
@@ -66,200 +50,90 @@ struct Measured {
 /// worker, so results are structurally identical across job counts; only
 /// the `times` fields differ (wall clock). Benchmarks are processed in
 /// suite order and instances merge back in recording order.
+///
+/// [`runner::run_experiment`]: crate::runner::run_experiment
 pub fn run_experiment_jobs(config: &ExperimentConfig, jobs: usize) -> ExperimentResults {
     let jobs = jobs.max(1);
     let mut results = ExperimentResults {
         heuristics: config.heuristics.clone(),
         ..Default::default()
     };
-    for bench in generators::benchmark_suite() {
-        if !config.only_benchmarks.is_empty()
-            && !config.only_benchmarks.iter().any(|n| n == bench.paper_name)
-        {
-            continue;
-        }
-        let (mut fsm, recorded) = record_benchmark(&bench.circuit, config, &mut results);
-        let measured = measure_recorded(fsm.bdd_mut(), &recorded, config, jobs, &mut results);
-        results.fold_peak(&fsm.bdd().stats());
-        for m in measured {
-            let inst = &recorded[m.index];
-            results.calls.push(CallRecord {
-                benchmark: bench.paper_name.to_owned(),
-                iteration: inst.iteration,
-                c_onset_pct: m.c_onset_pct,
-                f_size: m.f_size,
-                c_size: m.c_size,
-                sizes: m.sizes,
-                times: m.times,
-                min_size: m.min_size,
-                lower_bound: m.lower_bound,
-                skipped: m.skipped,
-            });
-        }
+    for bench in selected_benchmarks(config) {
+        // Pinned instances survive the traversal's per-iteration garbage
+        // collection until the measure phase has copied them out.
+        let mut recorded = Vec::new();
+        let mut fsm = traverse(
+            &bench.circuit,
+            config,
+            &mut results,
+            |bdd, isf, iteration, results| {
+                if passes_filter(bdd, isf, &mut results.filtered) {
+                    bdd.pin(isf.f);
+                    bdd.pin(isf.c);
+                    recorded.push(RecordedInstance { iteration, isf });
+                }
+            },
+        );
+        let calls = measure_recorded(
+            fsm.bdd_mut(),
+            &recorded,
+            bench.paper_name,
+            config,
+            jobs,
+            &mut results,
+        );
+        results.calls.extend(calls);
     }
     results
 }
 
-/// The BFS of [`runner::run_benchmark`], recording surviving instances
-/// instead of measuring them. Recorded edges are pinned so the
-/// per-iteration garbage collection keeps their cones alive until the
-/// measure phase has copied them out.
-fn record_benchmark(
-    circuit: &bddmin_fsm::Circuit,
-    config: &ExperimentConfig,
-    results: &mut ExperimentResults,
-) -> (SymbolicFsm, Vec<RecordedInstance>) {
-    let product = product_circuit(circuit, &circuit.clone());
-    let mut fsm = if config.chain {
-        SymbolicFsm::new_chained(&product)
-    } else {
-        SymbolicFsm::new(&product)
-    };
-    let mut recorded: Vec<RecordedInstance> = Vec::new();
-    let mut iteration = 0usize;
-    let init = fsm.initial_states();
-    let mut reached = init;
-    let mut frontier = init;
-    while !frontier.is_zero() {
-        if let Some(cap) = config.max_iterations {
-            if iteration >= cap {
-                break;
-            }
-        }
-        let care = {
-            let bdd = fsm.bdd_mut();
-            let not_reached = bdd.not(reached);
-            bdd.or(frontier, not_reached)
-        };
-        let frontier_isf = Isf::new(frontier, care);
-        record_instance(
-            fsm.bdd_mut(),
-            frontier_isf,
-            iteration,
-            results,
-            &mut recorded,
-        );
-        let minimized = {
-            let bdd = fsm.bdd_mut();
-            bdd.clear_caches();
-            bdd.constrain(frontier_isf.f, frontier_isf.c)
-        };
-        let next_fns = fsm.next_fns().to_vec();
-        let mut constrained = Vec::with_capacity(next_fns.len());
-        for &delta in &next_fns {
-            let isf = Isf::new(delta, minimized);
-            record_instance(fsm.bdd_mut(), isf, iteration, results, &mut recorded);
-            let bdd = fsm.bdd_mut();
-            bdd.clear_caches();
-            constrained.push(bdd.constrain(delta, minimized));
-        }
-        let image = fsm.image_of_constrained(&constrained);
-        let new_reached = fsm.bdd_mut().or(reached, image);
-        frontier = {
-            let bdd = fsm.bdd_mut();
-            let not_reached = bdd.not(reached);
-            bdd.and(image, not_reached)
-        };
-        reached = new_reached;
-        iteration += 1;
-        // Recorded instances are pinned, so the collection keeps them.
-        fsm.collect_garbage(&[reached, frontier]);
-        // Same quiescent-point reorder as the sequential runner. Pinned
-        // recorded instances keep their edge identity across it; the
-        // measure phase later transfers them out of whatever order the
-        // sift settled on (transfer is order-independent).
-        if config.reorder.method != bddmin_bdd::ReorderMethod::None {
-            let stats = fsm.reorder(&config.reorder, &[reached, frontier]);
-            results.reorder_swaps += stats.swaps;
-            results.reorder_nodes_before += stats.nodes_before;
-            results.reorder_nodes_after += stats.nodes_after;
-        }
-    }
-    (fsm, recorded)
-}
-
-fn record_instance(
-    bdd: &mut Bdd,
-    isf: Isf,
-    iteration: usize,
-    results: &mut ExperimentResults,
-    recorded: &mut Vec<RecordedInstance>,
-) {
-    match filter_reason(bdd, isf) {
-        Some(FilterReason::CareIsCube) => results.filtered.cube += 1,
-        Some(FilterReason::CareInsideOnset) => results.filtered.inside_onset += 1,
-        Some(FilterReason::CareInsideOffset) => results.filtered.inside_offset += 1,
-        None => {
-            bdd.pin(isf.f);
-            bdd.pin(isf.c);
-            recorded.push(RecordedInstance { iteration, isf });
-        }
-    }
-}
-
 /// Shards `recorded` round-robin over `jobs` workers, transfers each
 /// worker's share into a private manager, and measures on scoped threads.
-/// Returns one [`Measured`] per instance, sorted by recording index.
+/// Returns one [`CallRecord`] per instance, in recording order.
 fn measure_recorded(
     src: &mut Bdd,
     recorded: &[RecordedInstance],
+    benchmark: &str,
     config: &ExperimentConfig,
     jobs: usize,
     results: &mut ExperimentResults,
-) -> Vec<Measured> {
+) -> Vec<CallRecord> {
     // Transfers happen up front on this thread: `try_transfer` needs
     // `&mut` access to the source manager (it memoises through its
     // caches), and after this loop the workers are fully independent.
-    // Workers inherit the source manager's representation mode. The
-    // shard assignment and the manager construction are the shared
-    // [`shard`] primitives so this pipeline and the serve daemon cannot
-    // drift apart on the determinism contract.
-    let mut workers: Vec<(Bdd, Vec<(usize, Isf)>)> = shard::worker_managers(
-        jobs,
-        src.num_vars(),
-        config.chain,
-    )
-    .into_iter()
-    .map(|bdd| (bdd, Vec::new()))
-    .collect();
+    // Workers inherit the source manager's representation mode, and
+    // transfer is order-independent, so a reordered traversal manager
+    // needs no special handling. The shard assignment and the manager
+    // construction are the shared [`shard`] primitives so this pipeline
+    // and the serve daemon cannot drift apart on the determinism contract.
+    let mut workers: Vec<(Bdd, Vec<(usize, RecordedInstance)>)> =
+        shard::worker_managers(jobs, src.num_vars(), config.chain)
+            .into_iter()
+            .map(|bdd| (bdd, Vec::new()))
+            .collect();
     for (i, inst) in recorded.iter().enumerate() {
         let (wbdd, share) = &mut workers[shard::round_robin(i, jobs)];
         let isf = shard::transfer_isf(src, inst.isf, wbdd, |v| v)
             .expect("identity map is injective and all variables are declared");
-        share.push((i, isf));
+        let iteration = inst.iteration;
+        share.push((i, RecordedInstance { iteration, isf }));
         src.unpin(inst.isf.f);
         src.unpin(inst.isf.c);
     }
-    let heuristics = &config.heuristics;
-    let lb_cubes = config.lower_bound_cubes;
-    let limits = config.limits;
-    let (out, peaks): (Vec<Measured>, Vec<bddmin_bdd::BddStats>) =
+    let (out, peaks): (Vec<(usize, CallRecord)>, Vec<bddmin_bdd::BddStats>) =
         std::thread::scope(|scope| {
             let handles: Vec<_> = workers
                 .into_iter()
                 .map(|(mut wbdd, share)| {
                     scope.spawn(move || {
-                        let measured = share
+                        let measured: Vec<(usize, CallRecord)> = share
                             .into_iter()
-                            .map(|(index, isf)| {
-                                let c_onset_pct = wbdd.onset_percentage(isf.c);
-                                let f_size = wbdd.size(isf.f);
-                                let c_size = wbdd.size(isf.c);
-                                let (sizes, times, min_size, lower_bound, skipped) =
-                                    measure_instance(&mut wbdd, isf, heuristics, lb_cubes, limits);
-                                Measured {
-                                    index,
-                                    c_onset_pct,
-                                    f_size,
-                                    c_size,
-                                    sizes,
-                                    times,
-                                    min_size,
-                                    lower_bound,
-                                    skipped,
-                                }
+                            .map(|(index, RecordedInstance { iteration, isf })| {
+                                let call =
+                                    measure_call(&mut wbdd, isf, benchmark, iteration, config);
+                                (index, call)
                             })
-                            .collect::<Vec<Measured>>();
+                            .collect();
                         (measured, wbdd.stats())
                     })
                 })
@@ -276,103 +150,18 @@ fn measure_recorded(
     for stats in &peaks {
         results.fold_peak(stats);
     }
-    shard::merge_indexed(out, |m| m.index)
-}
-
-/// Command-line options shared by the table/figure binaries.
-pub struct EvalArgs {
-    /// `--quick`: capped iterations for a fast smoke run.
-    pub quick: bool,
-    /// `--jobs N`: measurement worker threads (default 1).
-    pub jobs: usize,
-    /// `--no-times`: zero out wall-clock columns for deterministic output.
-    pub no_times: bool,
-    /// `--only a,b,c`: restrict to these paper benchmark names.
-    pub only: Vec<String>,
-    /// `--csv <dir>`: CSV output directory (table3 only).
-    pub csv_dir: Option<String>,
-    /// `--step-limit N`: deterministic per-heuristic step budget.
-    pub step_limit: Option<u64>,
-    /// `--node-limit N`: live-node ceiling per heuristic invocation.
-    pub node_limit: Option<usize>,
-    /// `--time-limit MS`: wall-clock budget per heuristic invocation.
-    pub time_limit_ms: Option<u64>,
-    /// `--reorder {none,sift,group}`: dynamic variable reordering at the
-    /// traversal's GC quiescent points (default `none`).
-    pub reorder: bddmin_bdd::ReorderMethod,
-    /// `--reorder-growth F`: sifting growth factor (default 1.2).
-    pub reorder_growth: Option<f64>,
-    /// `--chain {on,off}`: chain-reduced (CBDD) managers for every
-    /// traversal and measurement (default off). Rendered tables are
-    /// byte-identical either way; only peak memory changes.
-    pub chain: bool,
-    /// `--image {mono,part,range}`: image computation method for the
-    /// traversal (default `range`, the historical runner). Rendered
-    /// tables are byte-identical across methods.
-    pub image: bddmin_fsm::ImageMethod,
-}
-
-impl EvalArgs {
-    /// The budget limits requested on the command line.
-    pub fn limits(&self) -> BudgetLimits {
-        BudgetLimits {
-            step_limit: self.step_limit,
-            node_limit: self.node_limit,
-            time_limit_ms: self.time_limit_ms,
-        }
-    }
-
-    /// The reorder settings requested on the command line.
-    pub fn reorder_settings(&self) -> bddmin_bdd::ReorderSettings {
-        let defaults = bddmin_bdd::ReorderSettings::default();
-        bddmin_bdd::ReorderSettings {
-            method: self.reorder,
-            growth: self.reorder_growth.unwrap_or(defaults.growth),
-            ..defaults
-        }
-    }
-}
-
-/// Parses the shared flags from `std::env::args`. Unknown flags are
-/// ignored so each binary can keep its own extras.
-pub fn parse_eval_args() -> EvalArgs {
-    let args: Vec<String> = std::env::args().collect();
-    let value_of = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    EvalArgs {
-        quick: args.iter().any(|a| a == "--quick"),
-        jobs: value_of("--jobs").and_then(|v| v.parse().ok()).unwrap_or(1),
-        no_times: args.iter().any(|a| a == "--no-times"),
-        only: value_of("--only")
-            .map(|v| {
-                v.split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_owned)
-                    .collect()
-            })
-            .unwrap_or_default(),
-        csv_dir: value_of("--csv"),
-        step_limit: value_of("--step-limit").and_then(|v| v.parse().ok()),
-        node_limit: value_of("--node-limit").and_then(|v| v.parse().ok()),
-        time_limit_ms: value_of("--time-limit").and_then(|v| v.parse().ok()),
-        reorder: value_of("--reorder")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(bddmin_bdd::ReorderMethod::None),
-        reorder_growth: value_of("--reorder-growth").and_then(|v| v.parse().ok()),
-        chain: value_of("--chain").is_some_and(|v| matches!(v.as_str(), "on" | "1" | "true")),
-        image: value_of("--image")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(bddmin_fsm::ImageMethod::Range),
-    }
+    shard::merge_indexed(out, |&(index, _)| index)
+        .into_iter()
+        .map(|(_, call)| call)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run_experiment, BudgetLimits};
     use bddmin_core::Heuristic;
+    use bddmin_fsm::ImageMethod;
 
     fn small_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -387,7 +176,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_runner() {
         let config = small_config();
-        let seq = crate::runner::run_experiment(&config);
+        let seq = run_experiment(&config);
         let par = run_experiment_jobs(&config, 2);
         assert_eq!(par.filtered, seq.filtered);
         assert_eq!(par.calls.len(), seq.calls.len());
@@ -401,6 +190,27 @@ mod tests {
             assert_eq!(a.c_size, b.c_size);
             assert!((a.c_onset_pct - b.c_onset_pct).abs() < 1e-12);
             assert_eq!(a.skipped, b.skipped, "no budget: nothing skipped");
+        }
+    }
+
+    #[test]
+    fn jobs_path_honours_the_image_method() {
+        // With `const` as the only heuristic the measurement workers stay
+        // small, so the sweep's peak is the traversal manager's, and on
+        // tlc + minmax5 each image method leaves a different peak there.
+        let peak = |image| {
+            let config = ExperimentConfig {
+                heuristics: vec![Heuristic::Constrain],
+                max_iterations: Some(6),
+                only_benchmarks: vec!["tlc".to_owned(), "minmax5".to_owned()],
+                image,
+                ..Default::default()
+            };
+            run_experiment_jobs(&config, 1).peak_live_nodes
+        };
+        let range = peak(ImageMethod::Range);
+        for image in [ImageMethod::Mono, ImageMethod::Part] {
+            assert_ne!(peak(image), range, "--jobs ignored --image {image}");
         }
     }
 
@@ -443,7 +253,7 @@ mod tests {
             },
             ..small_config()
         };
-        let seq = crate::runner::run_experiment(&config);
+        let seq = run_experiment(&config);
         let par = run_experiment_jobs(&config, 3);
         assert_eq!(par.calls.len(), seq.calls.len());
         assert!(

@@ -7,12 +7,18 @@
 //! caches before each so timings are honest), and record sizes and
 //! runtimes. The traversal itself continues with the `constrain` result,
 //! exactly as SIS did.
+//!
+//! [`traverse`] is the only implementation of that traversal. Its callers
+//! differ only in what they do with each intercepted call: measure it on
+//! the spot ([`run_benchmark`]), pin it for sharded measurement
+//! ([`crate::par`]), or feed it to a variant (the `ablation` binary).
 
 use std::time::{Duration, Instant};
 
 use bddmin_bdd::{Bdd, Budget, ReorderMethod, ReorderSettings};
 use bddmin_core::{lower_bound, Heuristic, Isf};
-use bddmin_fsm::{generators, product_circuit, ImageMethod, SymbolicFsm};
+use bddmin_fsm::generators::{self, Benchmark};
+use bddmin_fsm::{product_circuit, Circuit, ImageMethod, SymbolicFsm};
 
 /// Why a call was excluded from the statistics (paper §4.1.2 filters).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -334,6 +340,18 @@ pub fn filter_reason(bdd: &mut Bdd, isf: Isf) -> Option<FilterReason> {
     None
 }
 
+/// Counts `isf` against the paper's filters in `filtered`; true when the
+/// call survives them and must be measured.
+pub fn passes_filter(bdd: &mut Bdd, isf: Isf, filtered: &mut FilterStats) -> bool {
+    match filter_reason(bdd, isf) {
+        Some(FilterReason::CareIsCube) => filtered.cube += 1,
+        Some(FilterReason::CareInsideOnset) => filtered.inside_onset += 1,
+        Some(FilterReason::CareInsideOffset) => filtered.inside_offset += 1,
+        None => return true,
+    }
+    false
+}
+
 /// Measures all heuristics on one instance, flushing caches before each.
 ///
 /// When `limits` is armed, every heuristic runs through the budgeted
@@ -380,6 +398,45 @@ pub fn measure_instance(
     (sizes, times, min_size, lb, skipped)
 }
 
+/// Measures one surviving call of `benchmark` (see [`measure_instance`])
+/// into its [`CallRecord`].
+pub fn measure_call(
+    bdd: &mut Bdd,
+    isf: Isf,
+    benchmark: &str,
+    iteration: usize,
+    config: &ExperimentConfig,
+) -> CallRecord {
+    let c_onset_pct = bdd.onset_percentage(isf.c);
+    let (sizes, times, min_size, lower_bound, skipped) = measure_instance(
+        bdd,
+        isf,
+        &config.heuristics,
+        config.lower_bound_cubes,
+        config.limits,
+    );
+    CallRecord {
+        benchmark: benchmark.to_owned(),
+        iteration,
+        c_onset_pct,
+        f_size: bdd.size(isf.f),
+        c_size: bdd.size(isf.c),
+        sizes,
+        times,
+        min_size,
+        lower_bound,
+        skipped,
+    }
+}
+
+/// The suite machines `config.only_benchmarks` selects, in suite order.
+pub fn selected_benchmarks(config: &ExperimentConfig) -> impl Iterator<Item = Benchmark> + '_ {
+    generators::benchmark_suite().into_iter().filter(|bench| {
+        config.only_benchmarks.is_empty()
+            || config.only_benchmarks.iter().any(|n| n == bench.paper_name)
+    })
+}
+
 /// Runs the full experiment over the benchmark suite (machine vs. itself,
 /// as in the paper).
 pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResults {
@@ -387,19 +444,33 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResults {
         heuristics: config.heuristics.clone(),
         ..Default::default()
     };
-    for bench in generators::benchmark_suite() {
-        if !config.only_benchmarks.is_empty()
-            && !config.only_benchmarks.iter().any(|n| n == bench.paper_name)
-        {
-            continue;
-        }
+    for bench in selected_benchmarks(config) {
         run_benchmark(&bench.circuit, bench.paper_name, config, &mut results);
     }
     results
 }
 
 /// Runs one benchmark (product of `circuit` against a copy of itself) and
-/// appends its calls to `results`.
+/// appends its calls to `results`: every call the [`traverse`] intercepts
+/// is filtered and, if it survives, measured on the spot in the traversal
+/// manager.
+pub fn run_benchmark(
+    circuit: &Circuit,
+    paper_name: &str,
+    config: &ExperimentConfig,
+    results: &mut ExperimentResults,
+) {
+    traverse(circuit, config, results, |bdd, isf, iteration, results| {
+        if passes_filter(bdd, isf, &mut results.filtered) {
+            let call = measure_call(bdd, isf, paper_name, iteration, config);
+            results.calls.push(call);
+        }
+    });
+}
+
+/// The one SIS traversal: product-machine BFS of `circuit` against a copy
+/// of itself, handing every intercepted `[f, c]` call and its BFS
+/// iteration to `sink`, which gets the traversal manager and `results`.
 ///
 /// The traversal reproduces SIS `verify_fsm -m product`'s use of
 /// minimization: each BFS iteration makes **two kinds** of `constrain`
@@ -413,13 +484,17 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResults {
 ///
 /// The traversal itself always continues with the `constrain` results,
 /// because the image computation relies on constrain's image-preserving
-/// property (paper footnote 1).
-pub fn run_benchmark(
-    circuit: &bddmin_fsm::Circuit,
-    paper_name: &str,
+/// property (paper footnote 1). It applies `config`'s `chain`,
+/// `max_iterations`, `image` and `reorder`; reorder counts and the
+/// manager's peak memory go into `results`. The sink may pin edges to
+/// keep them alive across the per-iteration garbage collection. Returns
+/// the FSM, whose manager still holds anything the sink pinned.
+pub fn traverse(
+    circuit: &Circuit,
     config: &ExperimentConfig,
     results: &mut ExperimentResults,
-) {
+    mut sink: impl FnMut(&mut Bdd, Isf, usize, &mut ExperimentResults),
+) -> SymbolicFsm {
     let product = product_circuit(circuit, &circuit.clone());
     let mut fsm = if config.chain {
         SymbolicFsm::new_chained(&product)
@@ -430,12 +505,7 @@ pub fn run_benchmark(
     let init = fsm.initial_states();
     let mut reached = init;
     let mut frontier = init;
-    while !frontier.is_zero() {
-        if let Some(cap) = config.max_iterations {
-            if iteration >= cap {
-                break;
-            }
-        }
+    while !frontier.is_zero() && config.max_iterations.is_none_or(|cap| iteration < cap) {
         // Instance class 1: frontier-set choice.
         let care = {
             let bdd = fsm.bdd_mut();
@@ -443,14 +513,7 @@ pub fn run_benchmark(
             bdd.or(frontier, not_reached)
         };
         let frontier_isf = Isf::new(frontier, care);
-        record_call(
-            fsm.bdd_mut(),
-            frontier_isf,
-            paper_name,
-            iteration,
-            config,
-            results,
-        );
+        sink(fsm.bdd_mut(), frontier_isf, iteration, results);
         let minimized = {
             let bdd = fsm.bdd_mut();
             bdd.clear_caches();
@@ -461,7 +524,7 @@ pub fn run_benchmark(
         let mut constrained = Vec::with_capacity(next_fns.len());
         for &delta in &next_fns {
             let isf = Isf::new(delta, minimized);
-            record_call(fsm.bdd_mut(), isf, paper_name, iteration, config, results);
+            sink(fsm.bdd_mut(), isf, iteration, results);
             let bdd = fsm.bdd_mut();
             bdd.clear_caches();
             constrained.push(bdd.constrain(delta, minimized));
@@ -482,7 +545,8 @@ pub fn run_benchmark(
         };
         reached = new_reached;
         iteration += 1;
-        // Keep the node table bounded: the measured covers are dead now.
+        // Keep the node table bounded: the measured covers are dead now
+        // (pinned calls survive and keep their edges across a reorder).
         fsm.collect_garbage(&[reached, frontier]);
         // Quiescent point: nothing but the traversal state is live, so
         // this is where a reorder pays off for the next iteration.
@@ -494,43 +558,7 @@ pub fn run_benchmark(
         }
     }
     results.fold_peak(&fsm.bdd().stats());
-}
-
-fn record_call(
-    bdd: &mut Bdd,
-    isf: Isf,
-    paper_name: &str,
-    iteration: usize,
-    config: &ExperimentConfig,
-    results: &mut ExperimentResults,
-) {
-    match filter_reason(bdd, isf) {
-        Some(FilterReason::CareIsCube) => results.filtered.cube += 1,
-        Some(FilterReason::CareInsideOnset) => results.filtered.inside_onset += 1,
-        Some(FilterReason::CareInsideOffset) => results.filtered.inside_offset += 1,
-        None => {
-            let pct = bdd.onset_percentage(isf.c);
-            let (sizes, times, min_size, lb, skipped) = measure_instance(
-                bdd,
-                isf,
-                &config.heuristics,
-                config.lower_bound_cubes,
-                config.limits,
-            );
-            results.calls.push(CallRecord {
-                benchmark: paper_name.to_owned(),
-                iteration,
-                c_onset_pct: pct,
-                f_size: bdd.size(isf.f),
-                c_size: bdd.size(isf.c),
-                sizes,
-                times,
-                min_size,
-                lower_bound: lb,
-                skipped,
-            });
-        }
-    }
+    fsm
 }
 
 #[cfg(test)]

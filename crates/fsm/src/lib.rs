@@ -41,12 +41,6 @@ mod reach;
 mod symbolic;
 mod tr_min;
 
-// Property-based suite: needs the external `proptest` crate, which the
-// offline build cannot resolve. Enable with `--features proptest` after
-// restoring the dev-dependency (see Cargo.toml).
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;
-
 pub use blif::{blif_round_trip, parse_blif, print_blif, ParseBlifError};
 pub use circuit::{
     Circuit, CircuitBuilder, Gate, GateKind, Latch, NetId, NetSource, OutputPort,

@@ -168,20 +168,29 @@ mod tests {
     use super::*;
     use crate::generators;
     use crate::symbolic::SymbolicFsm;
+    use bddmin_core::rng::XorShift64;
 
     #[test]
     fn product_of_identical_machines_has_silent_miters() {
-        let a = generators::counter("c", 2);
-        let b = generators::counter("c2", 2);
-        let prod = product_circuit(&a, &b);
-        let mut fsm = SymbolicFsm::new(&prod);
-        let init = fsm.initial_states();
-        let reached = fsm.reachable_from(init);
-        // On every reachable state and input, all miters are 0.
-        let miters: Vec<_> = fsm.output_fns().to_vec();
-        for m in miters {
-            let bad = fsm.bdd_mut().and(reached, m);
-            assert!(bad.is_zero(), "identical machines disagreed");
+        let mut rng = XorShift64::seed_from_u64(0x5E1F);
+        let random = (0..48).map(|_| {
+            let latches = rng.gen_range_inclusive(1, 3);
+            let inputs = rng.gen_range_inclusive(1, 3);
+            let a = generators::random_fsm("r", latches, inputs, rng.gen_u64());
+            (a.clone(), a)
+        });
+        let pairs =
+            std::iter::once((generators::counter("c", 2), generators::counter("c2", 2)))
+                .chain(random);
+        for (case, (a, b)) in pairs.enumerate() {
+            let mut fsm = SymbolicFsm::new(&product_circuit(&a, &b));
+            let init = fsm.initial_states();
+            let reached = fsm.reachable_from(init);
+            // On every reachable state and input, all miters are 0.
+            for m in fsm.output_fns().to_vec() {
+                let bad = fsm.bdd_mut().and(reached, m);
+                assert!(bad.is_zero(), "case {case}: identical machines disagreed");
+            }
         }
     }
 

@@ -12,7 +12,8 @@ use crate::circuit::Circuit;
 ///
 /// All three methods produce identical state sets — the `image-equivalence`
 /// oracle and the `fused_image` differential suite pin this — but with very
-/// different peak memory profiles (BENCH_8.json).
+/// different time and peak memory profiles: on product machines `part` can
+/// peak at many times the live nodes of `mono` (`perfbench/README.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImageMethod {
     /// Monolithic transition relation through the fused `and_exists`.
@@ -543,6 +544,7 @@ pub fn symbolic_matches_simulation(
 mod tests {
     use super::*;
     use crate::circuit::{CircuitBuilder, GateKind};
+    use bddmin_core::rng::XorShift64;
 
     fn two_bit_counter() -> Circuit {
         let mut b = CircuitBuilder::new("cnt2");
@@ -567,6 +569,44 @@ mod tests {
             let inputs = [(bits & 4) != 0];
             let state = [(bits & 2) != 0, (bits & 1) != 0];
             assert!(symbolic_matches_simulation(&c, &fsm, &inputs, &state));
+        }
+    }
+
+    /// A seeded random machine with 1–3 latches over 1–3 inputs.
+    fn small_random_machine(rng: &mut XorShift64) -> Circuit {
+        let latches = rng.gen_range_inclusive(1, 3);
+        let inputs = rng.gen_range_inclusive(1, 3);
+        crate::generators::random_fsm("r", latches, inputs, rng.gen_u64())
+    }
+
+    #[test]
+    fn symbolic_equals_simulation_on_random_machines() {
+        let mut rng = XorShift64::seed_from_u64(0x5135);
+        for case in 0..48 {
+            let c = small_random_machine(&mut rng);
+            let fsm = SymbolicFsm::new(&c);
+            for _ in 0..8 {
+                let inputs: Vec<bool> = (0..c.num_inputs()).map(|_| rng.gen_bool(0.5)).collect();
+                let state: Vec<bool> = (0..c.num_latches()).map(|_| rng.gen_bool(0.5)).collect();
+                assert!(
+                    symbolic_matches_simulation(&c, &fsm, &inputs, &state),
+                    "case {case}: {inputs:?} in {state:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reachability_fixpoint_is_closed_on_random_machines() {
+        let mut rng = XorShift64::seed_from_u64(0xF1C5);
+        for case in 0..48 {
+            let mut fsm = SymbolicFsm::new(&small_random_machine(&mut rng));
+            let init = fsm.initial_states();
+            let reached = fsm.reachable_from(init);
+            // Closed under image, and contains the initial state.
+            let img = fsm.image(reached);
+            assert!(fsm.bdd_mut().implies_holds(img, reached), "case {case}");
+            assert!(fsm.bdd_mut().implies_holds(init, reached), "case {case}");
         }
     }
 

@@ -9,8 +9,8 @@
 //!
 //! Exit status is 0 when no oracle failed, 1 otherwise; `--expect-failure`
 //! inverts that so mutation gates can assert the harness *does* catch an
-//! injected bug. The JSON stats blob on stdout mirrors perf_smoke's
-//! report style so CI can grep for schema keys.
+//! injected bug. The JSON stats blob on stdout carries stable key names so
+//! CI can grep for them.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

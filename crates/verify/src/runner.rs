@@ -210,9 +210,8 @@ impl FuzzReport {
         self.failures.iter().map(|f| f.shrink_steps).sum()
     }
 
-    /// Renders the perf_smoke-style single-line JSON stats blob for CI
-    /// logs. Hand-rolled like `crates/eval`'s reports — no serde in the
-    /// workspace.
+    /// Renders the JSON stats blob for CI logs. Hand-rolled like
+    /// `crates/eval`'s reports — no serde in the workspace.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");

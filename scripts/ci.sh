@@ -13,21 +13,19 @@
 #   degradation  budget-oracle fuzz gate + tiny-budget smoke suite
 #                (every heuristic at a 1-step budget still covers)
 #   reorder      reorder-invariance oracle fuzz + break-reorder mutant
-#                gate + reorder_storm quick run (BENCH_6 schema) +
-#                reorder-off determinism diff
+#                gate + reorder-off and sifted-run determinism diffs
 #   chain        chain-invariance oracle fuzz + break-chain mutant gate
-#                + chain_storm quick run (BENCH_7 schema) + chain-on/off
-#                stdout determinism diff
+#                + chain-on/off stdout determinism diff
 #   image        image-equivalence oracle fuzz + break-and-exists mutant
-#                gate + image_storm quick run (BENCH_8 schema) + mono-vs-
-#                partitioned stdout determinism diff
+#                gate + mono-vs-partitioned stdout determinism diff
 #   serve        service-layer gate: the 50-job demo stream through 1 and
 #                4 shards must be byte-identical, malformed and
 #                non-injective jobs must come back as structured error
 #                lines with exit 0, and the signature cache must score
 #                nonzero hits
-#   perf         perf_smoke --quick + JSON schema checks (BENCH_5 and
-#                the ci_timings.json wall-clock artifact)
+#   perf         the perfbench test suite (explicit checker, percentiles,
+#                compare verdicts, traced-replay drift) + the
+#                ci_timings.json wall-clock artifact check
 #
 # Opt-in stages (valid for --stage, excluded from the default run):
 #   fuzz-deep    sustained structured fuzz: 60 s budget, bandit over all
@@ -40,8 +38,8 @@
 # perf stage validates that artifact with the check_timings binary.
 #
 # Everything works with no network access: the workspace has no external
-# dependencies (proptest/criterion suites are feature-gated off; the
-# randomized suites run on the in-tree xorshift generator).
+# dependencies (the randomized suites run on the in-tree xorshift
+# generator).
 #
 # Usage: scripts/ci.sh [--stage <name>]... [--list-stages]
 #   With no arguments every default stage runs in order. Each --stage
@@ -75,7 +73,7 @@ while [[ $# -gt 0 ]]; do
             exit 0
             ;;
         -h|--help)
-            sed -n '2,50p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,48p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
@@ -248,19 +246,6 @@ stage_reorder() {
     ./target/release/verify --seed 1..3 --iters 2000 --budget-ms 20000 \
         --mutant break-reorder --max-failures 1 --no-write --expect-failure \
         >/dev/null
-    echo "    reorder_storm quick run + BENCH_6 schema check"
-    cargo run --release -q -p bddmin-eval --bin perf_smoke -- --quick >/dev/null
-    for key in '"reorder_storm"' '"median_node_reduction"' \
-               '"semantics_identical"'; do
-        grep -q "$key" BENCH_6.quick.json || {
-            echo "missing $key in BENCH_6.quick.json" >&2
-            exit 1
-        }
-    done
-    grep -q '"semantics_identical": true' BENCH_6.quick.json || {
-        echo "reorder_storm changed function semantics" >&2
-        exit 1
-    }
     echo "    reorder-off determinism: --reorder none is byte-identical to default"
     local tmpdir
     tmpdir="$(mktemp -d)"
@@ -286,19 +271,6 @@ stage_chain() {
     ./target/release/verify --seed 1..3 --iters 2000 --budget-ms 20000 \
         --mutant break-chain --max-failures 1 --no-write --expect-failure \
         >/dev/null
-    echo "    chain_storm quick run + BENCH_7 schema check"
-    cargo run --release -q -p bddmin-eval --bin perf_smoke -- --quick >/dev/null
-    for key in '"chain_storm"' '"median_compression"' \
-               '"semantics_identical"'; do
-        grep -q "$key" BENCH_7.quick.json || {
-            echo "missing $key in BENCH_7.quick.json" >&2
-            exit 1
-        }
-    done
-    grep -q '"semantics_identical": true' BENCH_7.quick.json || {
-        echo "chain_storm changed function semantics" >&2
-        exit 1
-    }
     echo "    chain determinism: --chain on stdout is byte-identical to off"
     local tmpdir
     tmpdir="$(mktemp -d)"
@@ -318,19 +290,6 @@ stage_image() {
     ./target/release/verify --seed 1..3 --iters 2000 --budget-ms 20000 \
         --mutant break-and-exists --max-failures 1 --no-write --expect-failure \
         >/dev/null
-    echo "    image_storm quick run + BENCH_8 schema check"
-    cargo run --release -q -p bddmin-eval --bin perf_smoke -- --quick >/dev/null
-    for key in '"image_storm"' '"median_speedup"' '"peak_reduction"' \
-               '"semantics_identical"'; do
-        grep -q "$key" BENCH_8.quick.json || {
-            echo "missing $key in BENCH_8.quick.json" >&2
-            exit 1
-        }
-    done
-    grep -q '"semantics_identical": true' BENCH_8.quick.json || {
-        echo "image_storm diverged across image methods" >&2
-        exit 1
-    }
     echo "    image determinism: --image part stdout is byte-identical to mono"
     local tmpdir
     tmpdir="$(mktemp -d)"
@@ -375,16 +334,8 @@ stage_serve() {
 }
 
 stage_perf() {
-    cargo run --release -q -p bddmin-eval --bin perf_smoke -- --quick
-    for key in '"hit_rate"' '"ops_per_sec"' '"resizes"' '"per_op"' \
-               '"ite"' '"constrain"' '"restrict"' '"memo"' '"heuristic_storm"' \
-               '"level_storm"' '"median_speedup"' '"byte_identical"'; do
-        grep -q "$key" BENCH_5.quick.json || {
-            echo "missing $key in BENCH_5.quick.json" >&2
-            exit 1
-        }
-    done
-    echo "    BENCH_5.quick.json schema ok"
+    echo "    perfbench suite, including the traced-replay drift test"
+    cargo test --offline -q --manifest-path perfbench/Cargo.toml
     # Validate the wall-clock artifact accumulated so far this run (an
     # empty array when perf is the first selected stage — still valid).
     cargo build --release -q -p bddmin-eval --bin check_timings
