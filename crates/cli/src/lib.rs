@@ -249,7 +249,7 @@ bddmin — heuristic minimization of BDDs using don't cares (Shiple et al., DAC'
 USAGE:
   bddmin spec <LEAFSPEC> [--heuristic FILTER] [--exact] [--isop] [--dot] [--chain] [BUDGET]
   bddmin expr --vars a,b,c --function EXPR --care EXPR [--heuristic FILTER] [--chain] [BUDGET]
-  bddmin verify <LEFT.blif> <RIGHT.blif> [--heuristic NAME] [--image {mono,part,range}]
+  bddmin verify <LEFT.blif> <RIGHT.blif> [--heuristic NAME] [--image {mono,range}]
   bddmin simplify <CIRCUIT.blif> [--heuristic NAME]
   bddmin bench
 
@@ -954,7 +954,6 @@ mod tests {
     fn verify_parses_image_method() {
         for (flag, want) in [
             ("mono", ImageMethod::Mono),
-            ("part", ImageMethod::Part),
             ("range", ImageMethod::Range),
         ] {
             let cmd = parse_args(
@@ -967,15 +966,18 @@ mod tests {
                 other => panic!("wrong parse: {other:?}"),
             }
         }
-        // Default is mono; unknown methods and a missing value are errors.
+        // Default is mono; unknown and retired methods and a missing value
+        // are errors.
         let cmd = parse_args(&strs(&["verify", "a.blif", "b.blif"]), |_| Ok(String::new()))
             .unwrap();
         assert!(matches!(cmd, Command::Verify { image: ImageMethod::Mono, .. }));
-        assert!(parse_args(
-            &strs(&["verify", "a.blif", "b.blif", "--image", "bogus"]),
-            |_| Ok(String::new())
-        )
-        .is_err());
+        for bad in ["bogus", "part"] {
+            assert!(parse_args(
+                &strs(&["verify", "a.blif", "b.blif", "--image", bad]),
+                |_| Ok(String::new())
+            )
+            .is_err());
+        }
         assert!(
             parse_args(&strs(&["verify", "a.blif", "b.blif", "--image"]), |_| Ok(
                 String::new()

@@ -1,11 +1,12 @@
-//! A minimal JSON reader/writer for the service protocol.
+//! A minimal JSON reader/writer shared by the workspace.
 //!
-//! The workspace builds offline with no external crates, so the JSON-lines
-//! protocol is handled by this ~200-line module instead of serde. It is
-//! deliberately strict where the protocol is strict: duplicate object keys
-//! and trailing input are errors, and every error carries the byte
-//! position, so a malformed job line produces a structured error result
-//! instead of a silently misread job.
+//! The workspace builds offline with no external crates, so every JSON
+//! reader — the service's JSON-lines protocol, the CI timings validator,
+//! the benchmark's configuration and result files — goes through this
+//! ~200-line module instead of serde. It is deliberately strict: duplicate
+//! object keys and trailing input are errors, and every error carries the
+//! byte position, so a malformed job line produces a structured error
+//! result instead of a silently misread job.
 
 use std::fmt;
 
@@ -92,13 +93,13 @@ impl std::error::Error for JsonError {}
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
     };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(p.err("trailing characters after JSON value"));
     }
     Ok(value)
@@ -128,8 +129,10 @@ pub fn escape(s: &str) -> String {
 /// bound keeps adversarial `[[[[…` input from overflowing the stack.
 const MAX_DEPTH: usize = 64;
 
+/// A cursor over the input. `pos` only ever advances past ASCII bytes or
+/// whole UTF-8 scalars, so it always sits on a char boundary of `text`.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -142,7 +145,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -161,7 +164,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -296,11 +299,11 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a str");
-                    let ch = s.chars().next().expect("peeked non-empty");
+                    // Consume one UTF-8 scalar, decoded in place.
+                    let ch = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("peeked non-empty");
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -346,8 +349,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -400,6 +403,11 @@ mod tests {
         let v = parse(r#""a\"b\\c\nA😀""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\nA😀"));
         assert_eq!(escape("a\"b\\c\n\u{1}"), "a\\\"b\\\\c\\n\\u0001");
+        // Multibyte scalars after a long ASCII run: each is decoded in
+        // place, not by re-validating the rest of the input.
+        let long = "x".repeat(100_000) + "é😀";
+        let v = parse(&format!("\"{long}\"")).unwrap();
+        assert_eq!(v.as_str(), Some(long.as_str()));
     }
 
     #[test]

@@ -50,6 +50,7 @@ mod bitset;
 mod exact;
 mod heuristics;
 mod isf;
+pub mod json;
 mod level;
 mod lower_bound;
 mod matching;

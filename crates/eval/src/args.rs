@@ -36,7 +36,7 @@ pub struct EvalArgs {
     /// traversal and measurement (default off). Rendered tables are
     /// byte-identical either way; only peak memory changes.
     pub chain: bool,
-    /// `--image {mono,part,range}`: image computation method for the
+    /// `--image {mono,range}`: image computation method for the
     /// traversal (default `range`, the historical runner). Rendered
     /// tables are byte-identical across methods.
     pub image: ImageMethod,
@@ -147,7 +147,7 @@ mod tests {
         assert_eq!(d.image, ImageMethod::Range);
         assert!(!d.limits().armed());
         let a = parse(
-            "--quick --jobs 4 --only tlc,,s386 --image part --reorder sift \
+            "--quick --jobs 4 --only tlc,,s386 --image mono --reorder sift \
              --reorder-growth 1.5 --chain on --step-limit 25 --node-limit 900 \
              --time-limit 30 --no-times --unknown",
         )
@@ -155,7 +155,7 @@ mod tests {
         assert!(a.quick && a.no_times && a.chain);
         assert_eq!(a.jobs, 4);
         assert_eq!(a.only, ["tlc", "s386"]);
-        assert_eq!(a.image, ImageMethod::Part);
+        assert_eq!(a.image, ImageMethod::Mono);
         assert_eq!(a.reorder_settings().method, ReorderMethod::Sift);
         assert_eq!(a.reorder_settings().growth, 1.5);
         assert_eq!(
@@ -174,6 +174,7 @@ mod tests {
         for (flag, bad) in [
             ("--jobs", "abc"),
             ("--image", "bogus"),
+            ("--image", "part"),
             ("--reorder", "bogus"),
             ("--chain", "maybe"),
             ("--reorder-growth", "x"),

@@ -23,6 +23,8 @@
 
 use std::process::ExitCode;
 
+use bddmin_core::json::{self, Json};
+
 /// One validated entry.
 struct Entry {
     stage: String,
@@ -30,127 +32,17 @@ struct Entry {
     ms: u64,
 }
 
-/// A character cursor with strict, whitespace-tolerant helpers.
-struct Cursor<'a> {
-    text: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Cursor<'a> {
-        Cursor {
-            text: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .text
-            .get(self.pos)
-            .is_some_and(|b| b" \t\r\n".contains(b))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.text.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(b) if b == byte => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(b) => Err(format!(
-                "byte {}: expected {:?}, found {:?}",
-                self.pos,
-                byte as char,
-                b as char
-            )),
-            None => Err(format!(
-                "byte {}: expected {:?}, found end of input",
-                self.pos, byte as char
-            )),
-        }
-    }
-
-    /// Parses a JSON string without escapes (the writer never emits
-    /// any; an escape here means the writer is broken).
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        loop {
-            match self.text.get(self.pos) {
-                Some(b'"') => break,
-                Some(b'\\') => {
-                    return Err(format!(
-                        "byte {}: escape sequences are not part of the timings schema",
-                        self.pos
-                    ))
-                }
-                Some(_) => self.pos += 1,
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-        let s = std::str::from_utf8(&self.text[start..self.pos])
-            .map_err(|e| format!("invalid UTF-8 in string: {e}"))?
-            .to_string();
-        self.pos += 1;
-        Ok(s)
-    }
-
-    /// Parses a non-negative integer (the only number shape allowed).
-    fn integer(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.text.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!(
-                "byte {}: expected a non-negative integer",
-                self.pos
-            ));
-        }
-        std::str::from_utf8(&self.text[start..self.pos])
-            .unwrap()
-            .parse()
-            .map_err(|e| format!("byte {start}: bad integer: {e}"))
-    }
-}
-
 /// Parses and validates the whole artifact.
 fn validate(text: &str) -> Result<Vec<Entry>, String> {
-    let mut cur = Cursor::new(text);
-    let mut entries = Vec::new();
-    cur.expect(b'[')?;
-    if cur.peek() == Some(b']') {
-        cur.pos += 1;
-    } else {
-        loop {
-            entries.push(entry(&mut cur)?);
-            match cur.peek() {
-                Some(b',') => cur.pos += 1,
-                Some(b']') => {
-                    cur.pos += 1;
-                    break;
-                }
-                other => {
-                    return Err(format!(
-                        "byte {}: expected ',' or ']' after entry, found {other:?}",
-                        cur.pos
-                    ))
-                }
-            }
-        }
-    }
-    if cur.peek().is_some() {
-        return Err(format!("byte {}: trailing content after array", cur.pos));
-    }
+    let root = json::parse(text).map_err(|e| e.to_string())?;
+    let items = root
+        .as_array()
+        .ok_or("top level must be an array of entries")?;
+    let entries = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| entry(item).map_err(|e| format!("entry {i}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut seen = std::collections::HashSet::new();
     for e in &entries {
         if !seen.insert(e.stage.as_str()) {
@@ -160,60 +52,36 @@ fn validate(text: &str) -> Result<Vec<Entry>, String> {
     Ok(entries)
 }
 
-/// Parses one `{"stage": ..., "status": ..., "ms": ...}` object, keys
-/// in any order but each exactly once and nothing else.
-fn entry(cur: &mut Cursor<'_>) -> Result<Entry, String> {
-    cur.expect(b'{')?;
-    let mut stage: Option<String> = None;
-    let mut status: Option<String> = None;
-    let mut ms: Option<u64> = None;
-    loop {
-        let key = cur.string()?;
-        cur.expect(b':')?;
-        match key.as_str() {
-            "stage" if stage.is_none() => {
-                let v = cur.string()?;
-                if v.is_empty() {
-                    return Err("empty stage name".to_string());
-                }
-                stage = Some(v);
-            }
-            "status" if status.is_none() => {
-                let v = cur.string()?;
-                if !["ok", "fail", "skip"].contains(&v.as_str()) {
-                    return Err(format!(
-                        "bad status {v:?} (expected ok, fail, or skip)"
-                    ));
-                }
-                status = Some(v);
-            }
-            "ms" if ms.is_none() => ms = Some(cur.integer()?),
-            "stage" | "status" | "ms" => return Err(format!("duplicate key {key:?}")),
-            other => return Err(format!("unexpected key {other:?}")),
-        }
-        match cur.peek() {
-            Some(b',') => cur.pos += 1,
-            Some(b'}') => {
-                cur.pos += 1;
-                break;
-            }
-            other => {
-                return Err(format!(
-                    "byte {}: expected ',' or '}}' in entry, found {other:?}",
-                    cur.pos
-                ))
-            }
-        }
+/// Validates one `{"stage": ..., "status": ..., "ms": ...}` object: keys
+/// in any order (the parser rejects duplicates), all three present and
+/// nothing else.
+fn entry(item: &Json) -> Result<Entry, String> {
+    let members = item.members().ok_or("expected an object")?;
+    if let Some((key, _)) = members
+        .iter()
+        .find(|(k, _)| !["stage", "status", "ms"].contains(&k.as_str()))
+    {
+        return Err(format!("unexpected key {key:?}"));
     }
-    match (stage, status, ms) {
-        (Some(stage), Some(status), Some(ms)) => Ok(Entry { stage, status, ms }),
-        (stage, status, ms) => Err(format!(
-            "entry missing keys: stage={} status={} ms={}",
-            stage.is_some(),
-            status.is_some(),
-            ms.is_some()
-        )),
+    let field = |key: &str| item.get(key).ok_or(format!("missing key {key:?}"));
+    let stage = field("stage")?.as_str().ok_or("stage must be a string")?;
+    if stage.is_empty() {
+        return Err("empty stage name".to_string());
     }
+    let status = field("status")?.as_str().ok_or("status must be a string")?;
+    if !["ok", "fail", "skip"].contains(&status) {
+        return Err(format!(
+            "bad status {status:?} (expected ok, fail, or skip)"
+        ));
+    }
+    let ms = field("ms")?
+        .as_u64()
+        .ok_or("ms must be a non-negative integer")?;
+    Ok(Entry {
+        stage: stage.to_owned(),
+        status: status.to_owned(),
+        ms,
+    })
 }
 
 fn main() -> ExitCode {

@@ -7,7 +7,7 @@
 //!   [--quick] [--jobs N] [--only a,b] [--no-times] [--csv <dir>]
 //!   [--step-limit N] [--node-limit N] [--time-limit MS]
 //!   [--reorder {none,sift,group}] [--reorder-growth F]
-//!   [--chain {on,off}] [--image {mono,part,range}]`
+//!   [--chain {on,off}] [--image {mono,range}]`
 //!
 //! The budget flags bound every heuristic invocation; blown runs degrade
 //! to a valid cover and are counted in a skip-accounting line.

@@ -8,7 +8,7 @@
 //!   [--quick] [--jobs N] [--only a,b]
 //!   [--step-limit N] [--node-limit N] [--time-limit MS]
 //!   [--reorder {none,sift,group}] [--reorder-growth F]
-//!   [--chain {on,off}] [--image {mono,part,range}]`
+//!   [--chain {on,off}] [--image {mono,range}]`
 
 use bddmin_core::Heuristic;
 use bddmin_eval::args::parse_eval_args;

@@ -208,10 +208,11 @@ mod tests {
             };
             run_experiment_jobs(&config, 1).peak_live_nodes
         };
-        let range = peak(ImageMethod::Range);
-        for image in [ImageMethod::Mono, ImageMethod::Part] {
-            assert_ne!(peak(image), range, "--jobs ignored --image {image}");
-        }
+        assert_ne!(
+            peak(ImageMethod::Mono),
+            peak(ImageMethod::Range),
+            "--jobs ignored --image"
+        );
     }
 
     #[test]

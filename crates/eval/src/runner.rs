@@ -535,7 +535,6 @@ pub fn traverse(
         let image = match config.image {
             ImageMethod::Range => fsm.image_of_constrained(&constrained),
             ImageMethod::Mono => fsm.image(minimized),
-            ImageMethod::Part => fsm.image_partitioned(minimized),
         };
         let new_reached = fsm.bdd_mut().or(reached, image);
         frontier = {

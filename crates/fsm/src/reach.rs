@@ -170,7 +170,7 @@ pub fn verify_fsm_equivalence(
 }
 
 /// [`verify_fsm_equivalence`] with an explicit image computation method
-/// (the CLI's `--image {mono,part,range}` flag). All methods visit the same
+/// (the CLI's `--image {mono,range}` flag). Both methods visit the same
 /// state sets, so the verdict and depth are method-invariant.
 pub fn verify_fsm_equivalence_with(
     a: &crate::circuit::Circuit,

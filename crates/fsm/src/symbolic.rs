@@ -8,19 +8,15 @@ use bddmin_bdd::{Bdd, Edge, ReorderSettings, ReorderStats, Var};
 
 use crate::circuit::Circuit;
 
-/// How an image is computed (the `--image {mono,part,range}` flag).
+/// How an image is computed (the `--image {mono,range}` flag).
 ///
-/// All three methods produce identical state sets — the `image-equivalence`
-/// oracle and the `fused_image` differential suite pin this — but with very
-/// different time and peak memory profiles: on product machines `part` can
-/// peak at many times the live nodes of `mono` (`perfbench/README.md`).
+/// Both methods produce identical state sets — the `image-equivalence`
+/// oracle and the `fused_image` differential suite pin this — but with
+/// different time and peak memory profiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImageMethod {
     /// Monolithic transition relation through the fused `and_exists`.
     Mono,
-    /// Partitioned transition relation with IWLS95-style early
-    /// quantification ([`SymbolicFsm::image_partitioned`]).
-    Part,
     /// Constrain + range over the next-state vector
     /// ([`SymbolicFsm::image_by_range`]) — the paper's own method.
     Range,
@@ -28,13 +24,12 @@ pub enum ImageMethod {
 
 impl ImageMethod {
     /// Every method, for exhaustive cross-checks.
-    pub const ALL: [ImageMethod; 3] = [ImageMethod::Mono, ImageMethod::Part, ImageMethod::Range];
+    pub const ALL: [ImageMethod; 2] = [ImageMethod::Mono, ImageMethod::Range];
 
-    /// The flag spelling (`mono`, `part`, `range`).
+    /// The flag spelling (`mono`, `range`).
     pub fn name(self) -> &'static str {
         match self {
             ImageMethod::Mono => "mono",
-            ImageMethod::Part => "part",
             ImageMethod::Range => "range",
         }
     }
@@ -46,10 +41,9 @@ impl std::str::FromStr for ImageMethod {
     fn from_str(s: &str) -> Result<ImageMethod, String> {
         match s {
             "mono" => Ok(ImageMethod::Mono),
-            "part" => Ok(ImageMethod::Part),
             "range" => Ok(ImageMethod::Range),
             other => Err(format!(
-                "unknown image method `{other}` (expected mono, part, or range)"
+                "unknown image method `{other}` (expected mono or range)"
             )),
         }
     }
@@ -59,23 +53,6 @@ impl std::fmt::Display for ImageMethod {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Greedy clustering threshold: a cluster stops absorbing per-latch
-/// relations once its BDD would exceed this many nodes (IWLS95's partition
-/// size limit). Small enough that the experiment circuits actually
-/// partition; conjunctions stay shallow either way.
-const CLUSTER_NODE_THRESHOLD: usize = 250;
-
-/// A partitioned transition relation with its early-quantification
-/// schedule. `clusters[i]` is a conjunction of per-latch next-state
-/// relations; `cubes[i]` is the cube of variables whose **last** mention is
-/// in cluster `i` — sound to abstract immediately after conjoining it,
-/// since ∃v·(A ∧ B) = (∃v·A) ∧ B whenever v ∉ support(B).
-#[derive(Debug)]
-struct Partition {
-    clusters: Vec<Edge>,
-    cubes: Vec<Edge>,
 }
 
 /// A circuit compiled to BDDs: next-state and output functions over input
@@ -113,14 +90,8 @@ pub struct SymbolicFsm {
     output_names: Vec<String>,
     initial: Edge,
     transition: Edge,
-    /// Whether the monolithic relation has been reclaimed (see
-    /// [`SymbolicFsm::release_monolithic_relation`]); when set,
-    /// `transition` is a dangling edge and must not be dereferenced.
-    transition_released: bool,
     /// Cube of input ∪ present variables (quantified during image).
     img_quant_cube: Edge,
-    /// Lazily-built partitioned transition relation (see [`Partition`]).
-    partition: Option<Partition>,
     name: String,
 }
 
@@ -219,9 +190,7 @@ impl SymbolicFsm {
             output_names,
             initial,
             transition,
-            transition_released: false,
             img_quant_cube,
-            partition: None,
             name: circuit.name().to_owned(),
         }
     }
@@ -279,16 +248,7 @@ impl SymbolicFsm {
     }
 
     /// The monolithic transition relation `T(in, ps, ns)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the relation was reclaimed by
-    /// [`SymbolicFsm::release_monolithic_relation`].
     pub fn transition_relation(&self) -> Edge {
-        assert!(
-            !self.transition_released,
-            "monolithic transition relation was released"
-        );
         self.transition
     }
 
@@ -299,13 +259,8 @@ impl SymbolicFsm {
     }
 
     /// The image of a state set `S(ps)`: all states reachable in one step,
-    /// expressed over the **present** variables again. After
-    /// [`SymbolicFsm::release_monolithic_relation`] this delegates to the
-    /// partitioned computation (the only relation still held).
+    /// expressed over the **present** variables again.
     pub fn image(&mut self, states: Edge) -> Edge {
-        if self.transition_released {
-            return self.image_partitioned(states);
-        }
         let ns_image = self
             .bdd
             .and_exists(self.transition, states, self.img_quant_cube);
@@ -313,93 +268,12 @@ impl SymbolicFsm {
             .rename(ns_image, &self.next_vars.clone(), &self.present_vars.clone())
     }
 
-    /// The image of `states` through the partitioned transition relation:
-    /// per-latch relations greedily clustered under a node threshold, each
-    /// input/present variable abstracted at the last cluster that mentions
-    /// it (IWLS95-style early quantification). Produces the same state set
-    /// as [`SymbolicFsm::image`] with a far smaller peak conjunction.
-    pub fn image_partitioned(&mut self, states: Edge) -> Edge {
-        self.ensure_partition();
-        let part = self.partition.as_ref().expect("partition built");
-        let steps: Vec<(Edge, Edge)> = part
-            .clusters
-            .iter()
-            .copied()
-            .zip(part.cubes.iter().copied())
-            .collect();
-        let mut acc = states;
-        for (cluster, cube) in steps {
-            acc = self.bdd.and_exists(acc, cluster, cube);
-        }
-        self.bdd
-            .rename(acc, &self.next_vars.clone(), &self.present_vars.clone())
-    }
-
     /// Dispatches to the image computation selected by `method`.
     pub fn image_with(&mut self, method: ImageMethod, states: Edge) -> Edge {
         match method {
             ImageMethod::Mono => self.image(states),
-            ImageMethod::Part => self.image_partitioned(states),
             ImageMethod::Range => self.image_by_range(states),
         }
-    }
-
-    /// Number of clusters in the partitioned transition relation (builds
-    /// it if necessary). One cluster per latch before clustering; fewer
-    /// after greedy merging under the node threshold.
-    pub fn num_clusters(&mut self) -> usize {
-        self.ensure_partition();
-        self.partition.as_ref().expect("partition built").clusters.len()
-    }
-
-    fn ensure_partition(&mut self) {
-        if self.partition.is_some() {
-            return;
-        }
-        // Per-latch relations ns_i ≡ δ_i, greedily conjoined while the
-        // cluster stays under the node threshold.
-        let mut clusters: Vec<Edge> = Vec::new();
-        let mut current = Edge::ONE;
-        for (i, &nf) in self.next_fns.clone().iter().enumerate() {
-            let nv = self.bdd.var(self.next_vars[i]);
-            let rel = self.bdd.xnor(nv, nf);
-            if current.is_one() {
-                current = rel;
-                continue;
-            }
-            let merged = self.bdd.and(current, rel);
-            if self.bdd.size(merged) > CLUSTER_NODE_THRESHOLD {
-                clusters.push(current);
-                current = rel;
-            } else {
-                current = merged;
-            }
-        }
-        if !current.is_one() || clusters.is_empty() {
-            clusters.push(current);
-        }
-        // Early-quantification schedule: each input/present variable is
-        // abstracted at the LAST cluster whose support mentions it. A
-        // variable mentioned by no cluster can go anywhere (only `states`
-        // carries it); schedule it first so it disappears immediately.
-        let supports: Vec<Vec<Var>> =
-            clusters.iter().map(|&c| self.bdd.support(c)).collect();
-        let quant: Vec<Var> = self
-            .input_vars
-            .iter()
-            .chain(self.present_vars.iter())
-            .copied()
-            .collect();
-        let mut per_cluster: Vec<Vec<Var>> = vec![Vec::new(); clusters.len()];
-        for &v in &quant {
-            let last = supports.iter().rposition(|s| s.contains(&v)).unwrap_or(0);
-            per_cluster[last].push(v);
-        }
-        let cubes: Vec<Edge> = per_cluster
-            .iter()
-            .map(|vars| self.bdd.cube_of_vars(vars))
-            .collect();
-        self.partition = Some(Partition { clusters, cubes });
     }
 
     /// Full reachable state set from `from`, by naive BFS (no frontier
@@ -425,38 +299,8 @@ impl SymbolicFsm {
     /// minimized covers should call this between iterations to keep the
     /// node table bounded.
     pub fn collect_garbage(&mut self, extra_roots: &[Edge]) -> usize {
-        let mut roots: Vec<Edge> = Vec::with_capacity(
-            self.next_fns.len() + self.output_fns.len() + extra_roots.len() + 3,
-        );
-        roots.extend_from_slice(&self.next_fns);
-        roots.extend_from_slice(&self.output_fns);
-        roots.push(self.initial);
-        if !self.transition_released {
-            roots.push(self.transition);
-        }
-        roots.push(self.img_quant_cube);
-        if let Some(part) = &self.partition {
-            roots.extend_from_slice(&part.clusters);
-            roots.extend_from_slice(&part.cubes);
-        }
-        roots.extend_from_slice(extra_roots);
+        let roots = self.roots_with(extra_roots);
         self.bdd.collect_garbage(&roots)
-    }
-
-    /// Reclaims the monolithic transition relation, keeping only the
-    /// partitioned one (built here if necessary). Returns the number of
-    /// nodes the collection freed.
-    ///
-    /// The memory argument for partitioned image computation rests on
-    /// never holding the monolithic conjunction `∧ᵢ (nsᵢ ≡ δᵢ)` — often
-    /// the largest single BDD in a traversal — so workloads that commit
-    /// to `--image part` can drop it entirely. Afterwards
-    /// [`SymbolicFsm::image`] delegates to [`SymbolicFsm::image_partitioned`]
-    /// and [`SymbolicFsm::transition_relation`] panics.
-    pub fn release_monolithic_relation(&mut self) -> usize {
-        self.ensure_partition();
-        self.transition_released = true;
-        self.collect_garbage(&[])
     }
 
     /// Dynamically reorders the manager's variables, protecting the same
@@ -465,22 +309,23 @@ impl SymbolicFsm {
     /// identity across the reorder (slots denote the same functions), so
     /// the traversal continues unchanged afterwards.
     pub fn reorder(&mut self, settings: &ReorderSettings, extra_roots: &[Edge]) -> ReorderStats {
+        let roots = self.roots_with(extra_roots);
+        self.bdd.reorder_roots(settings, &roots)
+    }
+
+    /// The machine's own functions (next-state, outputs, initial state,
+    /// transition relation, quantification cube) followed by `extra_roots`.
+    fn roots_with(&self, extra_roots: &[Edge]) -> Vec<Edge> {
         let mut roots: Vec<Edge> = Vec::with_capacity(
             self.next_fns.len() + self.output_fns.len() + extra_roots.len() + 3,
         );
         roots.extend_from_slice(&self.next_fns);
         roots.extend_from_slice(&self.output_fns);
         roots.push(self.initial);
-        if !self.transition_released {
-            roots.push(self.transition);
-        }
+        roots.push(self.transition);
         roots.push(self.img_quant_cube);
-        if let Some(part) = &self.partition {
-            roots.extend_from_slice(&part.clusters);
-            roots.extend_from_slice(&part.cubes);
-        }
         roots.extend_from_slice(extra_roots);
-        self.bdd.reorder_roots(settings, &roots)
+        roots
     }
 
     /// Number of states in a state set (over the present variables).
@@ -667,7 +512,7 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_image_matches_monolithic() {
+    fn range_image_matches_monolithic() {
         for circuit in [
             crate::generators::counter("c", 4),
             crate::generators::lfsr("l", 4, 0b0011),
@@ -683,15 +528,13 @@ mod tests {
                 let mut set = fsm.initial_states();
                 for step in 0..4 {
                     let mono = fsm.image(set);
-                    let part = fsm.image_partitioned(set);
                     let range = fsm.image_by_range(set);
                     assert_eq!(
                         mono,
-                        part,
-                        "mono vs part on {} (chained={chained}) step {step}",
+                        range,
+                        "mono vs range on {} (chained={chained}) step {step}",
                         circuit.name()
                     );
-                    assert_eq!(mono, range, "mono vs range on {}", circuit.name());
                     set = fsm.bdd_mut().or(set, mono);
                 }
             }
@@ -707,49 +550,6 @@ mod tests {
         for m in ImageMethod::ALL {
             assert_eq!(fsm.image_with(m, init), want, "method {m}");
         }
-    }
-
-    #[test]
-    fn partition_survives_gc() {
-        let c = crate::generators::counter("c", 5);
-        let mut fsm = SymbolicFsm::new(&c);
-        let init = fsm.initial_states();
-        let before = fsm.image_partitioned(init);
-        assert!(fsm.num_clusters() >= 1);
-        fsm.collect_garbage(&[init]);
-        let after = fsm.image_partitioned(init);
-        assert_eq!(before, after);
-    }
-
-    #[test]
-    fn released_monolithic_relation_images_via_partition() {
-        let c = crate::generators::random_fsm("rel", 8, 2, 0xD0C5);
-        let mut a = SymbolicFsm::new(&c);
-        let mut b = SymbolicFsm::new(&c);
-        let freed = b.release_monolithic_relation();
-        assert!(freed > 0, "releasing the monolithic relation freed nothing");
-        let mut sa = a.initial_states();
-        let mut sb = b.initial_states();
-        for _ in 0..4 {
-            let ia = a.image(sa);
-            let ib = b.image(sb);
-            assert_eq!(
-                a.bdd().sat_count(ia).to_bits(),
-                b.bdd().sat_count(ib).to_bits(),
-            );
-            sa = a.bdd_mut().or(sa, ia);
-            sb = b.bdd_mut().or(sb, ib);
-            b.collect_garbage(&[sb]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "monolithic transition relation was released")]
-    fn transition_relation_panics_after_release() {
-        let c = crate::generators::counter("c", 3);
-        let mut fsm = SymbolicFsm::new(&c);
-        fsm.release_monolithic_relation();
-        let _ = fsm.transition_relation();
     }
 
     #[test]

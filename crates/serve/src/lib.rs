@@ -29,8 +29,11 @@
 //! ```
 
 pub mod engine;
-pub mod json;
 pub mod protocol;
+
+/// The workspace's JSON reader/writer, re-exported under its historical
+/// path so protocol clients keep importing `bddmin_serve::json`.
+pub use bddmin_core::json;
 
 pub use engine::{
     demo_stream, process_job, process_stream, CacheDecision, CacheKey, ServeOpts, ServeSummary,

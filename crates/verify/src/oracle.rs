@@ -16,7 +16,7 @@
 //! | `sig-invariance`| accelerated level passes ≡ unfiltered reference bit for bit | refutation-only filtering |
 //! | `reorder-invariance`| sift/swap sequences preserve semantics: 64-lane signatures and `sat_count` unchanged | dynamic-reordering contract |
 //! | `chain-invariance` | chain-reduced managers agree with plain managers pointwise, on counts, and on every heuristic's cover | CBDD representation transparency |
-//! | `image-equivalence` | monolithic, partitioned, and range-method images agree edge for edge on random circuits | image-computation method transparency |
+//! | `image-equivalence` | monolithic and range-method images agree edge for edge on random circuits | image-computation method transparency |
 //!
 //! The [`Mutant`] enum injects one deliberate bug per oracle (used by CI
 //! and the `mutants` integration suite to prove each oracle actually
@@ -71,11 +71,10 @@ pub enum Oracle {
     /// function, same virtual size) — node compression is invisible to
     /// semantics.
     ChainInvariance,
-    /// The three image computation methods — monolithic relation through
-    /// the fused `and_exists`, partitioned relation with early
-    /// quantification, and constrain+range — produce literally the same
-    /// state-set edges at every BFS step of a random circuit, in plain
-    /// and chain-reduced managers alike.
+    /// The two image computation methods — monolithic relation through
+    /// the fused `and_exists`, and constrain+range — produce literally the
+    /// same state-set edges at every BFS step of a random circuit, in
+    /// plain and chain-reduced managers alike.
     ImageEquivalence,
 }
 
@@ -133,8 +132,8 @@ impl Oracle {
                  semantics)"
             }
             Oracle::ImageEquivalence => {
-                "image-computation method transparency (Touati et al. [9]: relational, \
-                 partitioned, and range methods compute the same image)"
+                "image-computation method transparency (Touati et al. [9]: relational \
+                 and range methods compute the same image)"
             }
         }
     }
@@ -223,8 +222,9 @@ pub enum Mutant {
     BreakChain,
     /// Widen the fused `and_exists` ⊤ short-circuit to fire
     /// unconditionally (dropping `e`-branches at quantified levels), so
-    /// relational and partitioned images silently under-approximate —
-    /// breaks `image-equivalence`.
+    /// relational images silently under-approximate while the range
+    /// method, which never calls `and_exists`, stays exact — breaks
+    /// `image-equivalence`.
     BreakAndExists,
 }
 
@@ -926,14 +926,7 @@ fn check_image_equivalence(inst: &Instance, mutant: Mutant) -> Verdict {
             fsm.collect_garbage(&[set]);
         }
         let mono = fsm.image(set);
-        let part = fsm.image_partitioned(set);
         let range = fsm.image_by_range(set);
-        if mono != part {
-            return Verdict::Fail(format!(
-                "monolithic and partitioned images diverged at BFS step {step} on \
-                 random_fsm(seed={seed:#x}, latches={latches}, inputs={inputs})"
-            ));
-        }
         if mono != range {
             return Verdict::Fail(format!(
                 "relational and range-method images diverged at BFS step {step} on \

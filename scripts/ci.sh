@@ -17,7 +17,7 @@
 #   chain        chain-invariance oracle fuzz + break-chain mutant gate
 #                + chain-on/off stdout determinism diff
 #   image        image-equivalence oracle fuzz + break-and-exists mutant
-#                gate + mono-vs-partitioned stdout determinism diff
+#                gate + mono-vs-range stdout determinism diff
 #   serve        service-layer gate: the 50-job demo stream through 1 and
 #                4 shards must be byte-identical, malformed and
 #                non-injective jobs must come back as structured error
@@ -290,14 +290,14 @@ stage_image() {
     ./target/release/verify --seed 1..3 --iters 2000 --budget-ms 20000 \
         --mutant break-and-exists --max-failures 1 --no-write --expect-failure \
         >/dev/null
-    echo "    image determinism: --image part stdout is byte-identical to mono"
+    echo "    image determinism: --image range stdout is byte-identical to mono"
     local tmpdir
     tmpdir="$(mktemp -d)"
     ./target/release/table3 --quick --only tlc --no-times --image mono \
         >"$tmpdir/mono.txt"
-    ./target/release/table3 --quick --only tlc --no-times --image part \
-        >"$tmpdir/part.txt"
-    diff -u "$tmpdir/mono.txt" "$tmpdir/part.txt"
+    ./target/release/table3 --quick --only tlc --no-times --image range \
+        >"$tmpdir/range.txt"
+    diff -u "$tmpdir/mono.txt" "$tmpdir/range.txt"
     rm -rf "$tmpdir"
 }
 
