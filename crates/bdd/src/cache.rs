@@ -36,11 +36,12 @@ pub(crate) enum Op {
     Restrict,
     AndExists,
     Compose(u32),
+    Agree,
 }
 
 impl Op {
-    /// Injective encoding into a `u32` word: the plain tags take 0..=4
-    /// and 6, while `Compose(v)` maps to `5 + 8v`, which never collides
+    /// Injective encoding into a `u32` word: the plain tags take 0..=4,
+    /// 6 and 7, while `Compose(v)` maps to `5 + 8v`, which never collides
     /// with a plain tag (it is ≡ 5 mod 8 and ≥ 5) nor with another
     /// `Compose` (affine in `v`).
     #[inline]
@@ -52,6 +53,7 @@ impl Op {
             Op::Constrain => 3,
             Op::Restrict => 4,
             Op::AndExists => 6,
+            Op::Agree => 7,
             Op::Compose(v) => {
                 debug_assert!(v < (u32::MAX - 5) / 8, "variable index overflows op word");
                 5 + 8 * v
@@ -71,14 +73,17 @@ impl Op {
             Op::Restrict => 4,
             Op::Compose(_) => 5,
             Op::AndExists => 6,
+            Op::Agree => 7,
         }
     }
 }
 
 /// Number of operation classes tracked by the per-class counters.
-pub(crate) const OP_CLASS_COUNT: usize = 7;
+pub(crate) const OP_CLASS_COUNT: usize = 8;
 
 /// Display names for the operation classes, indexed by [`Op::class`].
+/// New classes are appended: consumers index the existing ones by
+/// position.
 pub(crate) const OP_CLASS_NAMES: [&str; OP_CLASS_COUNT] = [
     "ite",
     "exists",
@@ -87,6 +92,7 @@ pub(crate) const OP_CLASS_NAMES: [&str; OP_CLASS_COUNT] = [
     "restrict",
     "compose",
     "and_exists",
+    "agree",
 ];
 
 /// One cache entry: the full `(op, a, b, c)` key, the result, and the
@@ -449,6 +455,7 @@ mod tests {
             Op::Constrain,
             Op::Restrict,
             Op::AndExists,
+            Op::Agree,
             Op::Compose(0),
             Op::Compose(1),
             Op::Compose(1000),

@@ -221,15 +221,99 @@ impl Bdd {
 
     /// Decision check: does `f ≤ g` (i.e. `f ⇒ g`) hold for all inputs?
     ///
-    /// O(|f|·|g|) containment test; does not build the implication BDD.
+    /// O(|f|·|g|) containment test: `f ≤ g ⟺ f·¬g = 0`, decided by
+    /// [`Bdd::agree`] as "`f` agrees with 0 wherever `¬g` holds", so the
+    /// product `f·¬g` is never built.
     pub fn implies_holds(&mut self, f: Edge, g: Edge) -> bool {
-        // f ≤ g  ⟺  f·¬g = 0.
-        self.and(f, g.complement()).is_zero()
+        self.agree(f, Edge::ZERO, g.complement())
     }
 
     /// Checked [`Bdd::implies_holds`].
     pub fn try_implies_holds(&mut self, f: Edge, g: Edge) -> Result<bool, BudgetExceeded> {
-        Ok(self.try_and(f, g.complement())?.is_zero())
+        self.try_agree(f, Edge::ZERO, g.complement())
+    }
+
+    /// Decision check: do `f` and `g` agree wherever `c` holds, that is,
+    /// is `(f ⊕ g)·c = 0`?
+    ///
+    /// Every matching criterion and every cover and containment test of
+    /// the minimization layer is this question. The recursion descends
+    /// the triple at the top level of its three edges and stops at the
+    /// first disagreement. It builds no result, so a plain manager
+    /// allocates no node; a chained manager may intern the chain tails
+    /// its cofactors need. Both verdicts are memoised in the computed
+    /// table. CUDD's `Cudd_bddLeq` is the model.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bddmin_bdd::{Bdd, Edge, Var};
+    /// let mut bdd = Bdd::new(2);
+    /// let (a, b) = (bdd.var(Var(0)), bdd.var(Var(1)));
+    /// let ab = bdd.and(a, b);
+    /// assert!(bdd.agree(ab, b, a)); // a·b and b agree wherever a holds
+    /// assert!(!bdd.agree(ab, b, Edge::ONE));
+    /// ```
+    pub fn agree(&mut self, f: Edge, g: Edge, c: Edge) -> bool {
+        self.try_agree(f, g, c).expect(BUDGET_PANIC)
+    }
+
+    /// Checked [`Bdd::agree`].
+    pub fn try_agree(&mut self, f: Edge, g: Edge, c: Edge) -> Result<bool, BudgetExceeded> {
+        self.begin_op();
+        match self.agree_rec(f, g, c, 0) {
+            Ok(r) => {
+                self.end_op(Edge::ONE);
+                Ok(r)
+            }
+            Err(e) => {
+                self.abort_op();
+                Err(e)
+            }
+        }
+    }
+
+    fn agree_rec(&mut self, f: Edge, g: Edge, c: Edge, depth: u32) -> Result<bool, BudgetExceeded> {
+        self.charge_step()?;
+        if depth > MAX_REC_DEPTH {
+            return Err(BudgetExceeded::DEPTH);
+        }
+        if c.is_zero() || f == g {
+            return Ok(true);
+        }
+        // From here f ≠ g, and c ≠ 0: complements (constants included)
+        // differ everywhere, and distinct functions differ somewhere.
+        if f == g.complement() || c.is_one() {
+            return Ok(false);
+        }
+        // Canonical pair: only f ⊕ g matters, so order the pair (constants
+        // sort last) and make f regular by complementing both.
+        let (mut f, mut g) = if self.order_before(g, f) { (g, f) } else { (f, g) };
+        if f.is_complemented() {
+            f = f.complement();
+            g = g.complement();
+        }
+        if g.is_constant() {
+            // The disagreement set is d·c with d = f ⊕ g ∈ {f, ¬f}.
+            let d = f.complement_if(g.is_one());
+            if c == d.complement() {
+                return Ok(true);
+            }
+            if c == d {
+                return Ok(false);
+            }
+        }
+        if let Some(r) = self.cache.get(Op::Agree, f, g, c) {
+            return Ok(r.is_one());
+        }
+        let top = self.level(f).min(self.level(g)).min(self.level(c));
+        let (f1, f0) = self.cof_at(f, top);
+        let (g1, g0) = self.cof_at(g, top);
+        let (c1, c0) = self.cof_at(c, top);
+        let r = self.agree_rec(f1, g1, c1, depth + 1)? && self.agree_rec(f0, g0, c0, depth + 1)?;
+        let verdict = if r { Edge::ONE } else { Edge::ZERO };
+        self.cache.insert(Op::Agree, f, g, c, verdict);
+        Ok(r)
     }
 
     /// The Shannon cofactor of `f` by the literal `(var = value)`.

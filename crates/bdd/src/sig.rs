@@ -24,6 +24,13 @@
 //! both rebuild or rewrite slots. Use an evaluator transiently — build
 //! it, take the signatures you need, drop it before any operation that
 //! can allocate, collect, or reorder.
+//!
+//! The memo is sparse, in pages of 64 slots allocated on first touch: a
+//! typical batch signs a handful of functions in a store of millions of
+//! nodes, and a fresh evaluator must not pay 8 bytes for every slot of
+//! the store. A long-lived evaluator that signs most of its store (the
+//! service's cache) still costs about 8 bytes per slot, as a dense
+//! table would; a hash map's entries cost several times that.
 
 use crate::edge::{Edge, NodeId};
 use crate::manager::Bdd;
@@ -44,6 +51,18 @@ fn xorshift64star(state: &mut u64) -> u64 {
     x ^= x << 17;
     *state = x;
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+/// Node slots per memo page.
+const PAGE: usize = 64;
+
+/// Signatures of 64 consecutive node slots.
+#[derive(Clone, Debug)]
+struct Page {
+    /// Bit `i` is set iff `sig[i]` is computed (0 is a legitimate
+    /// signature).
+    done: u64,
+    sig: [u64; PAGE],
 }
 
 /// Batch evaluator producing 64-bit semantic signatures of edges.
@@ -70,10 +89,11 @@ fn xorshift64star(state: &mut u64) -> u64 {
 pub struct SigEvaluator {
     /// `masks[v]` holds the value of `Var(v)` in each of the 64 lanes.
     masks: Vec<u64>,
-    /// Signature of the *regular* edge to each node slot; valid iff the
-    /// matching bit of `computed` is set (0 is a legitimate signature).
-    memo: Vec<u64>,
-    computed: Vec<u64>,
+    /// `page_of[slot / PAGE]` is one more than the index in `pages` of
+    /// the page holding `slot`, or 0 while no slot of it is computed.
+    page_of: Vec<u32>,
+    /// Signatures of the *regular* edges to the node slots.
+    pages: Vec<Page>,
 }
 
 impl SigEvaluator {
@@ -88,8 +108,8 @@ impl SigEvaluator {
         let masks = (0..num_vars).map(|_| xorshift64star(&mut state)).collect();
         SigEvaluator {
             masks,
-            memo: Vec::new(),
-            computed: Vec::new(),
+            page_of: Vec::new(),
+            pages: Vec::new(),
         }
     }
 
@@ -115,27 +135,35 @@ impl SigEvaluator {
         }
     }
 
-    fn is_computed(&self, slot: usize) -> bool {
-        self.computed
-            .get(slot >> 6)
-            .is_some_and(|w| w >> (slot & 63) & 1 == 1)
+    fn memo(&self, slot: usize) -> Option<u64> {
+        let p = *self.page_of.get(slot / PAGE)? as usize;
+        let page = self.pages.get(p.checked_sub(1)?)?;
+        (page.done >> (slot % PAGE) & 1 == 1).then_some(page.sig[slot % PAGE])
     }
 
     fn record(&mut self, slot: usize, sig: u64) {
-        if slot >= self.memo.len() {
-            self.memo.resize(slot + 1, 0);
-            self.computed.resize((slot >> 6) + 1, 0);
+        let i = slot / PAGE;
+        if i >= self.page_of.len() {
+            self.page_of.resize(i + 1, 0);
         }
-        self.memo[slot] = sig;
-        self.computed[slot >> 6] |= 1 << (slot & 63);
+        if self.page_of[i] == 0 {
+            self.pages.push(Page {
+                done: 0,
+                sig: [0; PAGE],
+            });
+            self.page_of[i] = self.pages.len() as u32;
+        }
+        let page = &mut self.pages[self.page_of[i] as usize - 1];
+        page.done |= 1 << (slot % PAGE);
+        page.sig[slot % PAGE] = sig;
     }
 
     /// Signature of the regular edge to `node`, via an explicit stack so
     /// arbitrarily deep diagrams cannot overflow the call stack.
     fn node_signature(&mut self, bdd: &Bdd, node: NodeId) -> u64 {
         let slot = node.index();
-        if self.is_computed(slot) {
-            return self.memo[slot];
+        if let Some(sig) = self.memo(slot) {
+            return sig;
         }
         if node == NodeId::TERMINAL {
             self.record(slot, !0u64);
@@ -145,7 +173,7 @@ impl SigEvaluator {
         // on the second visit both child signatures are memoized.
         let mut stack: Vec<(usize, bool)> = vec![(slot, false)];
         while let Some((cur, expanded)) = stack.pop() {
-            if self.is_computed(cur) {
+            if self.memo(cur).is_some() {
                 continue;
             }
             let n = bdd.node(Edge::new(NodeId(cur as u32), false));
@@ -156,16 +184,17 @@ impl SigEvaluator {
             let (hi_slot, lo_slot) = (n.hi.node().index(), n.lo.node().index());
             if !expanded {
                 stack.push((cur, true));
-                if !self.is_computed(hi_slot) {
+                if self.memo(hi_slot).is_none() {
                     stack.push((hi_slot, false));
                 }
-                if !self.is_computed(lo_slot) {
+                if self.memo(lo_slot).is_none() {
                     stack.push((lo_slot, false));
                 }
                 continue;
             }
-            let hi = self.memo[hi_slot]; // hi edges are always regular
-            let lo_raw = self.memo[lo_slot];
+            const CHILD: &str = "children are recorded before their parent";
+            let hi = self.memo(hi_slot).expect(CHILD); // hi edges are always regular
+            let lo_raw = self.memo(lo_slot).expect(CHILD);
             let lo = if n.lo.is_complemented() { !lo_raw } else { lo_raw };
             // `n.var` is a level; the lane masks are per variable identity,
             // so the same function signs identically under any order. A
@@ -178,7 +207,7 @@ impl SigEvaluator {
             let mask = self.masks[bdd.var_at_level(n.bot).index()];
             self.record(cur, or_mask | (!or_mask & ((mask & hi) | (!mask & lo))));
         }
-        self.memo[slot]
+        self.memo(slot).expect("the root is recorded last")
     }
 }
 

@@ -5,7 +5,7 @@
 //! truth-table evaluation. Fixed seeds keep every run identical; a
 //! failure message always includes the offending table(s).
 
-use bddmin_bdd::{Bdd, Cube, Edge, Var};
+use bddmin_bdd::{Bdd, BddStats, Budget, BudgetExceeded, Cube, Edge, ReorderSettings, Var};
 use bddmin_core::rng::XorShift64;
 
 const NVARS: usize = 4;
@@ -317,4 +317,127 @@ fn isop_interval_soundness_and_irredundancy() {
         let exact = bdd.isop(lower, lower);
         assert_eq!(exact.function, lower);
     }
+}
+
+/// Truth table of `Var(v)` (see [`from_table`] for the row encoding).
+fn var_table(v: usize) -> u16 {
+    (0..TABLE)
+        .filter(|row| row >> (NVARS - 1 - v) & 1 == 1)
+        .fold(0, |t, row| t | 1 << row)
+}
+
+#[test]
+fn agree_decides_the_disagreement_product() {
+    let mut rng = XorShift64::seed_from_u64(0xA64EE);
+    for case in 0..CASES {
+        let chained = case % 2 == 1;
+        let mut bdd = if chained {
+            Bdd::new_chained(NVARS)
+        } else {
+            Bdd::new(NVARS)
+        };
+        // Random operands, one of them an or-chain over the top levels
+        // (a single range node in a chained manager), plus complements.
+        let chain = var_table(0) | var_table(1) | var_table(2) | rng.gen_u16();
+        let mut tables = vec![rng.gen_u16(), rng.gen_u16(), chain];
+        tables.extend([!tables[0], !tables[2]]);
+        let ops: Vec<Edge> = tables.iter().map(|&t| from_table(&mut bdd, t)).collect();
+        for &e in &ops {
+            bdd.pin(e);
+        }
+        for phase in ["fresh", "after gc", "after sift"] {
+            match phase {
+                "after gc" => {
+                    bdd.collect_garbage(&[]);
+                }
+                "after sift" => {
+                    bdd.reorder(&ReorderSettings::default());
+                }
+                _ => {}
+            }
+            for (i, &f) in ops.iter().enumerate() {
+                for (j, &g) in ops.iter().enumerate() {
+                    for (k, &c) in ops.iter().enumerate() {
+                        let allocated = bdd.stats().allocated_nodes;
+                        let agree = bdd.agree(f, g, c);
+                        let implies = bdd.implies_holds(f, g);
+                        if !chained {
+                            assert_eq!(bdd.stats().allocated_nodes, allocated, "agree allocated");
+                        }
+                        let x = bdd.xor(f, g);
+                        assert_eq!(agree, bdd.and(x, c).is_zero(), "agree {phase} {case}");
+                        let ng = bdd.not(g);
+                        assert_eq!(implies, bdd.and(f, ng).is_zero(), "implies {phase} {case}");
+                        let (tf, tg, tc) = (tables[i], tables[j], tables[k]);
+                        assert_eq!(
+                            agree,
+                            (tf ^ tg) & tc == 0,
+                            "tables {tf:#06x} {tg:#06x} {tc:#06x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn try_agree_blown_budget_is_error_and_leaves_the_manager_consistent() {
+    let mut rng = XorShift64::seed_from_u64(0xB4D6);
+    let mut tripped = 0;
+    for _ in 0..CASES {
+        let (ta, tb, tc) = (rng.gen_u16(), rng.gen_u16(), rng.gen_u16());
+        if ta == tb || (ta ^ tb) & tc == 0 {
+            continue; // decided without recursing, or agreement: skip
+        }
+        let mut bdd = Bdd::new(NVARS);
+        let (a, b, c) = (
+            from_table(&mut bdd, ta),
+            from_table(&mut bdd, tb),
+            from_table(&mut bdd, tc),
+        );
+        bdd.clear_caches();
+        bdd.set_budget(Budget::default().steps(1));
+        match bdd.try_agree(a, b, c) {
+            Err(e) => {
+                assert_eq!(e, BudgetExceeded::STEPS);
+                tripped += 1;
+            }
+            // A terminal rule may decide at the first step; it must be right.
+            Ok(r) => assert!(!r),
+        }
+        bdd.clear_budget();
+        assert!(!bdd.agree(a, b, c), "verdict after the abort");
+        // No broken structures: rebuilding lands on the same edges.
+        assert_eq!(from_table(&mut bdd, ta), a);
+        let x = bdd.xor(a, b);
+        assert_eq!(to_table(&bdd, x), ta ^ tb);
+    }
+    assert!(tripped > 0, "no case reached the budget");
+}
+
+#[test]
+fn agree_depth_guard_converts_stack_overflow_into_error() {
+    // f = x0·…·x3999 and g = x0·…·x3998·¬x3999 first differ at the
+    // bottom, so the descent is 4000 frames deep.
+    let n = 4000;
+    let mut bdd = Bdd::new(n);
+    let last = bdd.var(Var(n as u32 - 1));
+    let (mut f, mut g) = (last, bdd.not(last));
+    for i in (0..n as u32 - 1).rev() {
+        let v = bdd.var(Var(i));
+        f = bdd.and(v, f);
+        g = bdd.and(v, g);
+    }
+    assert_eq!(bdd.try_agree(f, g, f), Err(BudgetExceeded::DEPTH));
+    assert_eq!(bdd.try_implies_holds(f, g), Err(BudgetExceeded::DEPTH));
+}
+
+#[test]
+fn agree_op_class_is_appended() {
+    assert_eq!(
+        BddStats::OP_CLASSES[..7],
+        ["ite", "exists", "forall", "constrain", "restrict", "compose", "and_exists"]
+    );
+    assert_eq!(BddStats::OP_CLASSES[7], "agree");
 }

@@ -76,23 +76,17 @@ impl Isf {
         bdd.or(self.f, self.c.complement())
     }
 
-    /// True iff `g` is a cover: `f·c ≤ g ≤ f + ¬c`.
+    /// True iff `g` is a cover: `f·c ≤ g ≤ f + ¬c`, that is, `g` agrees
+    /// with `f` wherever `c` holds.
     pub fn is_cover(self, bdd: &mut Bdd, g: Edge) -> bool {
-        let onset = self.onset(bdd);
-        let upper = self.upper(bdd);
-        bdd.implies_holds(onset, g) && bdd.implies_holds(g, upper)
+        bdd.agree(g, self.f, self.c)
     }
 
     /// True iff `self` *i-covers* `other` (paper Definition 2): every cover
     /// of `self` is a cover of `other`. Equivalent to
     /// `c_other ≤ c_self` and agreement of the functions on `c_other`.
     pub fn i_covers(self, bdd: &mut Bdd, other: Isf) -> bool {
-        if !bdd.implies_holds(other.c, self.c) {
-            return false;
-        }
-        let diff = bdd.xor(self.f, other.f);
-        let disagreement = bdd.and(diff, other.c);
-        disagreement.is_zero()
+        bdd.implies_holds(other.c, self.c) && bdd.agree(self.f, other.f, other.c)
     }
 
     /// The complemented ISF `[¬f, c]` (covers of it are complements of
@@ -108,10 +102,7 @@ impl Isf {
     /// Semantic equality as incompletely specified functions: same care set
     /// and same values on it (the representatives `f` may differ on `¬c`).
     pub fn same_function(self, bdd: &mut Bdd, other: Isf) -> bool {
-        self.c == other.c && {
-            let diff = bdd.xor(self.f, other.f);
-            bdd.and(diff, self.c).is_zero()
-        }
+        self.c == other.c && bdd.agree(self.f, other.f, self.c)
     }
 
     /// A canonical key identifying the ISF semantics: `(onset, care)`.

@@ -92,7 +92,8 @@ pub enum GatherMode {
 /// Gathers the unique sub-function pairs of `[f, c]` whose `f` and `c`
 /// components are both rooted strictly below `level`, pointed to from
 /// `level` or above (paper §3.3.1). Pairs are deduplicated on the raw
-/// `(f, c)` edges; the first (depth-first) access path is kept.
+/// `(f, c)` edges; the first (depth-first) access path is kept. The walk
+/// visits each pair of the `(f, c)` product DAG once, not once per path.
 ///
 /// If `limit` is `Some(n)`, gathering stops after `n` unique pairs (the
 /// paper's first set-limiting method).
@@ -138,15 +139,20 @@ fn gather_rec(
             return;
         }
     }
+    // One set serves both kinds of pair: a frontier pair is pushed on its
+    // first visit, and an interior pair already expanded has pushed every
+    // frontier pair below it, so a revisit adds nothing (its first DFS
+    // path stays the kept one).
+    if !seen.insert((isf.f, isf.c)) {
+        return;
+    }
     let fl = bdd.level(isf.f);
     let cl = bdd.level(isf.c);
     if fl > level && cl > level {
-        if seen.insert((isf.f, isf.c)) {
-            out.push(GatheredFunction {
-                isf,
-                path: path.clone(),
-            });
-        }
+        out.push(GatheredFunction {
+            isf,
+            path: path.clone(),
+        });
         return;
     }
     let top = fl.min(cl);
@@ -858,6 +864,62 @@ mod tests {
         assert!(all.len() >= 2);
         assert_eq!(limited.len(), 2);
         assert_eq!(&all[..2], &limited[..]);
+    }
+
+    /// The path-walking gather: every path of the pair DAG, deduplicated
+    /// at the frontier only.
+    fn gather_every_path(
+        bdd: &mut Bdd,
+        isf: Isf,
+        level: Var,
+        limit: Option<usize>,
+        out: &mut Vec<GatheredFunction>,
+        path: &mut Vec<u8>,
+    ) {
+        if limit.is_some_and(|n| out.len() >= n) {
+            return;
+        }
+        let (fl, cl) = (bdd.level(isf.f), bdd.level(isf.c));
+        if fl > level && cl > level {
+            if !out.iter().any(|g| g.isf == isf) {
+                out.push(GatheredFunction {
+                    isf,
+                    path: path.clone(),
+                });
+            }
+            return;
+        }
+        let top = fl.min(cl);
+        let (f_t, f_e) = bdd.cof_at(isf.f, top);
+        let (c_t, c_e) = bdd.cof_at(isf.c, top);
+        path[top.index()] = 1;
+        gather_every_path(bdd, Isf::new(f_t, c_t), level, limit, out, path);
+        path[top.index()] = 0;
+        gather_every_path(bdd, Isf::new(f_e, c_e), level, limit, out, path);
+        path[top.index()] = 2;
+    }
+
+    #[test]
+    fn gather_equals_the_path_walking_reference() {
+        let mut rng = crate::rng::XorShift64::seed_from_u64(0x6A7E);
+        for case in 0..48 {
+            let n = 4 + case % 3;
+            let spec: String = (0..1usize << n)
+                .map(|_| ['0', '1', 'd'][rng.gen_range(0..3)])
+                .collect();
+            let mut bdd = Bdd::new(n);
+            let (f, c) = bdd.from_leaf_spec(&spec).unwrap();
+            let isf = Isf::new(f, c);
+            for lvl in 0..n as u32 {
+                for limit in [None, Some(1), Some(3)] {
+                    let got = gather_below_level(&mut bdd, isf, Var(lvl), limit);
+                    let mut want = Vec::new();
+                    let mut path = vec![2u8; lvl as usize + 1];
+                    gather_every_path(&mut bdd, isf, Var(lvl), limit, &mut want, &mut path);
+                    assert_eq!(got, want, "spec {spec} level {lvl} limit {limit:?}");
+                }
+            }
+        }
     }
 
     #[test]

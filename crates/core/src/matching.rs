@@ -74,19 +74,16 @@ pub(crate) fn matches_directed_budgeted(
 ) -> Result<bool, BudgetExceeded> {
     match criterion {
         MatchCriterion::Osdm => Ok(a.c.is_zero()),
+        // Both criteria are decided by `agree`, which builds no
+        // disagreement BDD and stops at the first witness.
         MatchCriterion::Osm => {
-            // f1 ⊕ f2 ≤ ¬c1  and  c1 ≤ c2.
-            if !bdd.try_implies_holds(a.c, b.c)? {
-                return Ok(false);
-            }
-            let diff = bdd.try_xor(a.f, b.f)?;
-            Ok(bdd.try_and(diff, a.c)?.is_zero())
+            // c1 ≤ c2  and  f1 ⊕ f2 ≤ ¬c1.
+            Ok(bdd.try_implies_holds(a.c, b.c)? && bdd.try_agree(a.f, b.f, a.c)?)
         }
         MatchCriterion::Tsm => {
             // f1 ⊕ f2 ≤ ¬c1 + ¬c2  ⟺  (f1 ⊕ f2)·c1·c2 = 0.
-            let diff = bdd.try_xor(a.f, b.f)?;
-            let dc = bdd.try_and(a.c, b.c)?;
-            Ok(bdd.try_and(diff, dc)?.is_zero())
+            let both = bdd.try_and(a.c, b.c)?;
+            bdd.try_agree(a.f, b.f, both)
         }
     }
 }

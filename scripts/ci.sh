@@ -7,7 +7,8 @@
 #                mutation-gate suites via the verify crate)
 #   lint         zero-warning clippy pass over the whole workspace
 #   invariance   cache-size invariance suites (bdd + core)
-#   determinism  parallel evaluator vs sequential + table3 jobs diff
+#   determinism  parallel evaluator vs sequential + table3 --quick jobs
+#                1 vs 4 diff over the whole quick suite
 #   fuzz-smoke   time-boxed differential fuzz (seeds 1..4) plus one
 #                mutation run per oracle proving each oracle fires
 #   degradation  budget-oracle fuzz gate + tiny-budget smoke suite
@@ -73,7 +74,7 @@ while [[ $# -gt 0 ]]; do
             exit 0
             ;;
         -h|--help)
-            sed -n '2,48p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,49p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
@@ -176,11 +177,11 @@ stage_determinism() {
     cargo test -q -p bddmin-eval --test parallel_determinism
     local tmpdir
     tmpdir="$(mktemp -d)"
-    ./target/release/table3 --quick --only tlc --no-times --jobs 1 >"$tmpdir/j1.txt"
-    ./target/release/table3 --quick --only tlc --no-times --jobs 4 >"$tmpdir/j4.txt"
+    ./target/release/table3 --quick --no-times --jobs 1 >"$tmpdir/j1.txt"
+    ./target/release/table3 --quick --no-times --jobs 4 >"$tmpdir/j4.txt"
     diff -u "$tmpdir/j1.txt" "$tmpdir/j4.txt"
     rm -rf "$tmpdir"
-    echo "    table3 byte-identical at jobs 1 and 4"
+    echo "    table3 --quick byte-identical at jobs 1 and 4"
 }
 
 stage_fuzz_smoke() {
