@@ -77,8 +77,8 @@ impl Bdd {
             return Ok(r);
         }
         let top = self.level(f).min(self.level(c));
-        let (f1, f0) = self.cof_at(f, top);
-        let (c1, c0) = self.cof_at(c, top);
+        let (f1, f0) = self.branches_at(f, top);
+        let (c1, c0) = self.branches_at(c, top);
         let r = if c0.is_zero() {
             self.constrain_rec(f1, c1, depth + 1)?
         } else if c1.is_zero() {
@@ -156,13 +156,13 @@ impl Bdd {
         let (fl, cl) = (self.level(f), self.level(c));
         let r = if cl < fl {
             // f is independent of c's top variable: quantify it out of c.
-            let (c1, c0) = self.cof_at(c, cl);
+            let (c1, c0) = self.branches_at(c, cl);
             let c_next = self.ite_rec(c1, Edge::ONE, c0, depth + 1)?;
             self.restrict_rec(f, c_next, depth + 1)?
         } else {
             let top = fl;
-            let (f1, f0) = self.cof_at(f, top);
-            let (c1, c0) = self.cof_at(c, top);
+            let (f1, f0) = self.branches_at(f, top);
+            let (c1, c0) = self.branches_at(c, top);
             if c0.is_zero() {
                 self.restrict_rec(f1, c1, depth + 1)?
             } else if c1.is_zero() {

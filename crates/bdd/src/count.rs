@@ -158,9 +158,6 @@ impl Bdd {
     /// Number of distinct nodes in the shared BDD of several functions,
     /// including the constant node (counted once).
     pub fn size_many(&self, fs: &[Edge]) -> usize {
-        if self.chain_mode {
-            return self.size_many_chain(fs);
-        }
         let mut seen = Bitmap::new(self.nodes.len());
         let mut count = 0;
         let mut stack: Vec<Edge> = fs.iter().map(|e| e.regular()).collect();
@@ -182,34 +179,6 @@ impl Bdd {
             count += 1;
         }
         count
-    }
-
-    /// Plain-equivalent size in chain mode: a chain node `⟨t‥b, hi, lo⟩`
-    /// stands for the plain nodes `(vt, b, hi, lo)` for every `vt` in
-    /// `t..=b`, and two chain nodes with overlapping ranges *share* their
-    /// decompressed tails — so the count dedups virtual keys, not node
-    /// slots. This keeps `size` equal to what a plain-mode manager reports
-    /// for the same function, which in turn keeps every size-based
-    /// minimization decision (clamp-to-`|f|`, best-of selection)
-    /// mode-invariant.
-    fn size_many_chain(&self, fs: &[Edge]) -> usize {
-        let mut seen = Bitmap::new(self.nodes.len());
-        let mut keys: std::collections::HashSet<(u32, u32, u32, u32), FastBuild> =
-            std::collections::HashSet::default();
-        let mut stack: Vec<Edge> = fs.iter().map(|e| e.regular()).collect();
-        while let Some(e) = stack.pop() {
-            if e.is_constant() || !seen.insert(e.node().index()) {
-                continue;
-            }
-            let n = self.node(e);
-            for vt in n.var.0..=n.bot.0 {
-                keys.insert((vt, n.bot.0, n.hi.to_bits(), n.lo.to_bits()));
-            }
-            stack.push(n.hi.regular());
-            stack.push(n.lo.regular());
-        }
-        // Plus the constant node, reachable from any edge, counted once.
-        keys.len() + 1
     }
 
     /// The fraction of the full variable space `B^n` on which `f` is true,
@@ -253,14 +222,7 @@ impl Bdd {
         let ph = if n.hi.is_complemented() { 1.0 - ph } else { ph };
         let pl = self.frac_rec(n.lo.regular(), memo);
         let pl = if n.lo.is_complemented() { 1.0 - pl } else { pl };
-        let mut p = 0.5 * ph + 0.5 * pl;
-        // Chain levels fold the plain per-level recurrence (hi = ONE, so
-        // p_hi = 1.0) once per spanned or-level, bottom-up — bit-identical
-        // to the f64 computation a plain-mode manager performs on the
-        // decompressed nodes.
-        for _ in n.var.0..n.bot.0 {
-            p = 0.5 * 1.0 + 0.5 * p;
-        }
+        let p = 0.5 * ph + 0.5 * pl;
         memo.insert(e.node(), p);
         p
     }
@@ -319,13 +281,7 @@ impl Bdd {
         let ph = if n.hi.is_complemented() { ph.one_minus() } else { ph };
         let pl = self.prob_rec(n.lo.regular(), memo);
         let pl = if n.lo.is_complemented() { pl.one_minus() } else { pl };
-        let mut p = SatCount::half_sum(ph, pl);
-        // Chain levels fold the plain recurrence with the hi = ONE
-        // probability, bottom-up (see `frac_rec`): bit-identical to the
-        // plain-mode computation over the decompressed nodes.
-        for _ in n.var.0..n.bot.0 {
-            p = SatCount::half_sum(SatCount::ONE, p);
-        }
+        let p = SatCount::half_sum(ph, pl);
         memo.insert(e.node(), p);
         p
     }
@@ -346,26 +302,6 @@ impl Bdd {
         let mut profile = vec![0usize; self.num_vars()];
         let mut seen = Bitmap::new(self.nodes.len());
         let mut stack = vec![f.regular()];
-        if self.chain_mode {
-            // Plain-equivalent profile: one virtual node per spanned level,
-            // deduped by virtual key (see `size_many_chain`).
-            let mut keys: std::collections::HashSet<(u32, u32, u32, u32), FastBuild> =
-                std::collections::HashSet::default();
-            while let Some(e) = stack.pop() {
-                if e.is_constant() || !seen.insert(e.node().index()) {
-                    continue;
-                }
-                let n = self.node(e);
-                for vt in n.var.0..=n.bot.0 {
-                    if keys.insert((vt, n.bot.0, n.hi.to_bits(), n.lo.to_bits())) {
-                        profile[vt as usize] += 1;
-                    }
-                }
-                stack.push(n.hi.regular());
-                stack.push(n.lo.regular());
-            }
-            return profile;
-        }
         while let Some(e) = stack.pop() {
             if e.is_constant() || !seen.insert(e.node().index()) {
                 continue;
@@ -384,28 +320,6 @@ impl Bdd {
         let mut count = 0;
         let mut seen = Bitmap::new(self.nodes.len());
         let mut stack = vec![f.regular()];
-        if self.chain_mode {
-            // Plain-equivalent count: virtual nodes with top strictly below
-            // `level`, deduped by key (see `size_many_chain`). A chain
-            // straddling the boundary contributes only its below-boundary
-            // part.
-            let mut keys: std::collections::HashSet<(u32, u32, u32, u32), FastBuild> =
-                std::collections::HashSet::default();
-            while let Some(e) = stack.pop() {
-                if e.is_constant() || !seen.insert(e.node().index()) {
-                    continue;
-                }
-                let n = self.node(e);
-                for vt in n.var.0.max(level.0 + 1)..=n.bot.0 {
-                    if keys.insert((vt, n.bot.0, n.hi.to_bits(), n.lo.to_bits())) {
-                        count += 1;
-                    }
-                }
-                stack.push(n.hi.regular());
-                stack.push(n.lo.regular());
-            }
-            return count;
-        }
         while let Some(e) = stack.pop() {
             if e.is_constant() || !seen.insert(e.node().index()) {
                 continue;

@@ -102,9 +102,8 @@ impl std::fmt::Display for Cube {
     }
 }
 
-/// One traversal state: the edge being explored, how many virtual levels
-/// of a chain node have already been resolved, and the path so far.
-type CubeFrame = (Edge, u32, Vec<(Var, bool)>);
+/// One traversal state: the edge being explored and the path so far.
+type CubeFrame = (Edge, Vec<(Var, bool)>);
 
 /// Depth-first iterator over the cubes (1-paths) of a function.
 ///
@@ -116,10 +115,7 @@ type CubeFrame = (Edge, u32, Vec<(Var, bool)>);
 #[derive(Debug)]
 pub struct CubeIter<'a> {
     bdd: &'a Bdd,
-    /// Stack of frames awaiting exploration. The skip counts how many
-    /// levels of a chain node have already been resolved, so chain nodes
-    /// are walked one virtual level at a time without materializing their
-    /// decompression.
+    /// Stack of frames awaiting exploration.
     stack: Vec<CubeFrame>,
 }
 
@@ -127,42 +123,24 @@ impl<'a> Iterator for CubeIter<'a> {
     type Item = Cube;
 
     fn next(&mut self) -> Option<Cube> {
-        while let Some((e, skip, path)) = self.stack.pop() {
+        while let Some((e, path)) = self.stack.pop() {
             if e.is_one() {
                 return Some(Cube::new(path));
             }
             if e.is_zero() {
                 continue;
             }
-            let n = self.bdd.node(e);
-            let vt = n.var.0 + skip;
-            let (hi, hi_skip, lo, lo_skip) = if vt < n.bot.0 {
-                // Inside a chain: the virtual node at `vt` has hi = 1 (the
-                // or-chain is satisfied) and lo = the rest of the chain.
-                (
-                    Edge::ONE.complement_if(e.is_complemented()),
-                    0,
-                    e,
-                    skip + 1,
-                )
-            } else {
-                (
-                    n.hi.complement_if(e.is_complemented()),
-                    0,
-                    n.lo.complement_if(e.is_complemented()),
-                    0,
-                )
-            };
+            let (hi, lo) = self.bdd.branches(e);
             // Push low first so the high (then) branch is explored first,
             // matching a conventional depth-first order. Paths record
             // variable identities, not levels.
-            let var = self.bdd.var_at_level(Var(vt));
+            let var = self.bdd.var_at_level(self.bdd.level(e));
             let mut lo_path = path.clone();
             lo_path.push((var, false));
-            self.stack.push((lo, lo_skip, lo_path));
+            self.stack.push((lo, lo_path));
             let mut hi_path = path;
             hi_path.push((var, true));
-            self.stack.push((hi, hi_skip, hi_path));
+            self.stack.push((hi, hi_path));
         }
         None
     }
@@ -184,14 +162,14 @@ impl Bdd {
     pub fn cubes(&self, f: Edge) -> CubeIter<'_> {
         CubeIter {
             bdd: self,
-            stack: vec![(f, 0, Vec::new())],
+            stack: vec![(f, Vec::new())],
         }
     }
 
     /// True if `f` is a cube (a conjunction of literals); the constant 1 is
     /// the empty cube, the constant 0 is **not** a cube.
     pub fn is_cube(&self, f: Edge) -> bool {
-        let (mut e, mut skip) = (f, 0u32);
+        let mut e = f;
         loop {
             if e.is_one() {
                 return true;
@@ -199,26 +177,11 @@ impl Bdd {
             if e.is_zero() {
                 return false;
             }
-            let n = self.node(e);
-            let vt = n.var.0 + skip;
-            let (hi, lo) = if vt < n.bot.0 {
-                // Virtual chain level: hi = 1, lo = rest of the chain. A
-                // complemented chain edge is an and of negative literals —
-                // a cube — and reads hi = 0 here, continuing down the lo
-                // side; a regular (or-chain) edge has two nonzero children
-                // and is correctly rejected below.
-                (Edge::ONE.complement_if(e.is_complemented()), e)
-            } else {
-                (
-                    n.hi.complement_if(e.is_complemented()),
-                    n.lo.complement_if(e.is_complemented()),
-                )
-            };
-            let next_skip = if vt < n.bot.0 { skip + 1 } else { 0 };
-            (e, skip) = if lo.is_zero() {
-                (hi, 0)
+            let (hi, lo) = self.branches(e);
+            e = if lo.is_zero() {
+                hi
             } else if hi.is_zero() {
-                (lo, next_skip)
+                lo
             } else {
                 return false;
             };
@@ -234,41 +197,23 @@ impl Bdd {
         // duplicated path storage is acceptable.
         use std::collections::VecDeque;
         let mut queue: VecDeque<CubeFrame> = VecDeque::new();
-        // Visited states are (edge, chain-skip) pairs so each virtual
-        // level of a chain node is expanded at most once.
         let mut visited = std::collections::HashSet::new();
-        queue.push_back((f, 0, Vec::new()));
-        while let Some((e, skip, path)) = queue.pop_front() {
+        queue.push_back((f, Vec::new()));
+        while let Some((e, path)) = queue.pop_front() {
             if e.is_one() {
                 return Some(Cube::new(path));
             }
-            if e.is_zero() || !visited.insert((e, skip)) {
+            if e.is_zero() || !visited.insert(e) {
                 continue;
             }
-            let n = self.node(e);
-            let vt = n.var.0 + skip;
-            let (hi, hi_skip, lo, lo_skip) = if vt < n.bot.0 {
-                (
-                    Edge::ONE.complement_if(e.is_complemented()),
-                    0,
-                    e,
-                    skip + 1,
-                )
-            } else {
-                (
-                    n.hi.complement_if(e.is_complemented()),
-                    0,
-                    n.lo.complement_if(e.is_complemented()),
-                    0,
-                )
-            };
-            let var = self.var_at_level(Var(vt));
+            let (hi, lo) = self.branches(e);
+            let var = self.var_at_level(self.level(e));
             let mut hp = path.clone();
             hp.push((var, true));
-            queue.push_back((hi, hi_skip, hp));
+            queue.push_back((hi, hp));
             let mut lp = path;
             lp.push((var, false));
-            queue.push_back((lo, lo_skip, lp));
+            queue.push_back((lo, lp));
         }
         None
     }

@@ -48,25 +48,12 @@ impl Bdd {
                 continue;
             }
             let n = self.node(e);
-            if n.is_chain() {
-                // A chain node spans levels var..=bot; label it with the
-                // range and double-border it so compressed chains are
-                // visible at a glance.
-                let _ = writeln!(
-                    out,
-                    "  n{} [label=\"{}..{}\", peripheries=2];",
-                    e.node().0,
-                    self.var_name(self.var_at_level(n.var)),
-                    self.var_name(self.var_at_level(n.bot))
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "  n{} [label=\"{}\"];",
-                    e.node().0,
-                    self.var_name(self.var_at_level(n.var))
-                );
-            }
+            let _ = writeln!(
+                out,
+                "  n{} [label=\"{}\"];",
+                e.node().0,
+                self.var_name(self.var_at_level(n.var))
+            );
             let _ = writeln!(
                 out,
                 "  n{} -> {} [arrowhead={}];",

@@ -13,11 +13,21 @@
 //! unary  := ("!" | "~") unary | atom
 //! atom   := "0" | "1" | ident | "(" expr ")"
 //! ```
+//!
+//! Runs of negations and chains of implications are parsed with loops,
+//! so their length never costs stack. Parentheses recurse, and nest at
+//! most [`MAX_EXPR_DEPTH`] deep; deeper input is an error at the
+//! offending `(`.
 
 use std::fmt;
 
 use crate::edge::Edge;
 use crate::manager::Bdd;
+
+/// Deepest parenthesis nesting [`Bdd::from_expr`] accepts. Each level
+/// costs one pass through the grammar's recursion, so the cap bounds
+/// the parser's stack use on hostile input.
+pub const MAX_EXPR_DEPTH: usize = 256;
 
 /// Error produced by [`Bdd::from_expr`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -140,6 +150,8 @@ struct Parser<'a> {
     pos: usize,
     bdd: &'a mut Bdd,
     input_len: usize,
+    /// Parentheses currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -176,14 +188,17 @@ impl<'a> Parser<'a> {
     }
 
     fn imp(&mut self) -> Result<Edge, ParseExprError> {
-        let lhs = self.or()?;
-        if self.peek() == Some(&Token::Implies) {
+        let mut operands = vec![self.or()?];
+        while self.peek() == Some(&Token::Implies) {
             self.bump();
-            let rhs = self.imp()?; // right associative
-            Ok(self.bdd.implies(lhs, rhs))
-        } else {
-            Ok(lhs)
+            operands.push(self.or()?);
         }
+        // Right associative: fold from the last operand back.
+        let mut rhs = operands.pop().expect("at least one operand");
+        while let Some(lhs) = operands.pop() {
+            rhs = self.bdd.implies(lhs, rhs);
+        }
+        Ok(rhs)
     }
 
     fn or(&mut self) -> Result<Edge, ParseExprError> {
@@ -217,13 +232,12 @@ impl<'a> Parser<'a> {
     }
 
     fn unary(&mut self) -> Result<Edge, ParseExprError> {
-        if self.peek() == Some(&Token::Not) {
+        let mut negate = false;
+        while self.peek() == Some(&Token::Not) {
             self.bump();
-            let inner = self.unary()?;
-            Ok(inner.complement())
-        } else {
-            self.atom()
+            negate = !negate;
         }
+        Ok(self.atom()?.complement_if(negate))
     }
 
     fn atom(&mut self) -> Result<Edge, ParseExprError> {
@@ -238,7 +252,15 @@ impl<'a> Parser<'a> {
                 Ok(self.bdd.var(var))
             }
             Some(Token::LParen) => {
+                if self.depth == MAX_EXPR_DEPTH {
+                    return Err(ParseExprError::new(
+                        format!("parentheses nested deeper than {MAX_EXPR_DEPTH}"),
+                        pos,
+                    ));
+                }
+                self.depth += 1;
                 let inner = self.expr()?;
+                self.depth -= 1;
                 match self.bump() {
                     Some(Token::RParen) => Ok(inner),
                     _ => Err(ParseExprError::new("expected ')'", pos)),
@@ -257,12 +279,12 @@ impl Bdd {
     ///
     /// Supports `! ~` (not), `& *` (and), `^` (xor), `| +` (or),
     /// `-> =>` (implies, right-assoc), `<-> <=>` (iff), constants `0`/`1`
-    /// and parentheses.
+    /// and parentheses nested at most [`MAX_EXPR_DEPTH`] deep.
     ///
     /// # Errors
     ///
-    /// Returns [`ParseExprError`] on syntax errors or unknown variable
-    /// names.
+    /// Returns [`ParseExprError`] on syntax errors, unknown variable
+    /// names, or parentheses nested too deep.
     ///
     /// # Example
     ///
@@ -284,6 +306,7 @@ impl Bdd {
             pos: 0,
             bdd: self,
             input_len,
+            depth: 0,
         };
         let e = parser.expr()?;
         if parser.pos != parser.tokens.len() {
@@ -389,5 +412,35 @@ mod tests {
         let f1 = bdd.from_expr("a&b|c").unwrap();
         let f2 = bdd.from_expr("  a  &\n\tb |  c ").unwrap();
         assert_eq!(f1, f2);
+    }
+
+    #[test]
+    fn deep_parentheses_are_an_error_not_an_overflow() {
+        let mut bdd = bdd3();
+        let nested = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(bdd.from_expr(&nested(MAX_EXPR_DEPTH)).unwrap(), bdd.var(Var(0)));
+        let err = bdd.from_expr(&nested(30_000)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper than"), "{err}");
+        // The first `(` past the cap, one byte per parenthesis.
+        assert_eq!(err.position(), MAX_EXPR_DEPTH);
+    }
+
+    #[test]
+    fn long_negation_runs_parse() {
+        let mut bdd = bdd3();
+        let a = bdd.var(Var(0));
+        let run = |n: usize| format!("{}a", "!".repeat(n));
+        assert_eq!(bdd.from_expr(&run(100_000)).unwrap(), a);
+        assert_eq!(bdd.from_expr(&run(100_001)).unwrap(), a.complement());
+    }
+
+    #[test]
+    fn long_implication_chains_parse() {
+        let mut bdd = bdd3();
+        // b -> b -> … -> b -> a: every prefix `b ->` is absorbed into
+        // `!b | …`, so the chain is `!b | a`.
+        let chain = format!("{}a", "b -> ".repeat(99_999));
+        let f = bdd.from_expr(&chain).unwrap();
+        assert_eq!(f, bdd.from_expr("!b | a").unwrap());
     }
 }

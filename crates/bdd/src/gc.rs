@@ -65,9 +65,6 @@ impl Bdd {
             if self.live[slot] && !marked.get(slot) {
                 self.live[slot] = false;
                 self.free.push(slot as u32);
-                if self.nodes[slot].is_chain() {
-                    self.chain_nodes -= 1;
-                }
                 reclaimed += 1;
             }
         }

@@ -120,8 +120,8 @@ impl Bdd {
         }
         let x = self.level(lower).min(self.level(upper));
         debug_assert!(!x.is_terminal());
-        let (l1, l0) = self.cof_at(lower, x);
-        let (u1, u0) = self.cof_at(upper, x);
+        let (l1, l0) = self.branches_at(lower, x);
+        let (u1, u0) = self.branches_at(upper, x);
         // Parts of each cofactor that cannot be covered by x-free cubes.
         let lx0 = self.diff(l0, u1);
         let lx1 = self.diff(l1, u0);

@@ -72,7 +72,7 @@ pub use budget::{Budget, BudgetExceeded, BudgetKind};
 pub use count::SatCount;
 pub use cubes::{Cube, CubeIter};
 pub use edge::{Edge, NodeId, Var};
-pub use expr::ParseExprError;
+pub use expr::{ParseExprError, MAX_EXPR_DEPTH};
 pub use isop::Isop;
 pub use leafspec::{LeafSpec, ParseLeafSpecError};
 pub use manager::{Bdd, BddStats};

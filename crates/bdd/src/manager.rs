@@ -93,8 +93,6 @@ pub struct BddStats {
     pub bytes_per_node: usize,
     /// Estimated peak node-store memory: `peak_live_nodes * bytes_per_node`.
     pub peak_bytes: usize,
-    /// Chain-compressed nodes currently live (always 0 in plain mode).
-    pub chain_nodes: usize,
 }
 
 impl BddStats {
@@ -192,13 +190,6 @@ pub struct Bdd {
     /// Midpoint of the armed wall-clock window (arm instant + half the
     /// allowance), the threshold past which polls tighten.
     deadline_half: Option<std::time::Instant>,
-    /// Chain-reduced (CBDD) mode: fixed at construction. When set, `mk`
-    /// fuses don't-care/or-chain patterns into range nodes; when clear,
-    /// every node is plain (`bot == var`) and the kernel behaves
-    /// byte-identically to a pre-chain manager.
-    pub(crate) chain_mode: bool,
-    /// Live nodes whose range spans more than one level.
-    pub(crate) chain_nodes: usize,
     /// High-water mark of the live-node count.
     pub(crate) peak_live: usize,
     /// Test hook for the `image-equivalence` mutation gate: widens the
@@ -258,31 +249,6 @@ impl Bdd {
     /// assert_eq!(bdd.var_name(Var(1)), "ack");
     /// ```
     pub fn with_names(names: &[&str]) -> Bdd {
-        Bdd::with_names_mode(names, false)
-    }
-
-    /// [`Bdd::new`] in chain-reduced (CBDD) mode: don't-care/or-chains are
-    /// compressed into level-range nodes at creation. Opt-in; functions
-    /// built in chain mode are semantically identical to plain mode but
-    /// edges from the two modes must never be mixed.
-    pub fn new_chained(num_vars: usize) -> Bdd {
-        let names: Vec<String> = (1..=num_vars).map(|i| format!("x{i}")).collect();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        Bdd::with_names_chained(&name_refs)
-    }
-
-    /// [`Bdd::with_names`] in chain-reduced mode (see [`Bdd::new_chained`]).
-    pub fn with_names_chained(names: &[&str]) -> Bdd {
-        Bdd::with_names_mode(names, true)
-    }
-
-    /// True when this manager compresses chains ([`Bdd::new_chained`]).
-    #[inline]
-    pub fn chain_mode(&self) -> bool {
-        self.chain_mode
-    }
-
-    fn with_names_mode(names: &[&str], chain_mode: bool) -> Bdd {
         let mut bdd = Bdd {
             nodes: vec![Node::TERMINAL],
             free: Vec::new(),
@@ -313,8 +279,6 @@ impl Bdd {
             next_deadline_poll: u64::MAX,
             deadline_poll_gap: 1,
             deadline_half: None,
-            chain_mode,
-            chain_nodes: 0,
             peak_live: 1,
             break_and_exists: false,
         };
@@ -731,25 +695,7 @@ impl Bdd {
 
     fn mk_raw(&mut self, var: Var, hi: Edge, lo: Edge) -> Result<Edge, BudgetExceeded> {
         debug_assert!(!hi.is_complemented());
-        // Chain fusion (CBDD): `x_var ∨ lo` where `lo`'s top decision sits
-        // at the very next level extends `lo`'s chain upward by one level.
-        // The rewrite happens *before* find-or-add, so the unfused alias is
-        // never stored and fusion stays maximal inductively. The dual
-        // and-chain of negative literals arrives here through the
-        // complement rewrite in `mk_checked` (`hi == ZERO` becomes
-        // `hi == ONE` on the negated key).
-        let (bot, hi, lo) = if self.chain_mode
-            && hi == Edge::ONE
-            && !lo.is_complemented()
-            && !lo.is_constant()
-            && self.level(lo) == Var(var.0 + 1)
-        {
-            let m = self.node(lo);
-            (m.bot, m.hi, m.lo)
-        } else {
-            (var, hi, lo)
-        };
-        if let Some(id) = self.unique.find(&self.nodes, var, bot, hi, lo) {
+        if let Some(id) = self.unique.find(&self.nodes, var, hi, lo) {
             return Ok(Edge::new(id, false));
         }
         // The ceiling is checked exactly where the unique table grows:
@@ -761,65 +707,24 @@ impl Bdd {
         }
         let id = match self.free.pop() {
             Some(slot) => {
-                self.nodes[slot as usize] = Node { var, bot, hi, lo };
+                self.nodes[slot as usize] = Node { var, hi, lo };
                 self.live[slot as usize] = true;
                 NodeId(slot)
             }
             None => {
                 let id = NodeId(self.nodes.len() as u32);
                 assert!(id.0 < u32::MAX >> 1, "node table overflow");
-                self.nodes.push(Node { var, bot, hi, lo });
+                self.nodes.push(Node { var, hi, lo });
                 self.live.push(true);
                 id
             }
         };
         self.unique.insert(&self.nodes, id);
-        if bot != var {
-            self.chain_nodes += 1;
-        }
         self.peak_live = self.peak_live.max(self.live_count());
         if self.auto_gc && self.live_count() > self.gc_threshold {
             self.gc_wanted = true;
         }
         Ok(Edge::new(id, false))
-    }
-
-    /// Materializes the one-level-shorter tail of a chain node: the
-    /// canonical node for `x_top ∨ … ∨ x_{bot-1} ∨ ITE(x_bot, hi, lo)`
-    /// with `top > ` the original chain top. No fusion is attempted (the
-    /// key is already canonical by the parent's maximal-fusion invariant)
-    /// and no node ceiling is charged — this is decompression of an
-    /// existing function, not growth, which keeps [`Bdd::cof_at`]
-    /// infallible.
-    pub(crate) fn mk_tail(&mut self, top: Var, bot: Var, hi: Edge, lo: Edge) -> Edge {
-        debug_assert!(top <= bot);
-        debug_assert!(!hi.is_complemented());
-        if let Some(id) = self.unique.find(&self.nodes, top, bot, hi, lo) {
-            return Edge::new(id, false);
-        }
-        let id = match self.free.pop() {
-            Some(slot) => {
-                self.nodes[slot as usize] = Node { var: top, bot, hi, lo };
-                self.live[slot as usize] = true;
-                NodeId(slot)
-            }
-            None => {
-                let id = NodeId(self.nodes.len() as u32);
-                assert!(id.0 < u32::MAX >> 1, "node table overflow");
-                self.nodes.push(Node { var: top, bot, hi, lo });
-                self.live.push(true);
-                id
-            }
-        };
-        self.unique.insert(&self.nodes, id);
-        if bot != top {
-            self.chain_nodes += 1;
-        }
-        self.peak_live = self.peak_live.max(self.live_count());
-        if self.auto_gc && self.live_count() > self.gc_threshold {
-            self.gc_wanted = true;
-        }
-        Edge::new(id, false)
     }
 
     /// The node an edge points to.
@@ -846,7 +751,6 @@ impl Bdd {
     pub fn branches(&self, f: Edge) -> (Edge, Edge) {
         debug_assert!(!f.is_constant());
         let n = self.node(f);
-        debug_assert!(n.bot == n.var, "branches on a chain node; use cof_at");
         let c = f.is_complemented();
         (n.hi.complement_if(c), n.lo.complement_if(c))
     }
@@ -861,27 +765,6 @@ impl Bdd {
         } else {
             (f, f)
         }
-    }
-
-    /// Chain-aware [`Bdd::branches_at`]: cofactors of `f` with respect to
-    /// level `top`. On a plain node (or when `f` does not start at `top`)
-    /// this is exactly `branches_at`; on a chain node the then-cofactor is
-    /// the constant the chain short-circuits to and the else-cofactor is
-    /// the materialized one-level-shorter tail. Needs `&mut` because the
-    /// tail may have to be interned; the recursion kernels use this
-    /// everywhere a chain node can appear.
-    #[inline]
-    pub fn cof_at(&mut self, f: Edge, top: Var) -> (Edge, Edge) {
-        if self.level(f) != top {
-            return (f, f);
-        }
-        let n = self.node(f);
-        let c = f.is_complemented();
-        if n.bot == n.var {
-            return (n.hi.complement_if(c), n.lo.complement_if(c));
-        }
-        let tail = self.mk_tail(Var(n.var.0 + 1), n.bot, n.hi, n.lo);
-        (Edge::ONE.complement_if(c), tail.complement_if(c))
     }
 
     /// Negation, in O(1) thanks to complement edges.
@@ -988,7 +871,6 @@ impl Bdd {
             peak_live_nodes: self.peak_live,
             bytes_per_node: Self::BYTES_PER_NODE,
             peak_bytes: self.peak_live * Self::BYTES_PER_NODE,
-            chain_nodes: self.chain_nodes,
         }
     }
 
@@ -1011,29 +893,6 @@ impl Bdd {
         let b = self.level2var[1];
         self.var2level[a.index()] = 0;
         self.var2level[b.index()] = 1;
-    }
-
-    /// Test hook for the `chain-invariance` mutation gate: shortens the
-    /// range of the first live chain node by one level **without**
-    /// rebuilding the function, silently changing its semantics — the bug
-    /// class a broken fusion/decompression rule would produce. Returns
-    /// false when no chain node exists (plain managers are untouched).
-    /// Never call this outside tests.
-    #[doc(hidden)]
-    pub fn debug_break_chain(&mut self) -> bool {
-        for slot in 1..self.nodes.len() {
-            if self.live[slot] && self.nodes[slot].bot > self.nodes[slot].var {
-                let id = NodeId(slot as u32);
-                self.unique.remove(&self.nodes, id);
-                self.nodes[slot].bot = Var(self.nodes[slot].bot.0 - 1);
-                if self.nodes[slot].bot == self.nodes[slot].var {
-                    self.chain_nodes -= 1;
-                }
-                self.unique.insert(&self.nodes, id);
-                return true;
-            }
-        }
-        false
     }
 
     /// Test hook for the `image-equivalence` mutation gate: makes the

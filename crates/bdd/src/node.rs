@@ -2,29 +2,13 @@
 
 use crate::edge::{Edge, Var};
 
-/// One decision node: a variable range plus high ("then") and low ("else")
-/// edges.
-///
-/// In plain mode every node is a single-level decision (`bot == var`). In
-/// chain-reduced mode (Bryant's CBDD or-chains) a node may span a level
-/// *range* `var ..= bot`: the regular edge to such a node denotes
-///
-/// ```text
-/// x_var ∨ x_{var+1} ∨ … ∨ x_{bot-1} ∨ ITE(x_bot, hi, lo)
-/// ```
-///
-/// i.e. a chain of don't-care/or levels collapsed into one node, with the
-/// actual two-way decision happening at `bot`. A complemented external edge
-/// gives the dual and-chain of negative literals for free.
+/// One decision node: a variable plus high ("then") and low ("else") edges.
 ///
 /// Invariants maintained by the manager:
 ///
 /// * the high edge is never complemented (canonical complement-edge form),
-/// * `var <= bot`, and `bot` is strictly above the levels of both children,
+/// * `var` is strictly above the levels of both children,
 /// * `hi != lo` (the deletion rule),
-/// * chain nodes (`bot > var`) are maximally fused: no stored node has
-///   `hi == ONE` with a regular non-constant `lo` whose top level is
-///   `bot + 1`,
 /// * the node at slot 0 is the unique constant node with `var == Var::TERMINAL`.
 ///
 /// Nodes are plain data; use [`Bdd`](crate::Bdd) methods to inspect functions.
@@ -32,8 +16,6 @@ use crate::edge::{Edge, Var};
 pub struct Node {
     /// Top decision variable (level) of this node.
     pub var: Var,
-    /// Bottom level of the chain range; equals `var` for plain nodes.
-    pub bot: Var,
     /// Function when `var = 1`; always a regular (uncomplemented) edge.
     pub hi: Edge,
     /// Function when `var = 0`.
@@ -44,22 +26,9 @@ impl Node {
     /// The constant node stored at slot 0.
     pub(crate) const TERMINAL: Node = Node {
         var: Var::TERMINAL,
-        bot: Var::TERMINAL,
         hi: Edge::ONE,
         lo: Edge::ONE,
     };
-
-    /// True when this node compresses a chain of more than one level.
-    #[inline]
-    pub fn is_chain(&self) -> bool {
-        self.bot != self.var
-    }
-
-    /// Number of levels the node spans (1 for a plain node).
-    #[inline]
-    pub fn span(&self) -> u32 {
-        self.bot.0 - self.var.0 + 1
-    }
 }
 
 #[cfg(test)]
@@ -70,19 +39,7 @@ mod tests {
     fn terminal_node_shape() {
         let t = Node::TERMINAL;
         assert!(t.var.is_terminal());
-        assert_eq!(t.bot, t.var);
         assert_eq!(t.hi, Edge::ONE);
         assert_eq!(t.lo, Edge::ONE);
-        assert!(!t.is_chain());
-    }
-
-    #[test]
-    fn span_counts_levels_inclusive() {
-        let plain = Node { var: Var(3), bot: Var(3), hi: Edge::ONE, lo: Edge::ZERO };
-        let chain = Node { var: Var(1), bot: Var(4), hi: Edge::ONE, lo: Edge::ZERO };
-        assert_eq!(plain.span(), 1);
-        assert!(!plain.is_chain());
-        assert_eq!(chain.span(), 4);
-        assert!(chain.is_chain());
     }
 }

@@ -133,9 +133,9 @@ impl Bdd {
             return Ok(r.complement_if(negate));
         }
         let top = self.level(f).min(self.level(g)).min(self.level(h));
-        let (f1, f0) = self.cof_at(f, top);
-        let (g1, g0) = self.cof_at(g, top);
-        let (h1, h0) = self.cof_at(h, top);
+        let (f1, f0) = self.branches_at(f, top);
+        let (g1, g0) = self.branches_at(g, top);
+        let (h1, h0) = self.branches_at(h, top);
         let t = self.ite_rec(f1, g1, h1, depth + 1)?;
         let e = self.ite_rec(f0, g0, h0, depth + 1)?;
         let r = self.mk_checked(top, t, e)?;
@@ -239,10 +239,9 @@ impl Bdd {
     /// Every matching criterion and every cover and containment test of
     /// the minimization layer is this question. The recursion descends
     /// the triple at the top level of its three edges and stops at the
-    /// first disagreement. It builds no result, so a plain manager
-    /// allocates no node; a chained manager may intern the chain tails
-    /// its cofactors need. Both verdicts are memoised in the computed
-    /// table. CUDD's `Cudd_bddLeq` is the model.
+    /// first disagreement. It builds no result, so it allocates no
+    /// node. Both verdicts are memoised in the computed table. CUDD's
+    /// `Cudd_bddLeq` is the model.
     ///
     /// # Example
     ///
@@ -307,9 +306,9 @@ impl Bdd {
             return Ok(r.is_one());
         }
         let top = self.level(f).min(self.level(g)).min(self.level(c));
-        let (f1, f0) = self.cof_at(f, top);
-        let (g1, g0) = self.cof_at(g, top);
-        let (c1, c0) = self.cof_at(c, top);
+        let (f1, f0) = self.branches_at(f, top);
+        let (g1, g0) = self.branches_at(g, top);
+        let (c1, c0) = self.branches_at(c, top);
         let r = self.agree_rec(f1, g1, c1, depth + 1)? && self.agree_rec(f0, g0, c0, depth + 1)?;
         let verdict = if r { Edge::ONE } else { Edge::ZERO };
         self.cache.insert(Op::Agree, f, g, c, verdict);
@@ -375,7 +374,7 @@ impl Bdd {
         if let Some(r) = self.cache.get(Op::Compose(level.0), f, value, Edge::ONE) {
             return Ok(r);
         }
-        let (f1, f0) = self.cof_at(f, top);
+        let (f1, f0) = self.branches_at(f, top);
         let r = if top == level {
             if value.is_one() {
                 f1
@@ -454,7 +453,7 @@ impl Bdd {
             return Ok(r);
         }
         let top = self.level(f);
-        let (f1, f0) = self.cof_at(f, top);
+        let (f1, f0) = self.branches_at(f, top);
         let r = if self.level(cube) == top {
             let next = self.node(cube).hi.complement_if(cube.is_complemented());
             let t = self.exists_rec(f1, next, depth + 1)?;
@@ -580,8 +579,8 @@ impl Bdd {
         if let Some(r) = self.cache.get(Op::AndExists, f, g, cube) {
             return Ok(r);
         }
-        let (f1, f0) = self.cof_at(f, top);
-        let (g1, g0) = self.cof_at(g, top);
+        let (f1, f0) = self.branches_at(f, top);
+        let (g1, g0) = self.branches_at(g, top);
         let r = if self.level(cube) == top {
             let next = self.node(cube).hi.complement_if(cube.is_complemented());
             let t = self.and_exists_rec(f1, g1, next, depth + 1)?;
@@ -608,7 +607,7 @@ impl Bdd {
     /// Builds the positive cube `v1 · v2 · …` of a set of variables.
     pub fn cube_of_vars(&mut self, vars: &[Var]) -> Edge {
         // Construct bottom-up in the *current order*: sort by level, then
-        // chain mk calls from the deepest level upwards.
+        // issue the mk calls from the deepest level upwards.
         let mut levels: Vec<Var> = vars.iter().map(|&v| self.level_of_var(v)).collect();
         levels.sort();
         levels.dedup();
@@ -628,12 +627,6 @@ impl Bdd {
     fn check_positive_cube(&self, mut cube: Edge) -> Result<(), BudgetExceeded> {
         while !cube.is_constant() {
             let n = self.node(cube);
-            // A chain node is never a cube: its uncomplemented reading is a
-            // disjunction, and the and-chain reading carries only negative
-            // literals, which a positive cube excludes.
-            if n.is_chain() {
-                return Err(BudgetExceeded::INTERNAL);
-            }
             let (hi, lo) = (
                 n.hi.complement_if(cube.is_complemented()),
                 n.lo.complement_if(cube.is_complemented()),
@@ -696,7 +689,7 @@ impl Bdd {
             return Ok(r);
         }
         let top = self.level(f);
-        let (f1, f0) = self.cof_at(f, top);
+        let (f1, f0) = self.branches_at(f, top);
         let r = if top == level {
             self.ite_rec(g, f1, f0, depth + 1)?
         } else {
@@ -755,11 +748,7 @@ impl Bdd {
                 continue;
             }
             let n = self.node(e);
-            // A chain node depends on every level it spans: the or-levels
-            // are real literals and the bottom decision has `hi != lo`.
-            for l in n.var.0..=n.bot.0 {
-                vars.insert(self.var_at_level(Var(l)));
-            }
+            vars.insert(self.var_at_level(n.var));
             stack.push(n.hi.regular());
             stack.push(n.lo.regular());
         }
@@ -788,18 +777,9 @@ impl Bdd {
     /// Panics if the assignment is shorter than some variable `f` depends on.
     pub fn eval(&self, f: Edge, assignment: &[bool]) -> bool {
         let mut e = f;
-        'walk: while !e.is_constant() {
+        while !e.is_constant() {
             let n = self.node(e);
-            // Chain levels: the first satisfied or-literal short-circuits
-            // the whole chain to (possibly complemented) true.
-            for l in n.var.0..n.bot.0 {
-                let var = self.var_at_level(Var(l));
-                if assignment[var.index()] {
-                    e = Edge::ONE.complement_if(e.is_complemented());
-                    continue 'walk;
-                }
-            }
-            let var = self.var_at_level(n.bot);
+            let var = self.var_at_level(n.var);
             let branch = if assignment[var.index()] { n.hi } else { n.lo };
             e = branch.complement_if(e.is_complemented());
         }

@@ -234,17 +234,8 @@ impl Bdd {
             i + 1
         );
         self.clear_caches();
-        // The swap kernel understands only plain nodes: decompress every
-        // chain first and restore maximal fusion afterwards. Both rewrite
-        // slots in place, so external edges survive exactly as documented.
-        if self.chain_mode && self.chain_nodes > 0 {
-            self.split_chains();
-        }
         let mut refs = self.build_reorder_refs(&[]);
         self.swap_in_place(i, &mut refs);
-        if self.chain_mode {
-            self.refuse_chains();
-        }
     }
 
     /// One reorder pass: shared by the checked and unchecked entry
@@ -273,12 +264,6 @@ impl Bdd {
         // graph that must survive, and the size metric the sift
         // minimizes is not polluted by garbage.
         self.collect_garbage(roots);
-        // Chains are split for the duration of the pass (the swap kernel
-        // and its size metric are defined over plain nodes) and re-fused
-        // once the order settles; both walks charge the step budget.
-        if self.chain_mode && self.chain_nodes > 0 {
-            self.split_chains();
-        }
         stats.nodes_before = self.unique.len();
         let mut refs = self.build_reorder_refs(roots);
         let grouped = settings.method == ReorderMethod::GroupSift;
@@ -311,85 +296,10 @@ impl Bdd {
             }
         }
 
-        if self.chain_mode {
-            self.refuse_chains();
-            // Drop the now-garbage split tails so the reported size (and
-            // the table the caller continues with) reflects fused chains.
-            self.collect_garbage(roots);
-        }
         stats.swaps = (self.reorder_swaps - swaps_at_start) as usize;
         stats.nodes_after = self.unique.len();
         self.reorder_runs += 1;
         (stats, err)
-    }
-
-    /// Rewrites every chain node in place to a plain node over a
-    /// find-or-added decompressed tail. Processes levels bottom-up so a
-    /// tail's own chains are already split when it is built; slot
-    /// identity is preserved, so external edges stay valid.
-    pub(crate) fn split_chains(&mut self) {
-        for l in (0..self.num_vars()).rev() {
-            let slots = self.unique.take_level(l);
-            self.steps = self.steps.saturating_add(slots.len() as u64);
-            for &id in &slots {
-                let n = self.nodes[id as usize];
-                if n.is_chain() {
-                    let tail = self.split_tail(Var(n.var.0 + 1), n.bot, n.hi, n.lo);
-                    debug_assert!(!tail.is_complemented());
-                    self.nodes[id as usize] = Node {
-                        var: n.var,
-                        bot: n.var,
-                        hi: Edge::ONE,
-                        lo: tail,
-                    };
-                    self.chain_nodes -= 1;
-                }
-                self.unique.insert(&self.nodes, NodeId(id));
-            }
-        }
-        debug_assert_eq!(self.chain_nodes, 0, "split_chains left a chain behind");
-    }
-
-    /// The fully split (all-plain) form of the chain `top..=bot` over the
-    /// decision `(hi, lo)`, built bottom-up with find-or-add.
-    fn split_tail(&mut self, top: Var, bot: Var, hi: Edge, lo: Edge) -> Edge {
-        let mut e = self.mk_tail(bot, bot, hi, lo);
-        for l in (top.0..bot.0).rev() {
-            e = self.mk_tail(Var(l), Var(l), Edge::ONE, e);
-        }
-        e
-    }
-
-    /// Restores maximal fusion after a reorder: every plain node of the
-    /// fusable shape (`hi = 1`, regular non-constant `lo` starting at the
-    /// next level) is rewritten in place to absorb its tail. Levels are
-    /// processed bottom-up so tails are already fused when their heads
-    /// are examined; the abandoned tail nodes become ordinary garbage.
-    pub(crate) fn refuse_chains(&mut self) {
-        for l in (0..self.num_vars()).rev() {
-            let slots = self.unique.take_level(l);
-            self.steps = self.steps.saturating_add(slots.len() as u64);
-            for &id in &slots {
-                let n = self.nodes[id as usize];
-                if !n.is_chain()
-                    && n.hi == Edge::ONE
-                    && !n.lo.is_complemented()
-                    && !n.lo.is_constant()
-                {
-                    let m = self.nodes[n.lo.node().index()];
-                    if m.var.0 == l as u32 + 1 {
-                        self.nodes[id as usize] = Node {
-                            var: n.var,
-                            bot: m.bot,
-                            hi: m.hi,
-                            lo: m.lo,
-                        };
-                        self.chain_nodes += 1;
-                    }
-                }
-                self.unique.insert(&self.nodes, NodeId(id));
-            }
-        }
     }
 
     /// Reference counts over the live graph plus all roots that must
@@ -642,7 +552,6 @@ impl Bdd {
             let n = self.nodes[id as usize];
             if self.level(n.hi) != yl && self.level(n.lo) != yl {
                 self.nodes[id as usize].var = yl;
-                self.nodes[id as usize].bot = yl;
                 self.unique.insert(&self.nodes, NodeId(id));
             } else {
                 dependents.push(id);
@@ -672,7 +581,6 @@ impl Bdd {
             inc_ref(refs, new_lo);
             self.nodes[id as usize] = Node {
                 var: xl,
-                bot: xl,
                 hi: new_hi,
                 lo: new_lo,
             };
@@ -691,7 +599,6 @@ impl Bdd {
                 continue; // freed during pass 2
             }
             self.nodes[id as usize].var = xl;
-            self.nodes[id as usize].bot = xl;
             self.unique.insert(&self.nodes, NodeId(id));
         }
 
@@ -726,12 +633,12 @@ impl Bdd {
 
     fn reorder_mk_raw(&mut self, level: Var, hi: Edge, lo: Edge, refs: &mut Vec<u32>) -> Edge {
         debug_assert!(!hi.is_complemented());
-        if let Some(id) = self.unique.find(&self.nodes, level, level, hi, lo) {
+        if let Some(id) = self.unique.find(&self.nodes, level, hi, lo) {
             return Edge::new(id, false);
         }
         let id = match self.free.pop() {
             Some(slot) => {
-                self.nodes[slot as usize] = Node { var: level, bot: level, hi, lo };
+                self.nodes[slot as usize] = Node { var: level, hi, lo };
                 self.live[slot as usize] = true;
                 refs[slot as usize] = 0;
                 NodeId(slot)
@@ -739,7 +646,7 @@ impl Bdd {
             None => {
                 let id = NodeId(self.nodes.len() as u32);
                 assert!(id.0 < u32::MAX >> 1, "node table overflow");
-                self.nodes.push(Node { var: level, bot: level, hi, lo });
+                self.nodes.push(Node { var: level, hi, lo });
                 self.live.push(true);
                 refs.push(0);
                 id

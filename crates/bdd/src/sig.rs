@@ -197,15 +197,9 @@ impl SigEvaluator {
             let lo_raw = self.memo(lo_slot).expect(CHILD);
             let lo = if n.lo.is_complemented() { !lo_raw } else { lo_raw };
             // `n.var` is a level; the lane masks are per variable identity,
-            // so the same function signs identically under any order. A
-            // chain node ors in every skipped level above the decision at
-            // `bot`: lanes where any chained variable is 1 are forced to 1.
-            let mut or_mask = 0u64;
-            for l in n.var.0..n.bot.0 {
-                or_mask |= self.masks[bdd.var_at_level(crate::edge::Var(l)).index()];
-            }
-            let mask = self.masks[bdd.var_at_level(n.bot).index()];
-            self.record(cur, or_mask | (!or_mask & ((mask & hi) | (!mask & lo))));
+            // so the same function signs identically under any order.
+            let mask = self.masks[bdd.var_at_level(n.var).index()];
+            self.record(cur, (mask & hi) | (!mask & lo));
         }
         self.memo(slot).expect("the root is recorded last")
     }

@@ -237,12 +237,7 @@ impl Bdd {
             .map(|i| self.var_name(Var(i as u32)).to_owned())
             .collect();
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        // The compacted manager keeps the source's representation mode.
-        let mut fresh = if self.chain_mode() {
-            Bdd::with_names_chained(&name_refs)
-        } else {
-            Bdd::with_names(&name_refs)
-        };
+        let mut fresh = Bdd::with_names(&name_refs);
         let moved = functions
             .iter()
             .map(|&f| self.transfer(f, &mut fresh, |v| v))

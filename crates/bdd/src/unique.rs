@@ -42,14 +42,11 @@ const MIN_CAPACITY: usize = 1 << 6;
 
 /// Hash of a unique-table key. `hi` is always a regular edge here (the
 /// manager normalises complement attributes before consing), so all 96
-/// plain-key bits are significant. Chain nodes additionally key on `bot`;
-/// the fold `var ^ bot` is zero for plain nodes (`bot == var`), so every
-/// plain-node hash is bit-for-bit the pre-chain value and slot orders in
-/// chain-off managers are unchanged.
+/// key bits are significant.
 #[inline]
-pub(crate) fn key_hash(var: Var, bot: Var, hi: Edge, lo: Edge) -> u64 {
+pub(crate) fn key_hash(var: Var, hi: Edge, lo: Edge) -> u64 {
     let a = ((var.0 as u64) << 32) | hi.to_bits() as u64;
-    let b = (lo.to_bits() as u64) | (((var.0 ^ bot.0) as u64) << 32);
+    let b = lo.to_bits() as u64;
     // Two-word mix: fold `lo` in with a rotation so (a, b) and (b, a)
     // diverge, then finalize.
     mix64(a ^ b.rotate_left(32).wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -100,7 +97,7 @@ impl Subtable {
                 continue;
             }
             let n = &nodes[s as usize];
-            let mut i = key_hash(n.var, n.bot, n.hi, n.lo) as usize & self.mask;
+            let mut i = key_hash(n.var, n.hi, n.lo) as usize & self.mask;
             while self.slots[i] != EMPTY {
                 i = (i + 1) & self.mask;
             }
@@ -111,7 +108,7 @@ impl Subtable {
     #[inline]
     fn insert_rehashed(&mut self, nodes: &[Node], id: u32) {
         let n = &nodes[id as usize];
-        let mut i = key_hash(n.var, n.bot, n.hi, n.lo) as usize & self.mask;
+        let mut i = key_hash(n.var, n.hi, n.lo) as usize & self.mask;
         while self.slots[i] != EMPTY {
             debug_assert_ne!(self.slots[i], id, "double insert");
             i = (i + 1) & self.mask;
@@ -162,26 +159,19 @@ impl UniqueTable {
         self.levels[level].len
     }
 
-    /// Finds the node with key `(var, bot, hi, lo)`, where `var` is the
-    /// node's top level (chain nodes live in the subtable of their top).
+    /// Finds the node with key `(var, hi, lo)` in the subtable of level
+    /// `var`.
     #[inline]
-    pub(crate) fn find(
-        &self,
-        nodes: &[Node],
-        var: Var,
-        bot: Var,
-        hi: Edge,
-        lo: Edge,
-    ) -> Option<NodeId> {
+    pub(crate) fn find(&self, nodes: &[Node], var: Var, hi: Edge, lo: Edge) -> Option<NodeId> {
         let sub = &self.levels[var.index()];
-        let mut i = key_hash(var, bot, hi, lo) as usize & sub.mask;
+        let mut i = key_hash(var, hi, lo) as usize & sub.mask;
         loop {
             let s = sub.slots[i];
             if s == EMPTY {
                 return None;
             }
             let n = &nodes[s as usize];
-            if n.var == var && n.bot == bot && n.hi == hi && n.lo == lo {
+            if n.var == var && n.hi == hi && n.lo == lo {
                 return Some(NodeId(s));
             }
             i = (i + 1) & sub.mask;
@@ -213,7 +203,7 @@ impl UniqueTable {
         let n = &nodes[id.index()];
         let sub = &mut self.levels[n.var.index()];
         let mask = sub.mask;
-        let mut i = key_hash(n.var, n.bot, n.hi, n.lo) as usize & mask;
+        let mut i = key_hash(n.var, n.hi, n.lo) as usize & mask;
         while sub.slots[i] != id.0 {
             debug_assert_ne!(sub.slots[i], EMPTY, "removing a node not in the table");
             i = (i + 1) & mask;
@@ -227,7 +217,7 @@ impl UniqueTable {
         while sub.slots[j] != EMPTY {
             let s = sub.slots[j];
             let m = &nodes[s as usize];
-            let home = key_hash(m.var, m.bot, m.hi, m.lo) as usize & mask;
+            let home = key_hash(m.var, m.hi, m.lo) as usize & mask;
             if ((j.wrapping_sub(home)) & mask) >= ((j.wrapping_sub(hole)) & mask) {
                 sub.slots[hole] = s;
                 sub.slots[j] = EMPTY;
@@ -284,7 +274,6 @@ mod tests {
     fn node(var: u32, hi: Edge, lo: Edge) -> Node {
         Node {
             var: Var(var),
-            bot: Var(var),
             hi,
             lo,
         }
@@ -302,9 +291,9 @@ mod tests {
             let (hi, lo) = (Edge::ONE, Edge::new(NodeId(k / 4), k % 2 == 0));
             let id = NodeId(nodes.len() as u32);
             nodes.push(node(v, hi, lo));
-            assert_eq!(table.find(&nodes, Var(v), Var(v), hi, lo), None);
+            assert_eq!(table.find(&nodes, Var(v), hi, lo), None);
             table.insert(&nodes, id);
-            assert_eq!(table.find(&nodes, Var(v), Var(v), hi, lo), Some(id));
+            assert_eq!(table.find(&nodes, Var(v), hi, lo), Some(id));
         }
         assert_eq!(table.len(), 2000);
         for level in 0..4 {
@@ -313,7 +302,7 @@ mod tests {
         }
         for k in 0..2000u32 {
             let n = nodes[(k + 1) as usize];
-            assert_eq!(table.find(&nodes, n.var, n.bot, n.hi, n.lo), Some(NodeId(k + 1)));
+            assert_eq!(table.find(&nodes, n.var, n.hi, n.lo), Some(NodeId(k + 1)));
         }
     }
 
@@ -333,7 +322,7 @@ mod tests {
         table.rebuild(&nodes, survivors.iter().copied());
         assert_eq!(table.len(), 50);
         for v in 0..100u32 {
-            let found = table.find(&nodes, Var(v), Var(v), Edge::ONE, Edge::ZERO);
+            let found = table.find(&nodes, Var(v), Edge::ONE, Edge::ZERO);
             if v % 2 == 0 {
                 assert_eq!(found, Some(NodeId(v + 1)));
                 assert_eq!(table.level_len(v as usize), 1);
@@ -364,7 +353,7 @@ mod tests {
         }
         for k in 0..count {
             let n = nodes[(k + 1) as usize];
-            let found = table.find(&nodes, Var(0), n.bot, n.hi, n.lo);
+            let found = table.find(&nodes, Var(0), n.hi, n.lo);
             if k % 3 == 0 {
                 assert_eq!(found, None, "key {k} should be gone");
             } else {
@@ -394,7 +383,7 @@ mod tests {
         for v in [0u32, 2] {
             for k in 0..10u32 {
                 assert!(table
-                    .find(&nodes, Var(v), Var(v), Edge::ONE, Edge::new(NodeId(k), false))
+                    .find(&nodes, Var(v), Edge::ONE, Edge::new(NodeId(k), false))
                     .is_some());
             }
         }
@@ -430,18 +419,37 @@ mod tests {
         }
         // Distinct keys that collide word-wise under a naive (non-rotated)
         // fold must still produce distinct hashes in practice.
-        let h_ab = key_hash(Var(1), Var(1), Edge::from_bits(2), Edge::from_bits(3));
-        let h_ba = key_hash(Var(0), Var(0), Edge::from_bits(3), Edge::from_bits(2));
+        let h_ab = key_hash(Var(1), Edge::from_bits(2), Edge::from_bits(3));
+        let h_ba = key_hash(Var(0), Edge::from_bits(3), Edge::from_bits(2));
         assert_ne!(h_ab, h_ba);
+    }
+
+    #[test]
+    fn key_hash_values_are_pinned() {
+        // Slot order in every subtable follows these values, and with it
+        // cache behaviour and every rendered table. A change here must be
+        // deliberate.
+        let golden: [(u32, u32, u32, u64); 6] = [
+            (0, 0x0, 0x1, 0xbeeb_67ea_f1fc_5e61),
+            (1, 0x2, 0x3, 0x437e_9224_f423_f233),
+            (3, 0x6, 0x9, 0x5073_4dd1_53e9_f075),
+            (17, 0x28, 0x29, 0xb3a7_deca_40d4_9902),
+            (1000, 0x1234, 0x5679, 0xb798_c72d_f43b_6e67),
+            (u32::MAX >> 2, 0x7fff_fffe, 0x7fff_ffff, 0x7dd5_2f3f_a957_a16f),
+        ];
+        for (v, h, l, want) in golden {
+            let got = key_hash(Var(v), Edge::from_bits(h), Edge::from_bits(l));
+            assert_eq!(got, want, "key_hash({v}, {h:#x}, {l:#x})");
+        }
     }
 
     #[test]
     fn key_hash_distinguishes_field_swaps() {
         // (var, hi, lo) permutations of the same three raw words should
         // hash apart — this guards the packing scheme.
-        let h1 = key_hash(Var(1), Var(1), Edge::from_bits(2), Edge::from_bits(3));
-        let h2 = key_hash(Var(1), Var(1), Edge::from_bits(3), Edge::from_bits(2));
-        let h3 = key_hash(Var(2), Var(2), Edge::from_bits(1), Edge::from_bits(3));
+        let h1 = key_hash(Var(1), Edge::from_bits(2), Edge::from_bits(3));
+        let h2 = key_hash(Var(1), Edge::from_bits(3), Edge::from_bits(2));
+        let h3 = key_hash(Var(2), Edge::from_bits(1), Edge::from_bits(3));
         assert_ne!(h1, h2);
         assert_ne!(h1, h3);
         assert_ne!(h2, h3);

@@ -45,36 +45,9 @@ fn golden_complement_edges() {
     check_golden("complement_edges.dot", &dot);
 }
 
-/// An or-chain over consecutive variables fuses into a single chain node in
-/// chain-reduced mode. The golden file pins the double-bordered
-/// (`peripheries=2`) range-labelled rendering.
+/// An or of literals over consecutive variables: one node per level.
 #[test]
-fn golden_chain_nodes() {
-    let mut bdd = Bdd::with_names_chained(&["a", "b", "c", "d", "e"]);
-    let d = bdd.var(Var(3));
-    let e = bdd.var(Var(4));
-    let mut f = bdd.and(d, e);
-    for i in (0..3).rev() {
-        let v = bdd.var(Var(i));
-        f = bdd.or(v, f);
-    }
-    let dot = bdd.to_dot(&[("f", f)]);
-    assert!(
-        dot.contains("peripheries=2"),
-        "or-chain must render a double-bordered chain node"
-    );
-    assert!(
-        dot.contains(".."),
-        "chain node label must show its level range"
-    );
-    check_golden("chain_nodes.dot", &dot);
-}
-
-/// The same function rendered from a plain manager has no chain nodes —
-/// this golden pins the uncompressed shape so the two files document the
-/// representation difference side by side.
-#[test]
-fn golden_chain_nodes_plain_counterpart() {
+fn golden_or_of_literals() {
     let mut bdd = Bdd::with_names(&["a", "b", "c", "d", "e"]);
     let d = bdd.var(Var(3));
     let e = bdd.var(Var(4));
@@ -84,9 +57,5 @@ fn golden_chain_nodes_plain_counterpart() {
         f = bdd.or(v, f);
     }
     let dot = bdd.to_dot(&[("f", f)]);
-    assert!(
-        !dot.contains("peripheries=2"),
-        "plain manager must not produce chain nodes"
-    );
-    check_golden("plain_counterpart.dot", &dot);
+    check_golden("or_of_literals.dot", &dot);
 }

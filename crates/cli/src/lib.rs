@@ -5,8 +5,8 @@
 //! whole tool is unit-testable without spawning processes.
 //!
 //! ```text
-//! bddmin spec "d1 01 1d 01" [--heuristic FILTER] [--exact] [--isop] [--dot] [--chain]
-//! bddmin expr --vars a,b,c --function "(a&b)|c" --care "a|b" [--heuristic ...] [--chain]
+//! bddmin spec "d1 01 1d 01" [--heuristic FILTER] [--exact] [--isop] [--dot]
+//! bddmin expr --vars a,b,c --function "(a&b)|c" --care "a|b" [--heuristic ...]
 //! bddmin verify left.blif right.blif [--heuristic NAME]
 //! bddmin simplify circuit.blif [--heuristic NAME]
 //! bddmin bench
@@ -182,8 +182,6 @@ pub enum Command {
         isop: bool,
         /// Emit Graphviz for the best cover.
         dot: bool,
-        /// Build in the chain-reduced (CBDD) manager.
-        chain: bool,
         /// Resource budget for every heuristic run.
         budget: BudgetOpts,
         /// Dynamic reordering before minimization (`None` = keep the
@@ -200,8 +198,6 @@ pub enum Command {
         care: String,
         /// Heuristic filter, or `None` for all.
         heuristic: Option<HeuristicFilter>,
-        /// Build in the chain-reduced (CBDD) manager.
-        chain: bool,
         /// Resource budget for every heuristic run.
         budget: BudgetOpts,
         /// Dynamic reordering before minimization (`None` = keep the
@@ -247,8 +243,8 @@ pub const USAGE: &str = "\
 bddmin — heuristic minimization of BDDs using don't cares (Shiple et al., DAC'94)
 
 USAGE:
-  bddmin spec <LEAFSPEC> [--heuristic FILTER] [--exact] [--isop] [--dot] [--chain] [BUDGET]
-  bddmin expr --vars a,b,c --function EXPR --care EXPR [--heuristic FILTER] [--chain] [BUDGET]
+  bddmin spec <LEAFSPEC> [--heuristic FILTER] [--exact] [--isop] [--dot] [BUDGET]
+  bddmin expr --vars a,b,c --function EXPR --care EXPR [--heuristic FILTER] [BUDGET]
   bddmin verify <LEFT.blif> <RIGHT.blif> [--heuristic NAME] [--image {mono,range}]
   bddmin simplify <CIRCUIT.blif> [--heuristic NAME]
   bddmin bench
@@ -260,9 +256,6 @@ BUDGET (spec/expr): [--step-limit N] [--node-limit N] [--time-limit MS]
 REORDER (spec/expr): [--reorder {none,sift,group}] [--reorder-growth F]
   Sifts the variables to a locally optimal order before minimizing and
   reports `(reordered: k swaps, n->n' nodes)`; default none.
-
-CHAIN (spec/expr): --chain builds the instance in the chain-reduced (CBDD)
-  manager; reported sizes are plain-equivalent, so covers match plain mode.
 
 HEURISTICS: --heuristic takes a comma-separated list of names and single-`*`
   globs over: f_orig f_and_c f_or_nc const restr osm_td osm_nv osm_cp osm_bt
@@ -393,7 +386,6 @@ pub fn parse_args(args: &[String], read_file: impl Fn(&str) -> Result<String, Cl
                 exact: rest.iter().any(|a| a == "--exact"),
                 isop: rest.iter().any(|a| a == "--isop"),
                 dot: rest.iter().any(|a| a == "--dot"),
-                chain: rest.iter().any(|a| a == "--chain"),
                 budget: budget(&rest)?,
                 reorder: reorder(&rest)?,
             })
@@ -410,7 +402,6 @@ pub fn parse_args(args: &[String], read_file: impl Fn(&str) -> Result<String, Cl
                 function: get("--function")?,
                 care: get("--care")?,
                 heuristic: heuristic(&rest)?,
-                chain: rest.iter().any(|a| a == "--chain"),
                 budget: budget(&rest)?,
                 reorder: reorder(&rest)?,
             })
@@ -458,19 +449,17 @@ pub fn run(command: Command) -> Result<String, CliError> {
             exact,
             isop,
             dot,
-            chain,
             budget,
             reorder,
-        } => run_spec(&spec, heuristic, exact, isop, dot, chain, budget, reorder),
+        } => run_spec(&spec, heuristic, exact, isop, dot, budget, reorder),
         Command::Expr {
             vars,
             function,
             care,
             heuristic,
-            chain,
             budget,
             reorder,
-        } => run_expr(&vars, &function, &care, heuristic, chain, budget, reorder),
+        } => run_expr(&vars, &function, &care, heuristic, budget, reorder),
         Command::Verify {
             left,
             right,
@@ -634,23 +623,17 @@ fn report_instance(
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_spec(
     spec: &str,
     heuristic: Option<HeuristicFilter>,
     exact: bool,
     isop: bool,
     dot: bool,
-    chain: bool,
     budget: BudgetOpts,
     reorder: Option<ReorderSettings>,
 ) -> Result<String, CliError> {
     let parsed = bddmin_bdd::LeafSpec::parse(spec).map_err(|e| CliError(e.to_string()))?;
-    let mut bdd = if chain {
-        Bdd::new_chained(parsed.num_vars())
-    } else {
-        Bdd::new(parsed.num_vars())
-    };
+    let mut bdd = Bdd::new(parsed.num_vars());
     let (f, c) = parsed.build(&mut bdd);
     report_instance(
         &mut bdd,
@@ -671,16 +654,11 @@ fn run_expr(
     function: &str,
     care: &str,
     heuristic: Option<HeuristicFilter>,
-    chain: bool,
     budget: BudgetOpts,
     reorder: Option<ReorderSettings>,
 ) -> Result<String, CliError> {
     let names: Vec<&str> = vars.iter().map(String::as_str).collect();
-    let mut bdd = if chain {
-        Bdd::with_names_chained(&names)
-    } else {
-        Bdd::with_names(&names)
-    };
+    let mut bdd = Bdd::with_names(&names);
     let f = bdd.from_expr(function).map_err(|e| CliError(e.to_string()))?;
     let c = bdd.from_expr(care).map_err(|e| CliError(e.to_string()))?;
     report_instance(
@@ -804,7 +782,6 @@ mod tests {
                 exact: true,
                 isop: false,
                 dot: false,
-                chain: false,
                 budget: BudgetOpts::default(),
                 reorder: None,
             }
@@ -843,7 +820,6 @@ mod tests {
             exact: false,
             isop: false,
             dot: false,
-            chain: false,
             budget: BudgetOpts::default(),
             reorder: None,
         })
@@ -888,7 +864,6 @@ mod tests {
                 exact: false,
                 isop: false,
                 dot: false,
-                chain: false,
                 budget,
                 reorder: None,
             })
@@ -987,29 +962,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_flag_parses_and_matches_plain_results() {
-        let cmd = parse_args(&strs(&["spec", "d1 01 1d 01", "--chain"]), no_files).unwrap();
-        match &cmd {
-            Command::Spec { chain, .. } => assert!(chain),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        // Chain-mode sizes are plain-equivalent, so the whole report is
-        // byte-identical to the plain-mode run.
-        let chained = run(cmd).unwrap();
-        let plain = run(parse_args(&strs(&["spec", "d1 01 1d 01"]), no_files).unwrap()).unwrap();
-        assert_eq!(chained, plain, "chain mode changed the spec report");
-        // Same for expr, which builds through `with_names_chained`.
-        let expr = |extra: &[&str]| {
-            let mut args = vec![
-                "expr", "--vars", "a,b,c", "--function", "(a&b)|c", "--care", "a|b",
-            ];
-            args.extend_from_slice(extra);
-            run(parse_args(&strs(&args), no_files).unwrap()).unwrap()
-        };
-        assert_eq!(expr(&["--chain"]), expr(&[]), "chain mode changed the expr report");
-    }
-
-    #[test]
     fn parse_budget_flags() {
         let cmd = parse_args(
             &strs(&[
@@ -1079,7 +1031,6 @@ mod tests {
             exact: false,
             isop: false,
             dot: false,
-            chain: false,
             budget: BudgetOpts::default(),
             reorder: None,
         })
@@ -1090,7 +1041,6 @@ mod tests {
             exact: false,
             isop: false,
             dot: false,
-            chain: false,
             budget: BudgetOpts::default(),
             reorder: Some(ReorderSettings::sift(1.2)),
         })
@@ -1158,7 +1108,6 @@ mod tests {
             exact: true,
             isop: true,
             dot: false,
-            chain: false,
             budget: BudgetOpts::default(),
             reorder: None,
         })
@@ -1181,7 +1130,6 @@ mod tests {
             exact: false,
             isop: false,
             dot: false,
-            chain: false,
             budget: starved,
             reorder: None,
         })
@@ -1205,7 +1153,6 @@ mod tests {
             exact: false,
             isop: false,
             dot: false,
-            chain: false,
             budget: BudgetOpts {
                 step_limit: Some(1_000_000),
                 ..BudgetOpts::default()
@@ -1224,7 +1171,6 @@ mod tests {
             exact: false,
             isop: false,
             dot: true,
-            chain: false,
             budget: BudgetOpts::default(),
             reorder: None,
         })
@@ -1240,7 +1186,6 @@ mod tests {
             function: "(a&b)|c".into(),
             care: "a|b".into(),
             heuristic: Some(HeuristicFilter::single(Heuristic::Restrict)),
-            chain: false,
             budget: BudgetOpts::default(),
             reorder: None,
         })

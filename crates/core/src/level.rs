@@ -156,8 +156,8 @@ fn gather_rec(
         return;
     }
     let top = fl.min(cl);
-    let (f_t, f_e) = bdd.cof_at(isf.f, top);
-    let (c_t, c_e) = bdd.cof_at(isf.c, top);
+    let (f_t, f_e) = bdd.branches_at(isf.f, top);
+    let (c_t, c_e) = bdd.branches_at(isf.c, top);
     path[top.index()] = 1;
     gather_rec(bdd, Isf::new(f_t, c_t), level, limit, out, seen, path);
     path[top.index()] = 0;
@@ -654,8 +654,8 @@ fn subst_rec(
         return Ok(Isf { f: rf, c: rc });
     }
     let top = fl.min(cl);
-    let (f_t, f_e) = bdd.cof_at(isf.f, top);
-    let (c_t, c_e) = bdd.cof_at(isf.c, top);
+    let (f_t, f_e) = bdd.branches_at(isf.f, top);
+    let (c_t, c_e) = bdd.branches_at(isf.c, top);
     let then_r = subst_rec(bdd, Isf::new(f_t, c_t), level, map, tag, depth + 1)?;
     let else_r = subst_rec(bdd, Isf::new(f_e, c_e), level, map, tag, depth + 1)?;
     let v = bdd.try_var_at_level(top)?;
@@ -890,8 +890,8 @@ mod tests {
             return;
         }
         let top = fl.min(cl);
-        let (f_t, f_e) = bdd.cof_at(isf.f, top);
-        let (c_t, c_e) = bdd.cof_at(isf.c, top);
+        let (f_t, f_e) = bdd.branches_at(isf.f, top);
+        let (c_t, c_e) = bdd.branches_at(isf.c, top);
         path[top.index()] = 1;
         gather_every_path(bdd, Isf::new(f_t, c_t), level, limit, out, path);
         path[top.index()] = 0;

@@ -189,8 +189,8 @@ fn td_rec(
     let f_level = bdd.level(f);
     let c_level = bdd.level(c);
     let top = f_level.min(c_level);
-    let (f_t, f_e) = bdd.cof_at(f, top);
-    let (c_t, c_e) = bdd.cof_at(c, top);
+    let (f_t, f_e) = bdd.branches_at(f, top);
+    let (c_t, c_e) = bdd.branches_at(c, top);
     let then_isf = Isf::new(f_t, c_t);
     let else_isf = Isf::new(f_e, c_e);
 

@@ -121,8 +121,8 @@ fn pass_rec(
     if top >= window.bottom {
         return Ok(isf);
     }
-    let (f_t, f_e) = bdd.cof_at(f, top);
-    let (c_t, c_e) = bdd.cof_at(c, top);
+    let (f_t, f_e) = bdd.branches_at(f, top);
+    let (c_t, c_e) = bdd.branches_at(c, top);
     let then_isf = Isf::new(f_t, c_t);
     let else_isf = Isf::new(f_e, c_e);
     let in_window = window.contains(top);

@@ -32,10 +32,6 @@ pub struct EvalArgs {
     pub reorder: ReorderMethod,
     /// `--reorder-growth F`: sifting growth factor (default 1.2).
     pub reorder_growth: Option<f64>,
-    /// `--chain {on,off}`: chain-reduced (CBDD) managers for every
-    /// traversal and measurement (default off). Rendered tables are
-    /// byte-identical either way; only peak memory changes.
-    pub chain: bool,
     /// `--image {mono,range}`: image computation method for the
     /// traversal (default `range`, the historical runner). Rendered
     /// tables are byte-identical across methods.
@@ -67,13 +63,6 @@ impl EvalArgs {
             time_limit_ms: value(args, "--time-limit")?,
             reorder: value(args, "--reorder")?.unwrap_or(ReorderMethod::None),
             reorder_growth: value(args, "--reorder-growth")?,
-            chain: match value::<String>(args, "--chain")?.as_deref() {
-                None | Some("off" | "0" | "false") => false,
-                Some("on" | "1" | "true") => true,
-                Some(other) => {
-                    return Err(format!("bad --chain value {other:?}: expected on or off"))
-                }
-            },
             image: value(args, "--image")?.unwrap_or(ImageMethod::Range),
         })
     }
@@ -140,7 +129,7 @@ mod tests {
     #[test]
     fn defaults_and_well_formed_values() {
         let d = parse("").unwrap();
-        assert!(!d.quick && !d.no_times && !d.chain);
+        assert!(!d.quick && !d.no_times);
         assert_eq!(d.jobs, 1);
         assert!(d.only.is_empty() && d.csv_dir.is_none());
         assert_eq!(d.reorder, ReorderMethod::None);
@@ -148,11 +137,11 @@ mod tests {
         assert!(!d.limits().armed());
         let a = parse(
             "--quick --jobs 4 --only tlc,,s386 --image mono --reorder sift \
-             --reorder-growth 1.5 --chain on --step-limit 25 --node-limit 900 \
+             --reorder-growth 1.5 --step-limit 25 --node-limit 900 \
              --time-limit 30 --no-times --unknown",
         )
         .unwrap();
-        assert!(a.quick && a.no_times && a.chain);
+        assert!(a.quick && a.no_times);
         assert_eq!(a.jobs, 4);
         assert_eq!(a.only, ["tlc", "s386"]);
         assert_eq!(a.image, ImageMethod::Mono);
@@ -166,7 +155,6 @@ mod tests {
                 time_limit_ms: Some(30),
             }
         );
-        assert!(!parse("--chain off").unwrap().chain);
     }
 
     #[test]
@@ -176,7 +164,6 @@ mod tests {
             ("--image", "bogus"),
             ("--image", "part"),
             ("--reorder", "bogus"),
-            ("--chain", "maybe"),
             ("--reorder-growth", "x"),
             ("--step-limit", "many"),
             ("--node-limit", "-3"),

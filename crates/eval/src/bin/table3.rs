@@ -7,7 +7,7 @@
 //!   [--quick] [--jobs N] [--only a,b] [--no-times] [--csv <dir>]
 //!   [--step-limit N] [--node-limit N] [--time-limit MS]
 //!   [--reorder {none,sift,group}] [--reorder-growth F]
-//!   [--chain {on,off}] [--image {mono,range}]`
+//!   [--image {mono,range}]`
 //!
 //! The budget flags bound every heuristic invocation; blown runs degrade
 //! to a valid cover and are counted in a skip-accounting line.
@@ -28,7 +28,6 @@ fn main() {
             only_benchmarks: args.only.clone(),
             limits: args.limits(),
             reorder: args.reorder_settings(),
-            chain: args.chain,
             image: args.image,
             ..Default::default()
         }
@@ -37,21 +36,19 @@ fn main() {
             only_benchmarks: args.only.clone(),
             limits: args.limits(),
             reorder: args.reorder_settings(),
-            chain: args.chain,
             image: args.image,
             ..Default::default()
         }
     };
     eprintln!(
-        "running FSM-equivalence experiment over the benchmark suite{}{} ({} job{})...",
+        "running FSM-equivalence experiment over the benchmark suite{} ({} job{})...",
         if args.quick { " (quick mode)" } else { "" },
-        if args.chain { " (chain-reduced managers)" } else { "" },
         args.jobs.max(1),
         if args.jobs.max(1) == 1 { "" } else { "s" },
     );
     let mut results = run_experiment_jobs(&config, args.jobs);
-    // Peak memory depends on `--jobs` sharding (and on `--chain`), so it
-    // goes to stderr, keeping stdout byte-comparable across both.
+    // Peak memory depends on `--jobs` sharding, so it goes to stderr,
+    // keeping stdout byte-comparable across job counts.
     eprintln!("{}", results.memory_annotation());
     if args.no_times {
         results.strip_times();

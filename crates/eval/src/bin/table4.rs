@@ -8,7 +8,7 @@
 //!   [--quick] [--jobs N] [--only a,b]
 //!   [--step-limit N] [--node-limit N] [--time-limit MS]
 //!   [--reorder {none,sift,group}] [--reorder-growth F]
-//!   [--chain {on,off}] [--image {mono,range}]`
+//!   [--image {mono,range}]`
 
 use bddmin_core::Heuristic;
 use bddmin_eval::args::parse_eval_args;
@@ -25,7 +25,6 @@ fn main() {
         only_benchmarks: args.only.clone(),
         limits: args.limits(),
         reorder: args.reorder_settings(),
-        chain: args.chain,
         image: args.image,
         ..Default::default()
     };

@@ -107,7 +107,7 @@ fn measure_recorded(
     // construction are the shared [`shard`] primitives so this pipeline
     // and the serve daemon cannot drift apart on the determinism contract.
     let mut workers: Vec<(Bdd, Vec<(usize, RecordedInstance)>)> =
-        shard::worker_managers(jobs, src.num_vars(), config.chain)
+        shard::worker_managers(jobs, src.num_vars())
             .into_iter()
             .map(|bdd| (bdd, Vec::new()))
             .collect();

@@ -165,9 +165,9 @@ pub struct ExperimentConfig {
     /// [`ReorderMethod::None`], which keeps every measurement path
     /// byte-identical to the historical runner.
     pub reorder: ReorderSettings,
-    /// Run every traversal and measurement manager in chain-reduced
-    /// (CBDD) mode. Reported sizes are plain-equivalent, so rendered
-    /// tables are byte-identical to plain mode; only peak memory drops.
+    /// Retired: chain-reduced managers are gone. Nothing in the workspace
+    /// sets or reads this field; it remains only until the benchmark
+    /// package stops reading it.
     pub chain: bool,
     /// Image computation method for the traversal (`--image`). The default
     /// [`ImageMethod::Range`] is the historical runner: image by range over
@@ -251,8 +251,7 @@ impl ExperimentResults {
     }
 
     /// Folds a manager's peak-memory stats into the sweep-wide high-water
-    /// mark (satisfying "chain mode's win is memory — make it
-    /// measurable").
+    /// mark.
     pub fn fold_peak(&mut self, stats: &bddmin_bdd::BddStats) {
         if stats.peak_live_nodes > self.peak_live_nodes {
             self.peak_live_nodes = stats.peak_live_nodes;
@@ -484,7 +483,7 @@ pub fn run_benchmark(
 ///
 /// The traversal itself always continues with the `constrain` results,
 /// because the image computation relies on constrain's image-preserving
-/// property (paper footnote 1). It applies `config`'s `chain`,
+/// property (paper footnote 1). It applies `config`'s
 /// `max_iterations`, `image` and `reorder`; reorder counts and the
 /// manager's peak memory go into `results`. The sink may pin edges to
 /// keep them alive across the per-iteration garbage collection. Returns
@@ -496,11 +495,7 @@ pub fn traverse(
     mut sink: impl FnMut(&mut Bdd, Isf, usize, &mut ExperimentResults),
 ) -> SymbolicFsm {
     let product = product_circuit(circuit, &circuit.clone());
-    let mut fsm = if config.chain {
-        SymbolicFsm::new_chained(&product)
-    } else {
-        SymbolicFsm::new(&product)
-    };
+    let mut fsm = SymbolicFsm::new(&product);
     let mut iteration = 0usize;
     let init = fsm.initial_states();
     let mut reached = init;

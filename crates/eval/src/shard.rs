@@ -29,18 +29,9 @@ pub fn round_robin(index: usize, shards: usize) -> usize {
 }
 
 /// Builds `shards` fresh private worker managers over `num_vars`
-/// variables, chain-reduced when `chain` is set. Workers must inherit
-/// the source manager's representation mode so measured sizes agree.
-pub fn worker_managers(shards: usize, num_vars: usize, chain: bool) -> Vec<Bdd> {
-    (0..shards)
-        .map(|_| {
-            if chain {
-                Bdd::new_chained(num_vars)
-            } else {
-                Bdd::new(num_vars)
-            }
-        })
-        .collect()
+/// variables.
+pub fn worker_managers(shards: usize, num_vars: usize) -> Vec<Bdd> {
+    (0..shards).map(|_| Bdd::new(num_vars)).collect()
 }
 
 /// Copies an ISF from `src` into `dst` under `var_map` through the
@@ -82,12 +73,9 @@ mod tests {
 
     #[test]
     fn worker_managers_inherit_mode_and_width() {
-        let plain = worker_managers(3, 4, false);
-        assert_eq!(plain.len(), 3);
-        assert!(plain.iter().all(|b| b.num_vars() == 4));
-        let chained = worker_managers(2, 4, true);
-        assert_eq!(chained.len(), 2);
-        assert!(chained.iter().all(|b| b.num_vars() == 4));
+        let workers = worker_managers(3, 4);
+        assert_eq!(workers.len(), 3);
+        assert!(workers.iter().all(|b| b.num_vars() == 4));
     }
 
     #[test]

@@ -106,18 +106,6 @@ impl SymbolicFsm {
         Self::compile(circuit, Bdd::with_names(&[]))
     }
 
-    /// Compiles a circuit into a chain-reduced (CBDD) manager. Reachable
-    /// state sets and transition relations keep plain-equivalent sizes,
-    /// so every measurement is mode-invariant; only the node store is
-    /// compressed.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`SymbolicFsm::new`].
-    pub fn new_chained(circuit: &Circuit) -> SymbolicFsm {
-        Self::compile(circuit, Bdd::with_names_chained(&[]))
-    }
-
     fn compile(circuit: &Circuit, mut bdd: Bdd) -> SymbolicFsm {
         // Inputs on top.
         let input_vars: Vec<Var> = circuit
@@ -519,24 +507,13 @@ mod tests {
             crate::generators::traffic_light(),
             crate::generators::random_fsm("r", 4, 3, 7),
         ] {
-            for chained in [false, true] {
-                let mut fsm = if chained {
-                    SymbolicFsm::new_chained(&circuit)
-                } else {
-                    SymbolicFsm::new(&circuit)
-                };
-                let mut set = fsm.initial_states();
-                for step in 0..4 {
-                    let mono = fsm.image(set);
-                    let range = fsm.image_by_range(set);
-                    assert_eq!(
-                        mono,
-                        range,
-                        "mono vs range on {} (chained={chained}) step {step}",
-                        circuit.name()
-                    );
-                    set = fsm.bdd_mut().or(set, mono);
-                }
+            let mut fsm = SymbolicFsm::new(&circuit);
+            let mut set = fsm.initial_states();
+            for step in 0..4 {
+                let mono = fsm.image(set);
+                let range = fsm.image_by_range(set);
+                assert_eq!(mono, range, "mono vs range on {} step {step}", circuit.name());
+                set = fsm.bdd_mut().or(set, mono);
             }
         }
     }

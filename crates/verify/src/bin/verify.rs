@@ -27,11 +27,10 @@ options:
   --seed A | --seed A..B   seed, or inclusive seed range, to sweep   [1]
   --iters N                instances per seed                        [1000]
   --budget-ms N            wall-clock budget across all seeds        [none]
-  --oracle NAME            run only this oracle (repeatable; default all eleven:
+  --oracle NAME            run only this oracle (repeatable; default all ten:
                            cover, cube-optimal, osm-level, sandwich,
                            agreement, invariance, budget, sig-invariance,
-                           reorder-invariance, chain-invariance,
-                           image-equivalence)
+                           reorder-invariance, image-equivalence)
   --mutant NAME            inject a deliberate bug (break-cover, ...)
   --corpus-dir DIR         write shrunk reproducers into DIR
   --no-write               never write reproducer files

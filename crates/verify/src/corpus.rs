@@ -4,7 +4,7 @@
 //! leaf-spec notation plus the oracle it tripped and the chaos plan it
 //! needs, and appended to `tests/corpus/` at the repository root. The
 //! `corpus_replay` tier-1 test parses every file in that directory and
-//! re-runs **all eleven** oracles on each instance forever — a corpus entry
+//! re-runs **all ten** oracles on each instance forever — a corpus entry
 //! records a bug that once existed, so after the fix it must pass
 //! everything, and any future regression that resurrects the bug fails
 //! the replay immediately.
@@ -77,7 +77,7 @@ pub fn serialize(inst: &Instance, oracle: Oracle, provenance: &str) -> String {
         u8::from(inst.chaos.flush_between),
         u8::from(inst.chaos.gc_between)
     ));
-    // Budget/reorder/chain fields are emitted only when armed, so
+    // Budget/reorder fields are emitted only when armed, so
     // entries from before each oracle existed stay byte-identical.
     if let Some(steps) = inst.chaos.step_budget {
         out.push_str(&format!(" steps={steps}"));
@@ -87,9 +87,6 @@ pub fn serialize(inst: &Instance, oracle: Oracle, provenance: &str) -> String {
     }
     if inst.chaos.reorder_between {
         out.push_str(" reorder=1");
-    }
-    if inst.chaos.chain_build {
-        out.push_str(" chain=1");
     }
     out.push('\n');
     out
@@ -176,7 +173,6 @@ fn parse_chaos(value: &str) -> Result<ChaosPlan, CorpusError> {
                 })?);
             }
             "reorder" => plan.reorder_between = flag()?,
-            "chain" => plan.chain_build = flag()?,
             _ => return Err(CorpusError::new(format!("unknown chaos field {key:?}"))),
         }
     }
@@ -246,21 +242,24 @@ mod tests {
     }
 
     #[test]
-    fn chaos_reorder_and_chain_fields_round_trip() {
-        let entry =
-            parse("oracle: cover\nspec: (d1 01)\nchaos: flush=0 gc=0 reorder=1 chain=1\n").unwrap();
+    fn chaos_reorder_field_round_trips_and_chain_is_rejected() {
+        let entry = parse("oracle: cover\nspec: (d1 01)\nchaos: flush=0 gc=0 reorder=1\n").unwrap();
         assert!(entry.instance.chaos.reorder_between);
-        assert!(entry.instance.chaos.chain_build);
         let text = serialize(&entry.instance, entry.oracle, "");
-        assert!(text.contains("chaos: flush=0 gc=0 reorder=1 chain=1"));
+        assert!(text.contains("chaos: flush=0 gc=0 reorder=1\n"));
         assert_eq!(parse(&text).unwrap(), entry);
-        // Unarmed plans never emit the new fields (old entries stable).
+        // Unarmed plans never emit the field (old entries stable).
         let plain = Instance::new(vec![None, Some(true)], ChaosPlan::NONE);
         let text = serialize(&plain, Oracle::Cover, "");
-        assert!(!text.contains("reorder=") && !text.contains("chain="));
+        assert!(!text.contains("reorder="));
         // Garbage values are hard errors.
         assert!(parse("oracle: cover\nspec: (d1 01)\nchaos: reorder=2\n").is_err());
-        assert!(parse("oracle: cover\nspec: (d1 01)\nchaos: chain=x\n").is_err());
+        // Chain-reduced managers are retired: an old entry's `chain=` is
+        // an error that names the field.
+        let err = parse("oracle: cover\nspec: (d1 01)\nchaos: flush=0 gc=0 chain=1\n")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("\"chain\""), "{err}");
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * variable count (2–6, biased small so the exhaustive oracles apply),
 //! * specification density (how many leaves are cares),
 //! * care-set shape (general vs. cube, the Theorem 7 precondition),
-//! * GC/cache-flush/reorder interleaving, optional step/node budgets,
-//!   and chain-reduced manager construction (the [`ChaosPlan`]).
+//! * GC/cache-flush/reorder interleaving and optional step/node budgets
+//!   (the [`ChaosPlan`]).
 
 use bddmin_bdd::{Bdd, LeafSpec};
 use bddmin_core::rng::XorShift64;
@@ -46,10 +46,6 @@ pub struct ChaosPlan {
     /// from the invariance oracle's paired runs: heuristic covers are
     /// legitimately order-dependent, only their validity is not.
     pub reorder_between: bool,
-    /// Build the instance in a chain-reduced (CBDD) manager instead of a
-    /// plain one, so every oracle runs against the compressed
-    /// representation.
-    pub chain_build: bool,
 }
 
 impl ChaosPlan {
@@ -60,7 +56,6 @@ impl ChaosPlan {
         step_budget: None,
         node_budget: None,
         reorder_between: false,
-        chain_build: false,
     };
 
     /// Contribution to the shrinker's size measure: disabling chaos is a
@@ -71,7 +66,6 @@ impl ChaosPlan {
             + usize::from(self.step_budget.is_some())
             + usize::from(self.node_budget.is_some())
             + usize::from(self.reorder_between)
-            + usize::from(self.chain_build)
     }
 
     /// The same plan with reorder injection disarmed (what the paired
@@ -140,14 +134,9 @@ impl Instance {
         s
     }
 
-    /// A fresh manager sized for this instance: plain by default,
-    /// chain-reduced when the chaos plan arms `chain_build`.
+    /// A fresh manager sized for this instance.
     pub fn fresh_manager(&self) -> Bdd {
-        if self.chaos.chain_build {
-            Bdd::new_chained(self.num_vars().max(1))
-        } else {
-            Bdd::new(self.num_vars().max(1))
-        }
+        Bdd::new(self.num_vars().max(1))
     }
 
     /// Builds `[f, c]` in `bdd` (which must declare at least
@@ -221,11 +210,9 @@ pub fn random_instance(rng: &mut XorShift64, round: u64) -> Instance {
         // verdicts stay replayable from (seed, round) alone.
         step_budget: rng.gen_bool(0.3).then(|| rng.gen_range(1..64) as u64),
         node_budget: rng.gen_bool(0.3).then(|| rng.gen_range(1..48)),
-        // Reorder/chain disturbances keep the sifting kernel and the
-        // CBDD representation under the same standing fire as GC and
-        // cache flushes.
+        // Reorder disturbances keep the sifting kernel under the same
+        // standing fire as GC and cache flushes.
         reorder_between: rng.gen_bool(0.25),
-        chain_build: rng.gen_bool(0.25),
     };
     Instance::new(leaves, chaos)
 }

@@ -9,11 +9,11 @@
 //! the classic constrain/restrict operators, invariance under
 //! GC/cache-flush injection, graceful degradation under resource
 //! budgets, bit-for-bit equality of the accelerated level passes
-//! with the unfiltered reference, reorder invariance, and transparency
-//! of the chain-reduced (CBDD) representation. Failures are shrunk to
-//! minimal reproducers
-//! in the paper's `(d1 01)` leaf notation and appended to the committed
-//! corpus under `tests/corpus/`, which tier-1 replays forever.
+//! with the unfiltered reference, reorder invariance, and agreement of
+//! the monolithic and range image methods. Failures are shrunk to
+//! minimal reproducers in the paper's `(d1 01)` leaf notation and
+//! appended to the committed corpus under `tests/corpus/`, which tier-1
+//! replays forever.
 //!
 //! Everything is offline and hermetic: the only randomness source is
 //! the in-tree xorshift generator, so every instance — and therefore
@@ -22,7 +22,7 @@
 //! Layout:
 //!
 //! * [`gen`] — instance representation and the sweep generator,
-//! * [`oracle`] — the eleven oracles plus the mutation harness that
+//! * [`oracle`] — the ten oracles plus the mutation harness that
 //!   proves they fire,
 //! * [`shrink`] — greedy, deterministic failure minimization,
 //! * [`corpus`] — reproducer serialization and strict parsing,

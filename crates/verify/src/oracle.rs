@@ -1,4 +1,4 @@
-//! The eleven theorem oracles.
+//! The ten theorem oracles.
 //!
 //! Each oracle is an independent judge of one correctness contract from
 //! the paper (or from the kernel's own documentation), checked against a
@@ -15,7 +15,6 @@
 //! | `budget`       | budget-exceeded paths still return a valid cover ≤ \|f\|| degradation ladder|
 //! | `sig-invariance`| accelerated level passes ≡ unfiltered reference bit for bit | refutation-only filtering |
 //! | `reorder-invariance`| sift/swap sequences preserve semantics: 64-lane signatures and `sat_count` unchanged | dynamic-reordering contract |
-//! | `chain-invariance` | chain-reduced managers agree with plain managers pointwise, on counts, and on every heuristic's cover | CBDD representation transparency |
 //! | `image-equivalence` | monolithic and range-method images agree edge for edge on random circuits | image-computation method transparency |
 //!
 //! The [`Mutant`] enum injects one deliberate bug per oracle (used by CI
@@ -65,22 +64,15 @@ pub enum Oracle {
     /// the 64-lane `SigEvaluator` assignments and `sat_count` is
     /// unchanged — a reorder permutes levels, never functions.
     ReorderInvariance,
-    /// A chain-reduced (CBDD) manager agrees with a plain manager on the
-    /// instance pointwise, on `sat_count` bit for bit, on the 64-lane
-    /// signatures, and on every registry heuristic's cover (same
-    /// function, same virtual size) — node compression is invisible to
-    /// semantics.
-    ChainInvariance,
     /// The two image computation methods — monolithic relation through
     /// the fused `and_exists`, and constrain+range — produce literally the
-    /// same state-set edges at every BFS step of a random circuit, in
-    /// plain and chain-reduced managers alike.
+    /// same state-set edges at every BFS step of a random circuit.
     ImageEquivalence,
 }
 
 impl Oracle {
-    /// All eleven oracles, in checking order.
-    pub const ALL: [Oracle; 11] = [
+    /// All ten oracles, in checking order.
+    pub const ALL: [Oracle; 10] = [
         Oracle::Cover,
         Oracle::CubeOptimal,
         Oracle::OsmLevel,
@@ -90,7 +82,6 @@ impl Oracle {
         Oracle::Budget,
         Oracle::SigInvariance,
         Oracle::ReorderInvariance,
-        Oracle::ChainInvariance,
         Oracle::ImageEquivalence,
     ];
 
@@ -106,7 +97,6 @@ impl Oracle {
             Oracle::Budget => "budget",
             Oracle::SigInvariance => "sig-invariance",
             Oracle::ReorderInvariance => "reorder-invariance",
-            Oracle::ChainInvariance => "chain-invariance",
             Oracle::ImageEquivalence => "image-equivalence",
         }
     }
@@ -126,10 +116,6 @@ impl Oracle {
             }
             Oracle::ReorderInvariance => {
                 "dynamic-reordering contract (sifting permutes levels, never functions)"
-            }
-            Oracle::ChainInvariance => {
-                "chain-reduced representation transparency (CBDD compression never changes \
-                 semantics)"
             }
             Oracle::ImageEquivalence => {
                 "image-computation method transparency (Touati et al. [9]: relational \
@@ -216,10 +202,6 @@ pub enum Mutant {
     /// the maps-out-of-sync bug class a swap kernel can introduce —
     /// breaks `reorder-invariance`.
     BreakReorder,
-    /// Shorten a live chain node's level span by one, simulating a
-    /// fusion/normalization bug that corrupts the compressed encoding —
-    /// breaks `chain-invariance`.
-    BreakChain,
     /// Widen the fused `and_exists` ⊤ short-circuit to fire
     /// unconditionally (dropping `e`-branches at quantified levels), so
     /// relational images silently under-approximate while the range
@@ -229,8 +211,8 @@ pub enum Mutant {
 }
 
 impl Mutant {
-    /// The eleven injectable bugs (everything except [`Mutant::None`]).
-    pub const BREAKING: [Mutant; 11] = [
+    /// The ten injectable bugs (everything except [`Mutant::None`]).
+    pub const BREAKING: [Mutant; 10] = [
         Mutant::BreakCover,
         Mutant::BreakCubeOptimal,
         Mutant::BreakOsmLevel,
@@ -240,7 +222,6 @@ impl Mutant {
         Mutant::BreakDegradation,
         Mutant::BreakSigFilter,
         Mutant::BreakReorder,
-        Mutant::BreakChain,
         Mutant::BreakAndExists,
     ];
 
@@ -257,7 +238,6 @@ impl Mutant {
             Mutant::BreakDegradation => "break-degradation",
             Mutant::BreakSigFilter => "break-sig-filter",
             Mutant::BreakReorder => "break-reorder",
-            Mutant::BreakChain => "break-chain",
             Mutant::BreakAndExists => "break-and-exists",
         }
     }
@@ -275,7 +255,6 @@ impl Mutant {
             Mutant::BreakDegradation => Some(Oracle::Budget),
             Mutant::BreakSigFilter => Some(Oracle::SigInvariance),
             Mutant::BreakReorder => Some(Oracle::ReorderInvariance),
-            Mutant::BreakChain => Some(Oracle::ChainInvariance),
             Mutant::BreakAndExists => Some(Oracle::ImageEquivalence),
         }
     }
@@ -403,7 +382,6 @@ pub fn check(oracle: Oracle, inst: &Instance, mutant: Mutant) -> Verdict {
         Oracle::Budget => check_budget(inst, mutant),
         Oracle::SigInvariance => check_sig_invariance(inst, mutant),
         Oracle::ReorderInvariance => check_reorder_invariance(inst, mutant),
-        Oracle::ChainInvariance => check_chain_invariance(inst, mutant),
         Oracle::ImageEquivalence => check_image_equivalence(inst, mutant),
     }
 }
@@ -803,92 +781,6 @@ fn check_reorder_invariance(inst: &Instance, mutant: Mutant) -> Verdict {
     Verdict::Pass
 }
 
-fn check_chain_invariance(inst: &Instance, mutant: Mutant) -> Verdict {
-    let n = inst.num_vars().max(1);
-    let mut plain = Bdd::new(n);
-    let mut chained = Bdd::new_chained(n);
-    let isf_p = inst.build(&mut plain);
-    let isf_c = inst.build(&mut chained);
-    if mutant == Mutant::BreakChain {
-        // Collect first so the break lands on reachable structure, then
-        // shorten one chain's span — the fusion-bug simulation. On
-        // instances whose diagrams contain no chains the mutant cannot
-        // fire, which is fine: the mutation gate only needs *some*
-        // instance to catch it.
-        chained.collect_garbage(&[isf_c.f, isf_c.c]);
-        let _ = chained.debug_break_chain();
-    }
-    // The instance itself: pointwise over all assignments (≤ 6 vars),
-    // model counts bit for bit, 64-lane signatures.
-    for (ep, ec, root) in [(isf_p.f, isf_c.f, "f"), (isf_p.c, isf_c.c, "c")] {
-        for bits in 0..1u64 << n {
-            let assign: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-            if plain.eval(ep, &assign) != chained.eval(ec, &assign) {
-                return Verdict::Fail(format!(
-                    "chain-reduced {root} disagrees with plain {root} on {assign:?} for {}",
-                    inst.spec_string()
-                ));
-            }
-        }
-        if plain.sat_count(ep).to_bits() != chained.sat_count(ec).to_bits() {
-            return Verdict::Fail(format!(
-                "sat_count of {root} diverged between representations on {}",
-                inst.spec_string()
-            ));
-        }
-        let sp = SigEvaluator::for_bdd(&plain).signature(&plain, ep);
-        let sc = SigEvaluator::for_bdd(&chained).signature(&chained, ec);
-        if sp != sc {
-            return Verdict::Fail(format!(
-                "64-lane signature of {root} diverged between representations on {} \
-                 ({sp:#018x} vs {sc:#018x})",
-                inst.spec_string()
-            ));
-        }
-        if plain.size(ep) != chained.size(ec) {
-            return Verdict::Fail(format!(
-                "virtual size of {root} diverged between representations on {}: {} vs {}",
-                inst.spec_string(),
-                plain.size(ep),
-                chained.size(ec)
-            ));
-        }
-    }
-    if inst.is_all_dc() {
-        return Verdict::Pass; // heuristics require a non-empty care set
-    }
-    // Every heuristic: the covers must be the same function at the same
-    // virtual size, and valid under the chain representation.
-    for h in registry() {
-        let g_p = h.minimize(&mut plain, isf_p);
-        let g_c = h.minimize(&mut chained, isf_c);
-        for bits in 0..1u64 << n {
-            let assign: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-            if plain.eval(g_p, &assign) != chained.eval(g_c, &assign) {
-                return Verdict::Fail(format!(
-                    "{h} cover diverged between representations on {assign:?} for {}",
-                    inst.spec_string()
-                ));
-            }
-        }
-        if !isf_c.is_cover(&mut chained, g_c) {
-            return Verdict::Fail(format!(
-                "{h} returned a non-cover in chain mode on {}",
-                inst.spec_string()
-            ));
-        }
-        if plain.size(g_p) != chained.size(g_c) {
-            return Verdict::Fail(format!(
-                "{h} cover size diverged between representations on {}: {} vs {}",
-                inst.spec_string(),
-                plain.size(g_p),
-                chained.size(g_c)
-            ));
-        }
-    }
-    Verdict::Pass
-}
-
 fn check_image_equivalence(inst: &Instance, mutant: Mutant) -> Verdict {
     use bddmin_fsm::{generators, SymbolicFsm};
     // Derive a random circuit deterministically from the instance so the
@@ -909,11 +801,7 @@ fn check_image_equivalence(inst: &Instance, mutant: Mutant) -> Verdict {
     let latches = 2 + inst.num_vars() % 3; // 2..=4
     let inputs = 1 + inst.specified() % 2; // 1..=2
     let circuit = generators::random_fsm("img", latches, inputs, seed);
-    let mut fsm = if inst.chaos.chain_build {
-        SymbolicFsm::new_chained(&circuit)
-    } else {
-        SymbolicFsm::new(&circuit)
-    };
+    let mut fsm = SymbolicFsm::new(&circuit);
     if mutant == Mutant::BreakAndExists {
         fsm.bdd_mut().debug_break_and_exists();
     }
@@ -1095,26 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn break_chain_mutant_fires_on_an_or_chain_instance() {
-        // Leaves (01 11): f = x0 ∨ x1 with a full care set — the chained
-        // manager stores f as a single chain node, so shortening its span
-        // must flip the pointwise comparison.
-        let inst = Instance::new(
-            vec![Some(false), Some(true), Some(true), Some(true)],
-            ChaosPlan::NONE,
-        );
-        assert!(check(Oracle::ChainInvariance, &inst, Mutant::BreakChain).is_fail());
-        assert_eq!(
-            check(Oracle::ChainInvariance, &inst, Mutant::None),
-            Verdict::Pass
-        );
-        // And the chain oracle is green across the paper instances.
-        for inst in paper_instances() {
-            assert!(!check(Oracle::ChainInvariance, &inst, Mutant::None).is_fail());
-        }
-    }
-
-    #[test]
     fn break_and_exists_mutant_fires_on_a_paper_instance() {
         // The mutant drops e-branches inside the fused kernel, so the
         // relational image under-approximates while the range method
@@ -1132,16 +1000,15 @@ mod tests {
     }
 
     #[test]
-    fn image_equivalence_holds_in_chained_managers_too() {
+    fn image_equivalence_holds_under_flush_and_gc() {
         for mut inst in paper_instances() {
             inst.chaos = ChaosPlan {
-                chain_build: true,
                 flush_between: true,
                 gc_between: true,
                 ..ChaosPlan::NONE
             };
             let v = check(Oracle::ImageEquivalence, &inst, Mutant::None);
-            assert!(!v.is_fail(), "chained image equivalence failed: {v:?}");
+            assert!(!v.is_fail(), "image equivalence failed under chaos: {v:?}");
         }
     }
 

@@ -86,9 +86,6 @@ fn candidates(inst: &Instance) -> Vec<Instance> {
     if inst.chaos.reorder_between {
         chaos_drops.push(ChaosPlan { reorder_between: false, ..inst.chaos });
     }
-    if inst.chaos.chain_build {
-        chaos_drops.push(ChaosPlan { chain_build: false, ..inst.chaos });
-    }
     for chaos in chaos_drops {
         out.push(Instance {
             leaves: inst.leaves.clone(),

@@ -80,7 +80,6 @@ pub fn dense_instance(rng: &mut XorShift64, round: u64) -> Instance {
         step_budget: rng.gen_bool(0.2).then(|| rng.gen_range(1..256) as u64),
         node_budget: rng.gen_bool(0.2).then(|| rng.gen_range(8..128)),
         reorder_between: rng.gen_bool(0.25),
-        chain_build: rng.gen_bool(0.25),
     };
     Instance::new(leaves, chaos)
 }
@@ -92,7 +91,7 @@ impl Mutate for Instance {
         match rng.gen_range(0..6) {
             0 => {
                 // Toggle one chaos axis.
-                match rng.gen_range(0..6) {
+                match rng.gen_range(0..5) {
                     0 => chaos.flush_between = !chaos.flush_between,
                     1 => chaos.gc_between = !chaos.gc_between,
                     2 => {
@@ -107,8 +106,7 @@ impl Mutate for Instance {
                             None => Some(rng.gen_range(1..48)),
                         }
                     }
-                    4 => chaos.reorder_between = !chaos.reorder_between,
-                    _ => chaos.chain_build = !chaos.chain_build,
+                    _ => chaos.reorder_between = !chaos.reorder_between,
                 }
             }
             1 => {
@@ -789,9 +787,6 @@ impl Generate for ArgVec {
             args.push(format!("{}", rng.gen_range(8..512)));
         }
         if rng.gen_bool(0.25) {
-            args.push("--chain".to_owned());
-        }
-        if rng.gen_bool(0.25) {
             args.push("--reorder".to_owned());
             args.push(["sift", "group", "none"][rng.gen_range(0..3)].to_owned());
         }
@@ -834,9 +829,7 @@ impl Mutate for ArgVec {
                 let b = rng.gen_range(0..args.len());
                 args.swap(a, b);
             }
-            _ => args.push(
-                ["--chain", "--dot", "--isop", "-H", "junk"][rng.gen_range(0..5)].to_owned(),
-            ),
+            _ => args.push(["--dot", "--isop", "-H", "junk"][rng.gen_range(0..4)].to_owned()),
         }
         ArgVec {
             args,

@@ -9,9 +9,8 @@
 //!   re-parse, identical behaviour, textual fixed point). Rejections
 //!   are skips, panics are failures (parsers must be total).
 //! * **Expression** — a rendered AST must parse, and the resulting BDD
-//!   must agree with direct AST evaluation on *every* assignment;
-//!   additionally a chain-reduced manager must agree with the plain
-//!   one. Mangled inputs only claim totality: reject or accept, never
+//!   must agree with direct AST evaluation on *every* assignment.
+//!   Mangled inputs only claim totality: reject or accept, never
 //!   panic.
 //! * **CLI args** — the in-process entry point must be total (no
 //!   panics on any vector), must accept every vector the generator
@@ -72,19 +71,6 @@ pub fn check_expr(input: &ExprInput) -> Verdict {
             if got != want {
                 return Err(format!(
                     "BDD/AST disagree on {text:?} at {assignment:?}: bdd={got} ast={want}"
-                ));
-            }
-        }
-        // The chain-reduced manager must build the same function.
-        let mut chained = Bdd::with_names_chained(&names);
-        let g = chained
-            .from_expr(&text)
-            .map_err(|e| format!("chained manager rejected {text:?}: {e}"))?;
-        for bits in 0..1u32 << input.vars {
-            let assignment: Vec<bool> = (0..input.vars).map(|i| bits >> i & 1 == 1).collect();
-            if chained.eval(g, &assignment) != bdd.eval(f, &assignment) {
-                return Err(format!(
-                    "plain/chained managers disagree on {text:?} at {assignment:?}"
                 ));
             }
         }

@@ -36,7 +36,6 @@ fn unknown_stage_names_are_rejected_with_the_inventory() {
         "fuzz-smoke",
         "degradation",
         "reorder",
-        "chain",
         "image",
         "serve",
         "perf",
@@ -82,7 +81,6 @@ fn list_stages_prints_the_full_inventory_and_exits_zero() {
         "fuzz-smoke",
         "degradation",
         "reorder",
-        "chain",
         "image",
         "serve",
         "perf",

@@ -6,11 +6,9 @@
 //! * **Fused ≡ unfused, edge for edge.** `and_exists(f, g, v)` must
 //!   return literally the same edge as `exists(and(f, g), v)` — the
 //!   fused recursion is a peak-memory optimization, never a semantic
-//!   one. Checked in plain and chain-reduced managers, with GC and
-//!   cache flushes injected mid-sequence.
+//!   one. Checked with GC and cache flushes injected mid-sequence.
 //! * **Image methods are interchangeable.** `image_by_range` must agree
-//!   with the monolithic `image` at every BFS step of random circuits,
-//!   again across both manager modes.
+//!   with the monolithic `image` at every BFS step of random circuits.
 //!
 //! Budgets: a blown step budget must surface as `Err(BudgetExceeded)`
 //! — a budgeted `try_and_exists` that completes must agree with the
@@ -48,36 +46,27 @@ fn random_cube(bdd: &mut Bdd, n: usize, rng: &mut XorShift64) -> Edge {
 }
 
 #[test]
-fn fused_equals_unfused_under_chaos_in_both_manager_modes() {
+fn fused_equals_unfused_under_chaos() {
     const NVARS: usize = 7;
-    for chained in [false, true] {
-        let mut rng = XorShift64::seed_from_u64(0xF0_5ED);
-        let mut bdd = if chained {
-            Bdd::new_chained(NVARS)
-        } else {
-            Bdd::new(NVARS)
-        };
-        for round in 0..80 {
-            let f = random_fn(&mut bdd, NVARS, &mut rng);
-            let g = random_fn(&mut bdd, NVARS, &mut rng);
-            let cube = random_cube(&mut bdd, NVARS, &mut rng);
-            // Chaos: flush the computed cache or GC mid-sequence so the
-            // fused path cannot lean on stale entries.
-            match round % 4 {
-                1 => bdd.clear_caches(),
-                2 => {
-                    bdd.collect_garbage(&[f, g, cube]);
-                }
-                _ => {}
+    let mut rng = XorShift64::seed_from_u64(0xF0_5ED);
+    let mut bdd = Bdd::new(NVARS);
+    for round in 0..80 {
+        let f = random_fn(&mut bdd, NVARS, &mut rng);
+        let g = random_fn(&mut bdd, NVARS, &mut rng);
+        let cube = random_cube(&mut bdd, NVARS, &mut rng);
+        // Chaos: flush the computed cache or GC mid-sequence so the
+        // fused path cannot lean on stale entries.
+        match round % 4 {
+            1 => bdd.clear_caches(),
+            2 => {
+                bdd.collect_garbage(&[f, g, cube]);
             }
-            let fused = bdd.and_exists(f, g, cube);
-            let anded = bdd.and(f, g);
-            let separate = bdd.exists(anded, cube);
-            assert_eq!(
-                fused, separate,
-                "fused and_exists diverged (round {round}, chained={chained})"
-            );
+            _ => {}
         }
+        let fused = bdd.and_exists(f, g, cube);
+        let anded = bdd.and(f, g);
+        let separate = bdd.exists(anded, cube);
+        assert_eq!(fused, separate, "fused and_exists diverged (round {round})");
     }
 }
 
@@ -125,30 +114,23 @@ fn image_methods_agree_on_random_circuits_under_chaos() {
         let inputs = rng.gen_range_inclusive(1, 3);
         let seed = rng.gen_u64();
         let circuit = generators::random_fsm("fi", latches, inputs, seed);
-        for chained in [false, true] {
-            let mut fsm = if chained {
-                SymbolicFsm::new_chained(&circuit)
-            } else {
-                SymbolicFsm::new(&circuit)
-            };
-            let mut set = fsm.initial_states();
-            for step in 0..5 {
-                match step % 3 {
-                    1 => fsm.bdd_mut().clear_caches(),
-                    2 => {
-                        fsm.collect_garbage(&[set]);
-                    }
-                    _ => {}
+        let mut fsm = SymbolicFsm::new(&circuit);
+        let mut set = fsm.initial_states();
+        for step in 0..5 {
+            match step % 3 {
+                1 => fsm.bdd_mut().clear_caches(),
+                2 => {
+                    fsm.collect_garbage(&[set]);
                 }
-                let mono = fsm.image(set);
-                assert_eq!(
-                    fsm.image_with(ImageMethod::Range, set),
-                    mono,
-                    "range diverged from mono (round {round}, step {step}, \
-                     chained={chained}, seed={seed:#x})"
-                );
-                set = fsm.bdd_mut().or(set, mono);
+                _ => {}
             }
+            let mono = fsm.image(set);
+            assert_eq!(
+                fsm.image_with(ImageMethod::Range, set),
+                mono,
+                "range diverged from mono (round {round}, step {step}, seed={seed:#x})"
+            );
+            set = fsm.bdd_mut().or(set, mono);
         }
     }
 }

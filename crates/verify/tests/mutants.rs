@@ -107,11 +107,6 @@ fn break_reorder_is_caught_and_shrunk() {
 }
 
 #[test]
-fn break_chain_is_caught_and_shrunk() {
-    assert_mutant_caught_and_shrunk(Mutant::BreakChain);
-}
-
-#[test]
 fn mutants_do_not_trip_unrelated_oracles_on_paper_instance() {
     // The running example from the paper: each breaking mutant trips its
     // target oracle only, so a mutation gate failure points at exactly

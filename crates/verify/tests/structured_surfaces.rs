@@ -8,7 +8,7 @@
 //!   (port profile, initial state, 16-step behaviour, textual fixed
 //!   point). This is the printer/parser consistency gate at fuzz scale.
 //! * **Expression differential** — rendered ASTs must build BDDs that
-//!   agree with direct evaluation, plain and chain-reduced.
+//!   agree with direct evaluation.
 //! * **CLI totality and determinism** — argument vectors never panic
 //!   the in-process entry point and always reproduce their output.
 //! * **End-to-end structured runs** — the bandit loop over the real

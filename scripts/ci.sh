@@ -15,8 +15,6 @@
 #                (every heuristic at a 1-step budget still covers)
 #   reorder      reorder-invariance oracle fuzz + break-reorder mutant
 #                gate + reorder-off and sifted-run determinism diffs
-#   chain        chain-invariance oracle fuzz + break-chain mutant gate
-#                + chain-on/off stdout determinism diff
 #   image        image-equivalence oracle fuzz + break-and-exists mutant
 #                gate + mono-vs-range stdout determinism diff
 #   serve        service-layer gate: the 50-job demo stream through 1 and
@@ -30,7 +28,7 @@
 #
 # Opt-in stages (valid for --stage, excluded from the default run):
 #   fuzz-deep    sustained structured fuzz: 60 s budget, bandit over all
-#                seven generator arms, all eleven oracles, instance floors
+#                seven generator arms, all ten oracles, instance floors
 #                (>= 1000 instances, >= 16/s); shrunk reproducers land in
 #                fuzz-scratch/deep with a loud diff against tests/corpus
 #
@@ -53,7 +51,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # ---------------------------------------------------------------- staging
-ALL_STAGES=(build test lint invariance determinism fuzz-smoke degradation reorder chain image serve perf)
+ALL_STAGES=(build test lint invariance determinism fuzz-smoke degradation reorder image serve perf)
 # Valid for --stage but never part of the default sweep.
 EXTRA_STAGES=(fuzz-deep)
 SELECTED=()
@@ -188,19 +186,19 @@ stage_fuzz_smoke() {
     # The release binary exists when the build stage ran; build it
     # quietly otherwise (e.g. `--stage fuzz-smoke` alone).
     cargo build --release -q -p bddmin-verify
-    echo "    differential fuzz, seeds 1..4, 30 s budget, all eleven oracles"
+    echo "    differential fuzz, seeds 1..4, 30 s budget, all ten oracles"
     ./target/release/verify --seed 1..4 --budget-ms 30000 --no-write
     echo "    mutation gates: every oracle must catch + shrink its injected bug"
     for mutant in break-cover break-cube-optimal break-osm-level \
                   break-lower-bound break-agreement break-invariance \
                   break-degradation break-sig-filter break-reorder \
-                  break-chain break-and-exists; do
+                  break-and-exists; do
         echo "    -- $mutant"
         ./target/release/verify --seed 1..3 --iters 2000 --budget-ms 20000 \
             --mutant "$mutant" --max-failures 1 --no-write --expect-failure \
             >/dev/null
     done
-    echo "    all eleven oracles fired and shrank their mutants"
+    echo "    all ten oracles fired and shrank their mutants"
     echo "    structured fuzz: bandit over all seven arms, every input surface"
     ./target/release/verify --structured --corpus-seed tests/corpus \
         --seed 1..2 --budget-ms 10000 --no-write
@@ -212,7 +210,7 @@ stage_fuzz_deep() {
     local scratch="fuzz-scratch/deep"
     rm -rf "$scratch"
     mkdir -p "$scratch"
-    echo "    sustained structured fuzz: 60 s budget, all eleven oracles,"
+    echo "    sustained structured fuzz: 60 s budget, all ten oracles,"
     echo "    floors: >= 1000 instances and >= 16 instances/s"
     if ! ./target/release/verify --structured --corpus-seed tests/corpus \
         --seed 17..20 --budget-ms 60000 --corpus-dir "$scratch" \
@@ -260,25 +258,6 @@ stage_reorder() {
     ./target/release/table3 --quick --only tlc --no-times --reorder sift \
         --jobs 4 >"$tmpdir/sift_j4.txt"
     diff -u "$tmpdir/sift_j1.txt" "$tmpdir/sift_j4.txt"
-    rm -rf "$tmpdir"
-}
-
-stage_chain() {
-    cargo build --release -q -p bddmin-verify -p bddmin-eval
-    echo "    chain-invariance oracle fuzz gate, seeds 13..16, 20 s budget"
-    ./target/release/verify --seed 13..16 --budget-ms 20000 \
-        --oracle chain-invariance --no-write
-    echo "    break-chain mutant gate: the oracle must catch + shrink it"
-    ./target/release/verify --seed 1..3 --iters 2000 --budget-ms 20000 \
-        --mutant break-chain --max-failures 1 --no-write --expect-failure \
-        >/dev/null
-    echo "    chain determinism: --chain on stdout is byte-identical to off"
-    local tmpdir
-    tmpdir="$(mktemp -d)"
-    ./target/release/table3 --quick --only tlc --no-times >"$tmpdir/off.txt"
-    ./target/release/table3 --quick --only tlc --no-times --chain on \
-        >"$tmpdir/on.txt"
-    diff -u "$tmpdir/off.txt" "$tmpdir/on.txt"
     rm -rf "$tmpdir"
 }
 

@@ -3,8 +3,8 @@
 //! Every file under `tests/corpus/` is a shrunk reproducer for a bug
 //! that existed at some point (or a seed instance from the paper). The
 //! replay parses each one — failing loudly on anything unparsable, so a
-//! corrupted corpus cannot silently stop testing — and re-runs **all
-//! eleven** oracles on it with no mutant. A fixed bug must stay fixed;
+//! corrupted corpus cannot silently stop testing — and re-runs **every**
+//! oracle on it with no mutant. A fixed bug must stay fixed;
 //! this suite is what makes the corpus a permanent regression fence
 //! rather than a pile of stale text files.
 //!
@@ -49,7 +49,7 @@ fn corpus_is_present_and_parsable() {
 }
 
 #[test]
-fn every_corpus_entry_passes_all_eleven_oracles() {
+fn every_corpus_entry_passes_every_oracle() {
     for path in corpus_files() {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
