@@ -75,7 +75,7 @@ pub use edge::{Edge, NodeId, Var};
 pub use expr::{ParseExprError, MAX_EXPR_DEPTH};
 pub use isop::Isop;
 pub use leafspec::{LeafSpec, ParseLeafSpecError};
-pub use manager::{Bdd, BddStats};
+pub use manager::{Bdd, BddStats, BUDGET_PANIC, MAX_REC_DEPTH};
 pub use node::Node;
 pub use reorder::{ReorderMethod, ReorderSettings, ReorderStats};
 pub use sig::{SigEvaluator, SIG_LANES, SIG_SEED};

@@ -13,53 +13,12 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
 
-use bddmin_bdd::{Bdd, Budget, ReorderMethod, ReorderSettings};
-use bddmin_core::{
-    exact_minimum, lower_bound, minimize_all, ExactConfig, Heuristic, Isf,
-};
+use bddmin_bdd::{Bdd, Edge, ReorderMethod, ReorderSettings};
+use bddmin_core::{exact_minimum, lower_bound, BudgetLimits, ExactConfig, Heuristic, Isf};
 use bddmin_fsm::{
     generators, parse_blif, simplify_report, verify_fsm_equivalence_with, ImageMethod, SymbolicFsm,
 };
-
-/// Optional resource budget for the minimizing commands. When any field
-/// is armed, minimization runs through the degradation ladder: blown
-/// steps are discarded, completed ones kept, and the reported result is
-/// always a valid cover no larger than `|f|`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BudgetOpts {
-    /// `--step-limit N`: deterministic cap on minimization steps.
-    pub step_limit: Option<u64>,
-    /// `--node-limit N`: live-node ceiling during minimization.
-    pub node_limit: Option<usize>,
-    /// `--time-limit MS`: wall-clock budget per heuristic run.
-    pub time_limit_ms: Option<u64>,
-}
-
-impl BudgetOpts {
-    /// True when any limit is set.
-    pub fn armed(&self) -> bool {
-        self.step_limit.is_some() || self.node_limit.is_some() || self.time_limit_ms.is_some()
-    }
-
-    /// Builds a fresh budget whose wall-clock allowance starts now.
-    /// Public because the serve daemon arms the same per-request budgets
-    /// from its job fields.
-    pub fn to_budget(self) -> Budget {
-        let mut budget = Budget::default();
-        if let Some(steps) = self.step_limit {
-            budget = budget.steps(steps);
-        }
-        if let Some(nodes) = self.node_limit {
-            budget = budget.nodes(nodes);
-        }
-        if let Some(ms) = self.time_limit_ms {
-            budget = budget.deadline(Instant::now() + Duration::from_millis(ms));
-        }
-        budget
-    }
-}
 
 /// A parsed `--heuristic` selection: a comma-separated list of registry
 /// names and single-`*` globs, kept together with the raw argument so an
@@ -183,7 +142,7 @@ pub enum Command {
         /// Emit Graphviz for the best cover.
         dot: bool,
         /// Resource budget for every heuristic run.
-        budget: BudgetOpts,
+        budget: BudgetLimits,
         /// Dynamic reordering before minimization (`None` = keep the
         /// declared order).
         reorder: Option<ReorderSettings>,
@@ -199,7 +158,7 @@ pub enum Command {
         /// Heuristic filter, or `None` for all.
         heuristic: Option<HeuristicFilter>,
         /// Resource budget for every heuristic run.
-        budget: BudgetOpts,
+        budget: BudgetLimits,
         /// Dynamic reordering before minimization (`None` = keep the
         /// declared order).
         reorder: Option<ReorderSettings>,
@@ -328,7 +287,7 @@ pub fn parse_args(args: &[String], read_file: impl Fn(&str) -> Result<String, Cl
             ))),
         }
     };
-    let budget = |rest: &[String]| -> Result<BudgetOpts, CliError> {
+    let budget = |rest: &[String]| -> Result<BudgetLimits, CliError> {
         let get = |flag: &str| -> Result<Option<u64>, CliError> {
             match rest.iter().position(|a| a == flag) {
                 None => Ok(None),
@@ -340,7 +299,7 @@ pub fn parse_args(args: &[String], read_file: impl Fn(&str) -> Result<String, Cl
                     .map_err(|e| CliError(format!("bad {flag}: {e}"))),
             }
         };
-        Ok(BudgetOpts {
+        Ok(BudgetLimits {
             step_limit: get("--step-limit")?,
             node_limit: get("--node-limit")?.map(|n| n as usize),
             time_limit_ms: get("--time-limit")?,
@@ -496,7 +455,7 @@ struct InstanceOpts {
     exact: bool,
     isop: bool,
     dot: bool,
-    budget: BudgetOpts,
+    budget: BudgetLimits,
     reorder: Option<ReorderSettings>,
 }
 
@@ -533,67 +492,45 @@ fn report_instance(
         let _ = writeln!(out, "care set empty: any function is a cover; returning 0");
         return Ok(out);
     }
-    // Budgeted runs go through the degradation ladder and annotate every
-    // run that lost steps; unbudgeted runs keep the historical output.
-    let run_one = |bdd: &mut Bdd, h: Heuristic, out: &mut String| -> bddmin_bdd::Edge {
-        if budget.armed() {
+    // One loop over the selected heuristics (every registry heuristic
+    // without a filter). Budgeted runs go through the degradation ladder
+    // and annotate every run that lost steps. An empty selection is a
+    // structured error carrying the offending filter string — never a
+    // panic (filters are rejected at parse time, but a directly
+    // constructed Command can still be empty).
+    let selected: &[Heuristic] = match &heuristic {
+        Some(filter) => &filter.selected,
+        None => &Heuristic::ALL,
+    };
+    let mut best: Option<(usize, Edge)> = None;
+    for &h in selected {
+        let (g, note) = if budget.armed() {
             let (g, report) = h.minimize_budgeted(bdd, isf, budget.to_budget());
             let note = if report.skipped() > 0 {
                 format!("  (degraded: {report})")
             } else {
                 String::new()
             };
-            let _ = writeln!(out, "{:<8} {:>4} nodes{note}", h.name(), bdd.size(g));
-            g
+            (g, note)
         } else {
-            let g = h.minimize(bdd, isf);
-            let _ = writeln!(out, "{:<8} {:>4} nodes", h.name(), bdd.size(g));
-            g
+            (h.minimize(bdd, isf), String::new())
+        };
+        let size = bdd.size(g);
+        let _ = writeln!(out, "{:<8} {size:>4} nodes{note}", h.name());
+        if best.is_none_or(|(bs, _)| size < bs) {
+            best = Some((size, g));
         }
+    }
+    let Some((size, best)) = best else {
+        return Err(heuristic.map_or_else(
+            || CliError("no heuristic selected: empty registry".into()),
+            |filter| filter.empty_error(),
+        ));
     };
-    let best = match &heuristic {
-        Some(filter) if filter.selected.len() == 1 => run_one(bdd, filter.selected[0], &mut out),
-        Some(filter) => {
-            // An explicit multi-heuristic filter: run each selection and
-            // report the `min` row over it. An empty selection is a
-            // structured error carrying the offending filter string —
-            // never a panic (filters are rejected at parse time, but a
-            // directly constructed Command can still be empty).
-            let mut best: Option<(usize, bddmin_bdd::Edge)> = None;
-            for &h in &filter.selected {
-                let g = run_one(bdd, h, &mut out);
-                let size = bdd.size(g);
-                if best.is_none_or(|(bs, _)| size < bs) {
-                    best = Some((size, g));
-                }
-            }
-            let (size, best_edge) = best.ok_or_else(|| filter.empty_error())?;
-            let _ = writeln!(out, "{:<8} {size:>4} nodes", "min");
-            best_edge
-        }
-        None if budget.armed() => {
-            let mut best: Option<(usize, bddmin_bdd::Edge)> = None;
-            for h in Heuristic::ALL {
-                let g = run_one(bdd, h, &mut out);
-                let size = bdd.size(g);
-                if best.is_none_or(|(bs, _)| size < bs) {
-                    best = Some((size, g));
-                }
-            }
-            let (size, best_edge) = best
-                .ok_or_else(|| CliError("no heuristic selected: empty registry".into()))?;
-            let _ = writeln!(out, "{:<8} {size:>4} nodes", "min");
-            best_edge
-        }
-        None => {
-            let (results, best) = minimize_all(bdd, isf);
-            for (h, g) in results {
-                let _ = writeln!(out, "{:<8} {:>4} nodes", h.name(), bdd.size(g));
-            }
-            let _ = writeln!(out, "{:<8} {:>4} nodes", "min", bdd.size(best));
-            best
-        }
-    };
+    // A single selected heuristic is its own minimum: no `min` row.
+    if selected.len() > 1 {
+        let _ = writeln!(out, "{:<8} {size:>4} nodes", "min");
+    }
     let lb = lower_bound(bdd, isf, 1000);
     let _ = writeln!(out, "lower bound: {} ({} cubes)", lb.bound, lb.cubes_examined);
     if exact {
@@ -629,7 +566,7 @@ fn run_spec(
     exact: bool,
     isop: bool,
     dot: bool,
-    budget: BudgetOpts,
+    budget: BudgetLimits,
     reorder: Option<ReorderSettings>,
 ) -> Result<String, CliError> {
     let parsed = bddmin_bdd::LeafSpec::parse(spec).map_err(|e| CliError(e.to_string()))?;
@@ -654,7 +591,7 @@ fn run_expr(
     function: &str,
     care: &str,
     heuristic: Option<HeuristicFilter>,
-    budget: BudgetOpts,
+    budget: BudgetLimits,
     reorder: Option<ReorderSettings>,
 ) -> Result<String, CliError> {
     let names: Vec<&str> = vars.iter().map(String::as_str).collect();
@@ -782,7 +719,7 @@ mod tests {
                 exact: true,
                 isop: false,
                 dot: false,
-                budget: BudgetOpts::default(),
+                budget: BudgetLimits::default(),
                 reorder: None,
             }
         );
@@ -820,7 +757,7 @@ mod tests {
             exact: false,
             isop: false,
             dot: false,
-            budget: BudgetOpts::default(),
+            budget: BudgetLimits::default(),
             reorder: None,
         })
         .unwrap();
@@ -852,10 +789,10 @@ mod tests {
             selected: Vec::new(),
         };
         for budget in [
-            BudgetOpts::default(),
-            BudgetOpts {
+            BudgetLimits::default(),
+            BudgetLimits {
                 step_limit: Some(10),
-                ..BudgetOpts::default()
+                ..BudgetLimits::default()
             },
         ] {
             let err = run(Command::Spec {
@@ -1031,7 +968,7 @@ mod tests {
             exact: false,
             isop: false,
             dot: false,
-            budget: BudgetOpts::default(),
+            budget: BudgetLimits::default(),
             reorder: None,
         })
         .unwrap();
@@ -1041,7 +978,7 @@ mod tests {
             exact: false,
             isop: false,
             dot: false,
-            budget: BudgetOpts::default(),
+            budget: BudgetLimits::default(),
             reorder: Some(ReorderSettings::sift(1.2)),
         })
         .unwrap();
@@ -1108,7 +1045,7 @@ mod tests {
             exact: true,
             isop: true,
             dot: false,
-            budget: BudgetOpts::default(),
+            budget: BudgetLimits::default(),
             reorder: None,
         })
         .unwrap();
@@ -1120,9 +1057,9 @@ mod tests {
 
     #[test]
     fn run_spec_with_starved_budget_degrades_gracefully() {
-        let starved = BudgetOpts {
+        let starved = BudgetLimits {
             step_limit: Some(1),
-            ..BudgetOpts::default()
+            ..BudgetLimits::default()
         };
         let out = run(Command::Spec {
             spec: "d1 01 1d 01".into(),
@@ -1153,9 +1090,9 @@ mod tests {
             exact: false,
             isop: false,
             dot: false,
-            budget: BudgetOpts {
+            budget: BudgetLimits {
                 step_limit: Some(1_000_000),
-                ..BudgetOpts::default()
+                ..BudgetLimits::default()
             },
             reorder: None,
         })
@@ -1171,7 +1108,7 @@ mod tests {
             exact: false,
             isop: false,
             dot: true,
-            budget: BudgetOpts::default(),
+            budget: BudgetLimits::default(),
             reorder: None,
         })
         .unwrap();
@@ -1186,7 +1123,7 @@ mod tests {
             function: "(a&b)|c".into(),
             care: "a|b".into(),
             heuristic: Some(HeuristicFilter::single(Heuristic::Restrict)),
-            budget: BudgetOpts::default(),
+            budget: BudgetLimits::default(),
             reorder: None,
         })
         .unwrap();

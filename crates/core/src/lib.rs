@@ -63,30 +63,19 @@ pub mod sigfilter;
 mod vector;
 mod windowed;
 
-/// Panic message of the unchecked wrappers when a budget trips underneath
-/// them; mirrors the kernel's message.
-pub(crate) const BUDGET_PANIC: &str = "resource budget exceeded in an unchecked operation; \
-     use the *_budgeted variants under an armed budget";
-
-/// Depth cap for the crate's own recursions (they descend one BDD level
-/// per frame, so this also bounds stack use); matches the kernel's guard.
-pub(crate) const MAX_REC_DEPTH: u32 = 1500;
-
 pub use exact::{exact_minimum, ExactConfig, ExactLimit, ExactResult};
-pub use heuristics::{minimize_all, Heuristic, MinimizeOutcome, ParseHeuristicError};
+pub use heuristics::{minimize_all, BudgetLimits, Heuristic, ParseHeuristicError};
 pub use isf::Isf;
 pub use level::{
-    gather_below_level, gather_below_level_mode, minimize_at_level, minimize_at_level_budgeted,
-    minimize_at_level_mode, minimize_at_level_with, opt_lv, path_distance, solve_fmm_osm,
-    solve_fmm_osm_with, solve_fmm_tsm, solve_fmm_tsm_with, substitute_below_level, CliqueOptions,
-    GatherMode, GatheredFunction, LevelAccel,
+    gather_below_level, minimize_at_level, minimize_at_level_with, opt_lv, path_distance,
+    solve_fmm_osm_with, solve_fmm_tsm_with, CliqueOptions, GatheredFunction, LevelAccel,
 };
 #[doc(hidden)]
 pub use level::{osm_matching_pairs, tsm_matching_pairs};
 pub use lower_bound::{lower_bound, LowerBound};
-pub use matching::{matches_directed, merge_tsm, merge_tsm_many, try_match, MatchCriterion};
+pub use matching::{matches_directed, try_match, MatchCriterion};
 pub use report::{MinReport, StepKind, StepReport, StepStatus};
 pub use schedule::Schedule;
 pub use vector::{minimize_vector, VectorMinimization};
-pub use sibling::{generic_td, generic_td_budgeted, generic_td_stats, SiblingConfig, SiblingStats};
-pub use windowed::{windowed_sibling_pass, windowed_sibling_pass_budgeted, LevelWindow};
+pub use sibling::{generic_td, SiblingConfig};
+pub use windowed::{windowed_sibling_pass, LevelWindow};

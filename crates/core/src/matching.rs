@@ -17,11 +17,10 @@
 //! * `osdm`, `osm` → `[f2, c2]` (the second function, unchanged),
 //! * `tsm` → `[f1·c1 + f2·c2, c1 + c2]`.
 
-use bddmin_bdd::{Bdd, BudgetExceeded, Edge};
+use bddmin_bdd::{Bdd, BudgetExceeded, Edge, BUDGET_PANIC};
 
 use crate::isf::Isf;
 use crate::memo_tags::tsm_pair_tag;
-use crate::BUDGET_PANIC;
 
 /// One of the paper's three matching criteria.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -158,12 +157,7 @@ pub(crate) fn try_match_budgeted(
 /// kept as-is, `[f1, c1 + c2]` — the same ISF, but it makes the framework
 /// instance with tsm literally insensitive to the no-new-vars flag (paper
 /// Table 2: rows 10 and 12 equal rows 9 and 11).
-pub fn merge_tsm(bdd: &mut Bdd, a: Isf, b: Isf) -> Isf {
-    merge_tsm_budgeted(bdd, a, b).expect(BUDGET_PANIC)
-}
-
-/// Checked [`merge_tsm`].
-pub(crate) fn merge_tsm_budgeted(bdd: &mut Bdd, a: Isf, b: Isf) -> Result<Isf, BudgetExceeded> {
+fn merge_tsm_budgeted(bdd: &mut Bdd, a: Isf, b: Isf) -> Result<Isf, BudgetExceeded> {
     let c = bdd.try_or(a.c, b.c)?;
     if a.f == b.f {
         return Ok(Isf { f: a.f, c });
@@ -179,11 +173,6 @@ pub(crate) fn merge_tsm_budgeted(bdd: &mut Bdd, a: Isf, b: Isf) -> Result<Isf, B
 /// Merges a whole set of pairwise tsm-matching ISFs into their common
 /// i-cover `[Σ fj·cj, Σ cj]` (paper Lemma 14 guarantees a common cover
 /// exists exactly when they match pairwise).
-pub fn merge_tsm_many(bdd: &mut Bdd, isfs: &[Isf]) -> Isf {
-    merge_tsm_many_budgeted(bdd, isfs).expect(BUDGET_PANIC)
-}
-
-/// Checked [`merge_tsm_many`].
 pub(crate) fn merge_tsm_many_budgeted(
     bdd: &mut Bdd,
     isfs: &[Isf],
@@ -368,9 +357,9 @@ mod tests {
     fn merge_tsm_many_matches_pairwise_merge() {
         let (mut bdd, a, b, c) = setup();
         let xs = [Isf::new(a, b), Isf::new(a, c), Isf::new(a, Edge::ZERO)];
-        let many = merge_tsm_many(&mut bdd, &xs);
-        let two = merge_tsm(&mut bdd, xs[0], xs[1]);
-        let all = merge_tsm(&mut bdd, two, xs[2]);
+        let many = merge_tsm_many_budgeted(&mut bdd, &xs).unwrap();
+        let two = merge_tsm_budgeted(&mut bdd, xs[0], xs[1]).unwrap();
+        let all = merge_tsm_budgeted(&mut bdd, two, xs[2]).unwrap();
         assert!(many.same_function(&mut bdd, all));
         assert_eq!(many.c, all.c);
         for &x in &xs {

@@ -10,10 +10,8 @@
 //! classes can never collide):
 //!
 //! * sibling matcher (`generic_td`): class 1, `SiblingConfig` in bits
-//!   0..=3, an optional per-invocation salt in bits 8..=39 (salt 0 is the
-//!   shared key space — sibling results are pure in `(f, c, config)`, so
-//!   cross-invocation reuse is sound; the stats variant salts to keep its
-//!   traversal counters meaningful).
+//!   0..=3, no salt — sibling results are pure in `(f, c, config)`, so
+//!   cross-invocation reuse is sound.
 //! * windowed pass (`windowed_sibling_pass`): class 2, config in bits
 //!   56..=59, window `top` in bits 28..=55 and `bottom` in bits 0..=27
 //!   (both must fit 28 bits — far beyond any realistic variable count).
@@ -48,10 +46,10 @@ fn config_bits(config: SiblingConfig) -> u64 {
     crit | ((config.match_complement as u64) << 2) | ((config.no_new_vars as u64) << 3)
 }
 
-/// Tag for the generic top-down sibling matcher. `salt == 0` shares the
-/// key space across invocations with the same config.
-pub(crate) fn sibling_tag(config: SiblingConfig, salt: u32) -> u64 {
-    CLASS_SIBLING | config_bits(config) | ((salt as u64) << 8)
+/// Tag for the generic top-down sibling matcher, shared across
+/// invocations with the same config.
+pub(crate) fn sibling_tag(config: SiblingConfig) -> u64 {
+    CLASS_SIBLING | config_bits(config)
 }
 
 /// Tag for a windowed sibling pass: results depend on the window bounds,
@@ -103,8 +101,7 @@ mod tests {
     fn tags_are_injective_across_classes_configs_and_windows() {
         let mut tags = Vec::new();
         for cfg in all_configs() {
-            tags.push(sibling_tag(cfg, 0));
-            tags.push(sibling_tag(cfg, 1));
+            tags.push(sibling_tag(cfg));
             for (t, b) in [(0u32, 0u32), (0, 3), (1, 3), (2, 7)] {
                 tags.push(window_tag(cfg, LevelWindow::new(Var(t), Var(b))));
             }
@@ -121,7 +118,7 @@ mod tests {
     #[test]
     fn tags_leave_the_pred_discriminator_bit_clear() {
         for cfg in all_configs() {
-            assert_eq!(sibling_tag(cfg, u32::MAX) & (1 << 60), 0);
+            assert_eq!(sibling_tag(cfg) & (1 << 60), 0);
             let w = LevelWindow::new(Var(0), Var((1 << 28) - 1));
             assert_eq!(window_tag(cfg, w) & (1 << 60), 0);
         }

@@ -115,6 +115,27 @@ impl MinReport {
         });
     }
 
+    /// Records the outcome of one step and hands back its value if it
+    /// completed; a skipped step yields `None`, and the caller continues
+    /// from the pre-step state.
+    pub(crate) fn record<T>(
+        &mut self,
+        kind: StepKind,
+        level: Option<u32>,
+        outcome: Result<T, BudgetExceeded>,
+    ) -> Option<T> {
+        match outcome {
+            Ok(value) => {
+                self.push_completed(kind, level);
+                Some(value)
+            }
+            Err(e) => {
+                self.push_skipped(kind, level, e);
+                None
+            }
+        }
+    }
+
     /// Number of completed steps.
     pub fn completed(&self) -> usize {
         self.steps.iter().filter(|s| s.status.is_completed()).count()

@@ -15,12 +15,11 @@
 //! including the classic `constrain` (osdm) and `restrict` (osdm +
 //! no-new-vars) operators.
 
-use bddmin_bdd::{Bdd, BudgetExceeded, Edge};
+use bddmin_bdd::{Bdd, BudgetExceeded, Edge, BUDGET_PANIC, MAX_REC_DEPTH};
 
 use crate::isf::Isf;
 use crate::matching::{try_match_budgeted, MatchCriterion};
 use crate::memo_tags::sibling_tag;
-use crate::{BUDGET_PANIC, MAX_REC_DEPTH};
 
 /// Parameters of the generic sibling matcher (paper Table 2 columns).
 ///
@@ -88,22 +87,6 @@ impl SiblingConfig {
     }
 }
 
-/// Counters describing what one [`generic_td_stats`] run did — useful for
-/// understanding *why* a heuristic behaved as it did on an instance.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SiblingStats {
-    /// Nodes visited (cache misses of the traversal).
-    pub visited: usize,
-    /// Sibling matches made (parent + one child eliminated).
-    pub matches: usize,
-    /// Complement matches made (parent kept, one recursion).
-    pub complement_matches: usize,
-    /// No-new-vars applications (care variable quantified out).
-    pub no_new_vars_steps: usize,
-    /// Nodes where no match applied and both branches were recursed.
-    pub splits: usize,
-}
-
 /// Runs the generic top-down sibling matcher and returns a cover of
 /// `[f, c]` (paper Figure 2).
 ///
@@ -127,43 +110,25 @@ pub fn generic_td(bdd: &mut Bdd, isf: Isf, config: SiblingConfig) -> Edge {
     generic_td_budgeted(bdd, isf, config).expect(BUDGET_PANIC)
 }
 
-/// Checked [`generic_td`]: returns [`BudgetExceeded`](bddmin_bdd::BudgetExceeded)
-/// instead of running past an armed budget. On error the traversal's
-/// partial work is discarded (the memo keeps only completed sub-results,
-/// which remain correct).
+/// Checked [`generic_td`]: returns [`BudgetExceeded`] instead of running
+/// past an armed budget. On error the traversal's partial work is
+/// discarded (the memo keeps only completed sub-results, which remain
+/// correct).
 ///
 /// # Panics
 ///
 /// Panics if `isf.c` is the zero function (empty care set).
-pub fn generic_td_budgeted(
+pub(crate) fn generic_td_budgeted(
     bdd: &mut Bdd,
     isf: Isf,
     config: SiblingConfig,
 ) -> Result<Edge, BudgetExceeded> {
     assert!(!isf.c.is_zero(), "generic_td: care set must be non-empty");
-    // Sibling results are pure in (f, c, config): salt 0 shares the
-    // manager-resident memo across invocations, so repeated calls on
+    // Sibling results are pure in (f, c, config): the unsalted tag shares
+    // the manager-resident memo across invocations, so repeated calls on
     // overlapping instances cost nothing until the next cache flush.
-    let tag = sibling_tag(config, 0);
-    let mut stats = SiblingStats::default();
-    td_rec(bdd, isf, config, tag, &mut stats, 0)
-}
-
-/// Like [`generic_td`], additionally returning traversal statistics.
-///
-/// The traversal runs in a private memo key space (a fresh salt), so the
-/// counters always describe one full traversal of the instance rather
-/// than whatever a previous invocation happened to leave memoised.
-///
-/// # Panics
-///
-/// Panics if `isf.c` is the zero function (empty care set).
-pub fn generic_td_stats(bdd: &mut Bdd, isf: Isf, config: SiblingConfig) -> (Edge, SiblingStats) {
-    assert!(!isf.c.is_zero(), "generic_td: care set must be non-empty");
-    let tag = sibling_tag(config, bdd.memo_salt());
-    let mut stats = SiblingStats::default();
-    let g = td_rec(bdd, isf, config, tag, &mut stats, 0).expect(BUDGET_PANIC);
-    (g, stats)
+    let tag = sibling_tag(config);
+    td_rec(bdd, isf, config, tag, 0)
 }
 
 fn td_rec(
@@ -171,7 +136,6 @@ fn td_rec(
     isf: Isf,
     config: SiblingConfig,
     tag: u64,
-    stats: &mut SiblingStats,
     depth: u32,
 ) -> Result<Edge, BudgetExceeded> {
     let Isf { f, c } = isf;
@@ -185,7 +149,6 @@ fn td_rec(
     if let Some((r, _)) = bdd.memo_get(tag, f, c) {
         return Ok(r);
     }
-    stats.visited += 1;
     let f_level = bdd.level(f);
     let c_level = bdd.level(c);
     let top = f_level.min(c_level);
@@ -197,34 +160,30 @@ fn td_rec(
     let ret = if config.no_new_vars && c_level < f_level {
         // f is independent of the top care variable: keep it that way by
         // quantifying the variable out of the care function.
-        stats.no_new_vars_steps += 1;
         let c_next = bdd.try_or(c_t, c_e)?;
-        td_rec(bdd, Isf::new(f, c_next), config, tag, stats, depth + 1)?
+        td_rec(bdd, Isf::new(f, c_next), config, tag, depth + 1)?
     } else if let Some(m) = try_match_budgeted(bdd, config.criterion, then_isf, else_isf)? {
         // Parent and one child eliminated.
-        stats.matches += 1;
-        td_rec(bdd, m, config, tag, stats, depth + 1)?
+        td_rec(bdd, m, config, tag, depth + 1)?
     } else if config.match_complement {
         if let Some(m) =
             try_match_budgeted(bdd, config.criterion, then_isf, else_isf.complement())?
         {
             // Parent kept, but only one recursion: then-branch is covered by
             // the i-cover's cover, else-branch by its complement.
-            stats.complement_matches += 1;
-            let temp = td_rec(bdd, m, config, tag, stats, depth + 1)?;
+            let temp = td_rec(bdd, m, config, tag, depth + 1)?;
             let top_var = bdd.try_var_at_level(top)?;
             bdd.try_ite(top_var, temp, temp.complement())?
         } else {
-            td_split(bdd, top, then_isf, else_isf, config, tag, stats, depth)?
+            td_split(bdd, top, then_isf, else_isf, config, tag, depth)?
         }
     } else {
-        td_split(bdd, top, then_isf, else_isf, config, tag, stats, depth)?
+        td_split(bdd, top, then_isf, else_isf, config, tag, depth)?
     };
     bdd.memo_insert(tag, f, c, (ret, ret));
     Ok(ret)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn td_split(
     bdd: &mut Bdd,
     top: bddmin_bdd::Var,
@@ -232,15 +191,13 @@ fn td_split(
     else_isf: Isf,
     config: SiblingConfig,
     tag: u64,
-    stats: &mut SiblingStats,
     depth: u32,
 ) -> Result<Edge, BudgetExceeded> {
     // No match was possible, so neither branch care is zero (a zero care on
     // either side always matches, for every criterion).
     debug_assert!(!then_isf.c.is_zero() && !else_isf.c.is_zero());
-    stats.splits += 1;
-    let t = td_rec(bdd, then_isf, config, tag, stats, depth + 1)?;
-    let e = td_rec(bdd, else_isf, config, tag, stats, depth + 1)?;
+    let t = td_rec(bdd, then_isf, config, tag, depth + 1)?;
+    let e = td_rec(bdd, else_isf, config, tag, depth + 1)?;
     let top_var = bdd.try_var_at_level(top)?;
     bdd.try_ite(top_var, t, e)
 }
@@ -542,64 +499,6 @@ mod tests {
             assert!(!bdd.depends_on(g, Var(0)), "{cfg:?} introduced x1");
             assert!(!bdd.depends_on(g, Var(2)), "{cfg:?} introduced x3");
         }
-    }
-
-    #[test]
-    fn stats_reflect_structure() {
-        let mut bdd = Bdd::new(3);
-        // Cube care: every care-split node matches (Theorem 7's machinery) —
-        // constrain never splits into two cared-for branches when c is a
-        // cube below the current level... at minimum, match+split counts add
-        // up to the visited nodes.
-        let (f, c) = bdd.from_leaf_spec("d1 01 1d 01").unwrap();
-        let isf = Isf::new(f, c);
-        for cfg in [
-            SiblingConfig::new(MatchCriterion::Osdm),
-            SiblingConfig::new(MatchCriterion::Osm)
-                .match_complement(true)
-                .no_new_vars(true),
-            SiblingConfig::new(MatchCriterion::Tsm),
-        ] {
-            let (g, stats) = generic_td_stats(&mut bdd, isf, cfg);
-            assert!(isf.is_cover(&mut bdd, g));
-            assert_eq!(
-                stats.visited,
-                stats.matches
-                    + stats.complement_matches
-                    + stats.no_new_vars_steps
-                    + stats.splits,
-                "every visited node takes exactly one action: {stats:?}"
-            );
-            assert!(stats.visited >= 1);
-        }
-        // tsm on this instance matches at the root: a single visit.
-        let (_, tsm_stats) =
-            generic_td_stats(&mut bdd, isf, SiblingConfig::new(MatchCriterion::Tsm));
-        assert!(tsm_stats.matches >= 1);
-    }
-
-    #[test]
-    fn nnv_steps_counted() {
-        // f independent of the top care variable: restrict must take the
-        // no-new-vars path at least once.
-        let mut bdd = Bdd::new(3);
-        let x2 = bdd.var(Var(1));
-        let x3 = bdd.var(Var(2));
-        let f = bdd.xor(x2, x3);
-        let x1 = bdd.var(Var(0));
-        let x23 = bdd.and(x2, x3);
-        let c = bdd.or(x1, x23);
-        let isf = Isf::new(f, c);
-        let (_, stats) = generic_td_stats(
-            &mut bdd,
-            isf,
-            SiblingConfig::new(MatchCriterion::Osdm).no_new_vars(true),
-        );
-        assert!(stats.no_new_vars_steps >= 1, "{stats:?}");
-        // Without nnv the same instance takes no such step.
-        let (_, plain) =
-            generic_td_stats(&mut bdd, isf, SiblingConfig::new(MatchCriterion::Osdm));
-        assert_eq!(plain.no_new_vars_steps, 0);
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //! whose care set contains the original's. Passes therefore compose: the
 //! scheduler chains osm and tsm windows before finishing with `constrain`.
 
-use bddmin_bdd::{Bdd, BudgetExceeded, Var};
+use bddmin_bdd::{Bdd, BudgetExceeded, Var, BUDGET_PANIC, MAX_REC_DEPTH};
 
 use crate::isf::Isf;
 use crate::matching::try_match_budgeted;
 use crate::memo_tags::window_tag;
 use crate::sibling::SiblingConfig;
-use crate::{BUDGET_PANIC, MAX_REC_DEPTH};
 
 /// A half-open band of levels `[top, bottom)` in which matching is allowed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,11 +78,10 @@ pub fn windowed_sibling_pass(
     windowed_sibling_pass_budgeted(bdd, isf, config, window).expect(BUDGET_PANIC)
 }
 
-/// Checked [`windowed_sibling_pass`]: returns
-/// [`BudgetExceeded`](bddmin_bdd::BudgetExceeded) instead of running past
-/// an armed budget. On error the pass's partial work is discarded; the
-/// input ISF remains the valid state to continue from.
-pub fn windowed_sibling_pass_budgeted(
+/// Checked [`windowed_sibling_pass`]: returns [`BudgetExceeded`] instead
+/// of running past an armed budget. On error the pass's partial work is
+/// discarded; the input ISF remains the valid state to continue from.
+pub(crate) fn windowed_sibling_pass_budgeted(
     bdd: &mut Bdd,
     isf: Isf,
     config: SiblingConfig,

@@ -5,7 +5,7 @@
 //! structural theorems are exercised on the random stream with fixed
 //! seeds.
 
-use bddmin_bdd::{Bdd, Cube, Edge, Var};
+use bddmin_bdd::{Bdd, Budget, Cube, Edge, Var};
 use bddmin_core::rng::XorShift64;
 use bddmin_core::{
     exact_minimum, generic_td, lower_bound, matches_directed, minimize_at_level, opt_lv,
@@ -86,12 +86,12 @@ fn checked_never_exceeds_f() {
         let isf = Isf::new(f, c);
         let f_size = bdd.size(f);
         for h in Heuristic::ALL {
-            let out = h.minimize_checked(&mut bdd, isf);
+            let (out, _) = h.minimize_budgeted(&mut bdd, isf, Budget::UNLIMITED);
             assert!(
-                out.size <= f_size,
+                bdd.size(out) <= f_size,
                 "{h} checked exceeded f on {tf:#06x}/{tc:#06x}"
             );
-            assert!(isf.is_cover(&mut bdd, out.cover));
+            assert!(isf.is_cover(&mut bdd, out));
         }
     }
 }
@@ -231,7 +231,6 @@ fn level_pass_produces_icover() {
                 Var(lvl),
                 crit,
                 CliqueOptions::default(),
-                None,
             );
             assert!(
                 out.i_covers(&mut bdd, isf),

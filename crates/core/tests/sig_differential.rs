@@ -71,7 +71,7 @@ fn filtered_and_unfiltered_matching_graphs_are_identical() {
         let mut rng = XorShift64::seed_from_u64(seed);
         let isf = random_isf(&mut bdd, &mut rng);
         for lvl in [1u32, 3, 5] {
-            let gathered = gather_below_level(&mut bdd, isf, Var(lvl), None);
+            let gathered = gather_below_level(&mut bdd, isf, Var(lvl));
             if gathered.len() < 2 {
                 continue;
             }
@@ -103,7 +103,7 @@ fn filtered_and_unfiltered_solvers_return_identical_isfs() {
         let mut rng = XorShift64::seed_from_u64(seed);
         let isf = random_isf(&mut bdd, &mut rng);
         for lvl in [1u32, 3, 5] {
-            let gathered = gather_below_level(&mut bdd, isf, Var(lvl), None);
+            let gathered = gather_below_level(&mut bdd, isf, Var(lvl));
             if gathered.len() < 2 {
                 continue;
             }
@@ -145,12 +145,11 @@ fn filtered_and_unfiltered_level_passes_return_identical_edges() {
                     Var(lvl),
                     criterion,
                     opts,
-                    None,
                     LevelAccel::UNFILTERED,
                 );
                 for accel in accels() {
                     let got = minimize_at_level_with(
-                        &mut bdd, isf, Var(lvl), criterion, opts, None, accel,
+                        &mut bdd, isf, Var(lvl), criterion, opts, accel,
                     );
                     assert_eq!(
                         (got.f, got.c),

@@ -4,9 +4,8 @@ use std::fmt::Display;
 use std::str::FromStr;
 
 use bddmin_bdd::{ReorderMethod, ReorderSettings};
+use bddmin_core::BudgetLimits;
 use bddmin_fsm::ImageMethod;
-
-use crate::runner::BudgetLimits;
 
 /// The shared flags of `table3`, `table4` and `figure3`.
 #[derive(Debug)]

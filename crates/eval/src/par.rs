@@ -159,8 +159,8 @@ fn measure_recorded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_experiment, BudgetLimits};
-    use bddmin_core::Heuristic;
+    use crate::runner::run_experiment;
+    use bddmin_core::{BudgetLimits, Heuristic};
     use bddmin_fsm::ImageMethod;
 
     fn small_config() -> ExperimentConfig {

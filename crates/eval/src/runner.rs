@@ -15,8 +15,8 @@
 
 use std::time::{Duration, Instant};
 
-use bddmin_bdd::{Bdd, Budget, ReorderMethod, ReorderSettings};
-use bddmin_core::{lower_bound, Heuristic, Isf};
+use bddmin_bdd::{Bdd, ReorderMethod, ReorderSettings};
+use bddmin_core::{lower_bound, BudgetLimits, Heuristic, Isf};
 use bddmin_fsm::generators::{self, Benchmark};
 use bddmin_fsm::{product_circuit, Circuit, ImageMethod, SymbolicFsm};
 
@@ -102,47 +102,6 @@ impl CallRecord {
     /// the budget.
     pub fn degraded(&self) -> bool {
         self.skipped.iter().any(|&s| s > 0)
-    }
-}
-
-/// Per-heuristic-invocation resource limits (`None` = unlimited).
-///
-/// Each armed limit applies to every *individual* heuristic run: the
-/// step/node ceilings are deterministic, the wall-clock limit is rebuilt
-/// from `Instant::now()` at each invocation so one slow heuristic cannot
-/// starve the rest of the sweep.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BudgetLimits {
-    /// `--step-limit`: deterministic cap on minimization steps.
-    pub step_limit: Option<u64>,
-    /// `--node-limit`: ceiling on live BDD nodes during minimization.
-    pub node_limit: Option<usize>,
-    /// `--time-limit`: wall-clock milliseconds per heuristic invocation.
-    /// Nondeterministic — keep it out of byte-comparison CI paths.
-    pub time_limit_ms: Option<u64>,
-}
-
-impl BudgetLimits {
-    /// True when any limit is armed. When false, the measurement path is
-    /// byte-identical to the historical unbudgeted runner.
-    pub fn armed(&self) -> bool {
-        self.step_limit.is_some() || self.node_limit.is_some() || self.time_limit_ms.is_some()
-    }
-
-    /// Builds a fresh budget; the wall-clock allowance starts counting
-    /// from the moment of this call.
-    pub fn to_budget(&self) -> Budget {
-        let mut budget = Budget::default();
-        if let Some(steps) = self.step_limit {
-            budget = budget.steps(steps);
-        }
-        if let Some(nodes) = self.node_limit {
-            budget = budget.nodes(nodes);
-        }
-        if let Some(ms) = self.time_limit_ms {
-            budget = budget.deadline(Instant::now() + Duration::from_millis(ms));
-        }
-        budget
     }
 }
 

@@ -8,7 +8,7 @@
 //! any cover is sound for all subsequent image computations from
 //! reachable state sets — both facts verified by the tests here.
 
-use bddmin_bdd::Edge;
+use bddmin_bdd::{Budget, Edge};
 use bddmin_core::{Heuristic, Isf};
 
 use crate::symbolic::SymbolicFsm;
@@ -58,11 +58,11 @@ impl SymbolicFsm {
         let t = self.transition_relation();
         let original_size = self.bdd().size(t);
         let isf = Isf::new(t, reached);
-        let out = heuristic.minimize_checked(self.bdd_mut(), isf);
+        let (relation, _) = heuristic.minimize_budgeted(self.bdd_mut(), isf, Budget::UNLIMITED);
         TrMinimization {
-            relation: out.cover,
+            relation,
             original_size,
-            minimized_size: out.size,
+            minimized_size: self.bdd().size(relation),
         }
     }
 

@@ -24,8 +24,8 @@
 //! [`render_result`] for the exact field order.
 
 use bddmin_bdd::{LeafSpec, ParseLeafSpecError};
-use bddmin_cli::{BudgetOpts, HeuristicFilter};
-use bddmin_core::Heuristic;
+use bddmin_cli::HeuristicFilter;
+use bddmin_core::{BudgetLimits, Heuristic};
 
 use crate::json;
 
@@ -63,7 +63,7 @@ pub struct Job {
     /// Heuristics to run (spec) or the single simplification hook (blif).
     pub filter: HeuristicFilter,
     /// Per-request resource budget; unarmed means run to completion.
-    pub budget: BudgetOpts,
+    pub budget: BudgetLimits,
 }
 
 /// Parses and validates one job line. The error string is ready for a
@@ -113,7 +113,7 @@ pub fn parse_job(line: &str) -> Result<Job, String> {
     let spec_text = str_field("spec")?;
     let blif_text = str_field("blif")?;
     let heuristic = str_field("heuristic")?;
-    let budget = BudgetOpts {
+    let budget = BudgetLimits {
         step_limit: int_field("step_limit")?,
         node_limit: int_field("node_limit")?.map(|n| n as usize),
         time_limit_ms: int_field("time_limit_ms")?,

@@ -61,7 +61,7 @@ fn main() {
 
     // 3. Level matching: what hangs below level x1?
     println!("\n== 3. level matching (Section 3.3) ==");
-    let gathered = gather_below_level(&mut bdd, isf, Var(0), None);
+    let gathered = gather_below_level(&mut bdd, isf, Var(0));
     println!("  {} sub-function pairs below level x1:", gathered.len());
     for g in &gathered {
         println!(
@@ -77,7 +77,6 @@ fn main() {
         Var(0),
         MatchCriterion::Tsm,
         CliqueOptions::default(),
-        None,
     );
     println!(
         "  after one tsm pass at x1: care onset {:.1}% -> {:.1}%",
