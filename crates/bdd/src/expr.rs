@@ -17,7 +17,10 @@
 //! Runs of negations and chains of implications are parsed with loops,
 //! so their length never costs stack. Parentheses recurse, and nest at
 //! most [`MAX_EXPR_DEPTH`] deep; deeper input is an error at the
-//! offending `(`.
+//! offending `(`. Operators are applied with the checked kernel ops, so
+//! an operand too deep for the kernel's recursion guard (a conjunction
+//! of more than [`MAX_REC_DEPTH`](crate::MAX_REC_DEPTH) variables, say)
+//! is an error at the operator's byte rather than a panic.
 
 use std::fmt;
 
@@ -177,26 +180,40 @@ impl<'a> Parser<'a> {
         self.iff()
     }
 
+    /// Combines two operands as `ite(f, g, h)` through the checked
+    /// kernel op: an operand too deep for the kernel's recursion guard
+    /// (or an armed budget) is an error at the operator's byte `pos`
+    /// instead of a panic.
+    fn apply(&mut self, pos: usize, f: Edge, g: Edge, h: Edge) -> Result<Edge, ParseExprError> {
+        self.bdd
+            .try_ite(f, g, h)
+            .map_err(|e| ParseExprError::new(format!("cannot apply operator: {e}"), pos))
+    }
+
     fn iff(&mut self) -> Result<Edge, ParseExprError> {
         let mut lhs = self.imp()?;
         while self.peek() == Some(&Token::Iff) {
+            let pos = self.here();
             self.bump();
             let rhs = self.imp()?;
-            lhs = self.bdd.xnor(lhs, rhs);
+            lhs = self.apply(pos, lhs, rhs, rhs.complement())?;
         }
         Ok(lhs)
     }
 
     fn imp(&mut self) -> Result<Edge, ParseExprError> {
         let mut operands = vec![self.or()?];
+        // The byte of each `->`: arrow j joins operands j and j + 1.
+        let mut arrows = Vec::new();
         while self.peek() == Some(&Token::Implies) {
+            arrows.push(self.here());
             self.bump();
             operands.push(self.or()?);
         }
         // Right associative: fold from the last operand back.
         let mut rhs = operands.pop().expect("at least one operand");
-        while let Some(lhs) = operands.pop() {
-            rhs = self.bdd.implies(lhs, rhs);
+        while let (Some(lhs), Some(pos)) = (operands.pop(), arrows.pop()) {
+            rhs = self.apply(pos, lhs, rhs, Edge::ONE)?;
         }
         Ok(rhs)
     }
@@ -204,9 +221,10 @@ impl<'a> Parser<'a> {
     fn or(&mut self) -> Result<Edge, ParseExprError> {
         let mut lhs = self.xor()?;
         while self.peek() == Some(&Token::Or) {
+            let pos = self.here();
             self.bump();
             let rhs = self.xor()?;
-            lhs = self.bdd.or(lhs, rhs);
+            lhs = self.apply(pos, lhs, Edge::ONE, rhs)?;
         }
         Ok(lhs)
     }
@@ -214,9 +232,10 @@ impl<'a> Parser<'a> {
     fn xor(&mut self) -> Result<Edge, ParseExprError> {
         let mut lhs = self.and()?;
         while self.peek() == Some(&Token::Xor) {
+            let pos = self.here();
             self.bump();
             let rhs = self.and()?;
-            lhs = self.bdd.xor(lhs, rhs);
+            lhs = self.apply(pos, lhs, rhs.complement(), rhs)?;
         }
         Ok(lhs)
     }
@@ -224,9 +243,10 @@ impl<'a> Parser<'a> {
     fn and(&mut self) -> Result<Edge, ParseExprError> {
         let mut lhs = self.unary()?;
         while self.peek() == Some(&Token::And) {
+            let pos = self.here();
             self.bump();
             let rhs = self.unary()?;
-            lhs = self.bdd.and(lhs, rhs);
+            lhs = self.apply(pos, lhs, rhs, Edge::ZERO)?;
         }
         Ok(lhs)
     }
@@ -284,7 +304,8 @@ impl Bdd {
     /// # Errors
     ///
     /// Returns [`ParseExprError`] on syntax errors, unknown variable
-    /// names, or parentheses nested too deep.
+    /// names, parentheses nested too deep, or an operator whose operands
+    /// are too deep for the kernel (or an armed budget) to combine.
     ///
     /// # Example
     ///

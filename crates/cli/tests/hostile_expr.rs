@@ -31,3 +31,20 @@ fn long_negation_run_minimizes() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn conjunction_deeper_than_the_kernel_guard_exits_with_a_parse_error() {
+    // v0 & v1 & … & v1599 folds left: the 1600th AND recurses through a
+    // 1599-level operand, past the kernel's recursion-depth guard.
+    let n = 1600;
+    let names: Vec<String> = (0..n).map(|i| format!("v{i}")).collect();
+    let out = Command::new(env!("CARGO_BIN_EXE_bddmin"))
+        .args(["expr", "--vars", &names.join(",")])
+        .args(["--function", &names.join("&")])
+        .args(["--care", &format!("v0 ^ v{}", n - 1), "-H", "const"])
+        .output()
+        .expect("bddmin must run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("cannot apply operator"), "{stderr}");
+}
