@@ -5,8 +5,10 @@
 //!
 //! * a **step limit** — a deterministic count of recursion steps, ticked
 //!   once per recursive call of the kernel operations (`ite`, `constrain`,
-//!   `restrict`, quantification, composition) and once per step of the
-//!   minimization recursions layered on top. Step counts depend only on
+//!   `restrict`, quantification, composition). The minimization layer on
+//!   top charges its own level-pass work too: one step per gathered pair
+//!   it expands, and a matching graph's pair examinations in one bulk
+//!   charge before the graph is allocated. Step counts depend only on
 //!   the operation sequence, so the same program traps at the same point
 //!   on every run and every machine;
 //! * a **node limit** — a ceiling on live nodes, checked exactly when the

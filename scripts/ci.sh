@@ -12,7 +12,9 @@
 #   fuzz-smoke   time-boxed differential fuzz (seeds 1..4) plus one
 #                mutation run per oracle proving each oracle fires
 #   degradation  budget-oracle fuzz gate + tiny-budget smoke suite
-#                (every heuristic at a 1-step budget still covers)
+#                (every heuristic at a 1-step budget still covers) +
+#                step-limited cbp.32.4 table3 run (level passes stay
+#                bounded and every result is still a valid cover)
 #   reorder      reorder-invariance oracle fuzz + break-reorder mutant
 #                gate + reorder-off and sifted-run determinism diffs
 #   image        image-equivalence oracle fuzz + break-and-exists mutant
@@ -72,7 +74,7 @@ while [[ $# -gt 0 ]]; do
             exit 0
             ;;
         -h|--help)
-            sed -n '2,49p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
@@ -234,6 +236,12 @@ stage_degradation() {
     echo "    tiny-budget smoke: every heuristic at starvation budgets"
     cargo test -q -p bddmin-core --test degradation
     echo "    degradation ladder holds: every blown budget still covered"
+    cargo build --release -q -p bddmin-eval
+    echo "    step-limited level passes: cbp.32.4 at --step-limit 200"
+    local out
+    out="$(./target/release/table3 --quick --no-times --only cbp.32.4 --step-limit 200)"
+    grep -q "all results remain valid covers" <<<"$out"
+    echo "    cbp.32.4 under a 200-step limit: every result a valid cover"
 }
 
 stage_reorder() {
