@@ -33,11 +33,17 @@ fn manager_with(num_vars: usize, cache_log2: u32, memo_log2: u32) -> Bdd {
 
 /// A pseudo-random non-trivial ISF over `num_vars` variables.
 fn random_isf(bdd: &mut Bdd, rng: &mut XorShift64, num_vars: usize) -> Isf {
+    random_isf_of(bdd, rng, num_vars, 6)
+}
+
+/// A pseudo-random non-trivial ISF whose onset and offset together are
+/// `cubes` random cubes.
+fn random_isf_of(bdd: &mut Bdd, rng: &mut XorShift64, num_vars: usize, cubes: usize) -> Isf {
     loop {
         let mut f = Edge::ZERO;
         let mut c = Edge::ZERO;
-        // Sum of a few random cubes for each of f and c's complement.
-        for _ in 0..6 {
+        // Sum of random cubes for each of f and c's complement.
+        for _ in 0..cubes {
             let mut cube = Edge::ONE;
             for v in 0..num_vars {
                 match rng.gen_range(0..3) {
@@ -151,4 +157,44 @@ fn adaptive_growth_matches_pinned_results() {
         let covers_t = minimize_all_ways(&mut tiny, isf_t, false);
         assert_eq!(covers_a, covers_t);
     }
+}
+
+#[test]
+fn shrinking_and_regrowing_tables_match_pinned_results() {
+    const NUM_VARS: usize = 14;
+    // Flushing before every heuristic, as the paper does, sizes both
+    // tables to one heuristic run: tiny generations shrink them to the
+    // floor and the large ones grow them again. Starting at 2^8, which is
+    // also the floor, scales the default geometry to these instances.
+    let mut adaptive = Bdd::new(NUM_VARS);
+    adaptive.set_auto_gc(false);
+    adaptive.configure_cache(8, 18);
+    adaptive.configure_min_memo(8, 18);
+    let mut pinned = manager_with(NUM_VARS, 18, 18);
+    let mut rng_a = XorShift64::seed_from_u64(4242);
+    let mut rng_p = XorShift64::seed_from_u64(4242);
+    let mut resizes = Vec::new();
+    for round in 0..8 {
+        let cubes = if round % 2 == 0 { 48 } else { 2 };
+        let isf_a = random_isf_of(&mut adaptive, &mut rng_a, NUM_VARS, cubes);
+        let isf_p = random_isf_of(&mut pinned, &mut rng_p, NUM_VARS, cubes);
+        assert_eq!((isf_a.f, isf_a.c), (isf_p.f, isf_p.c));
+        let covers_a = minimize_all_ways(&mut adaptive, isf_a, true);
+        let covers_p = minimize_all_ways(&mut pinned, isf_p, true);
+        for ((h, a), b) in all_heuristics().zip(&covers_a).zip(&covers_p) {
+            assert_eq!(a, b, "{h} diverged on round {round}");
+        }
+        let s = adaptive.stats();
+        if cubes == 2 {
+            assert_eq!(
+                (s.cache_capacity, s.memo_capacity),
+                (256, 256),
+                "round {round}"
+            );
+        }
+        resizes.push((s.cache_resizes, s.memo_resizes));
+    }
+    // Both tables grew again after their first shrink (round 1).
+    let (first, last) = (resizes[1], resizes[resizes.len() - 1]);
+    assert!(last.0 > first.0 && last.1 > first.1, "{resizes:?}");
 }
