@@ -496,7 +496,7 @@ fn solve_fmm_tsm_budgeted(
             in_frontier.insert(w);
         }
         if options.prefer_nearby {
-            frontier.sort_by_key(|&w| path_distance(&functions[v].path, &functions[w].path));
+            frontier.sort_by_cached_key(|&w| path_distance(&functions[v].path, &functions[w].path));
         }
         let mut idx = 0;
         while idx < frontier.len() {
@@ -515,7 +515,7 @@ fn solve_fmm_tsm_budgeted(
                     .filter(|&x| clique_of[x].is_none() && !in_frontier.contains(x))
                     .collect();
                 if options.prefer_nearby {
-                    extra.sort_by_key(|&x| {
+                    extra.sort_by_cached_key(|&x| {
                         path_distance(&functions[w].path, &functions[x].path)
                     });
                 }
