@@ -6,7 +6,9 @@
 #   test         tier-1 cargo test -q (includes the corpus replay and
 #                mutation-gate suites via the verify crate)
 #   lint         zero-warning clippy pass over the whole workspace
-#   invariance   cache-size invariance suites (bdd + core)
+#   invariance   cache-size invariance suites (bdd + core) + table3
+#                on the benchmark's 14 machines diffed against
+#                perfbench/expected/paper_table3.txt
 #   determinism  parallel evaluator vs sequential + table3 --quick jobs
 #                1 vs 4 diff over the whole quick suite
 #   fuzz-smoke   time-boxed differential fuzz (seeds 1..4) plus one
@@ -74,7 +76,7 @@ while [[ $# -gt 0 ]]; do
             exit 0
             ;;
         -h|--help)
-            sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,53p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
@@ -171,6 +173,17 @@ stage_lint() {
 stage_invariance() {
     cargo test -q -p bddmin-bdd --test cache_invariance
     cargo test -q -p bddmin-core --test cache_invariance
+    # The tables of the benchmark's paper_table3 workload, whose traversal
+    # manager shrinks and regrows its caches at every flush.
+    cargo build --release -q -p bddmin-eval --bin table3
+    local tmpdir
+    tmpdir="$(mktemp -d)"
+    ./target/release/table3 --no-times \
+        --only s344,s386,s510,s641,s820,s953,s1238,s1488,scf,styr,tbk,mult16b,minmax5,tlc \
+        >"$tmpdir/table3.txt"
+    diff -u perfbench/expected/paper_table3.txt "$tmpdir/table3.txt"
+    rm -rf "$tmpdir"
+    echo "    table3 on the 14 benchmark machines matches perfbench/expected/paper_table3.txt"
 }
 
 stage_determinism() {
