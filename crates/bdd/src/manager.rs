@@ -835,22 +835,6 @@ impl Bdd {
         self.min_memo.insert(tag, a, b, result);
     }
 
-    /// Looks up a memoized boolean predicate over the 4-edge key
-    /// `(a, b, p, q)` — e.g. "do the ISFs `[a, b]` and `[p, q]` tsm-match".
-    /// Tags must leave bit 60 clear (it discriminates pair entries from
-    /// result entries internally).
-    #[inline]
-    pub fn memo_get_pred(&mut self, tag: u64, a: Edge, b: Edge, p: Edge, q: Edge) -> Option<bool> {
-        self.min_memo.get_pred(tag, a, b, p, q)
-    }
-
-    /// Records a predicate verdict for the 4-edge key (see
-    /// [`Bdd::memo_get_pred`]). Lossy, like every memo entry.
-    #[inline]
-    pub fn memo_insert_pred(&mut self, tag: u64, a: Edge, b: Edge, p: Edge, q: Edge, result: bool) {
-        self.min_memo.insert_pred(tag, a, b, p, q, result);
-    }
-
     /// A fresh salt for per-invocation memo key spaces: callers whose
     /// results depend on call-local state (e.g. a substitution map) fold
     /// this into their tag so entries never leak between invocations.

@@ -40,6 +40,7 @@ pub(crate) struct MemoEntry {
     r0: u32,
     r1: u32,
     generation: u32,
+    /// Padding to 32 bytes; never read.
     _pad: u32,
 }
 
@@ -70,13 +71,6 @@ impl Slot for MemoEntry {
         key_hash(self.tag, self.a, self.b)
     }
 }
-
-/// Internal discriminator separating **predicate-pair** entries (a boolean
-/// verdict about a 4-edge key, see [`MinMemo::get_pred`]) from ordinary
-/// result entries. Stored tags carry this bit; caller tags must leave it
-/// clear (the `memo_tags` layout reserves bits 61..=63 for the class and
-/// keeps bit 60 free for exactly this purpose).
-const PRED_BIT: u64 = 1 << 60;
 
 /// Default starting capacity: 2^15 entries = 1 MiB. It grows to the
 /// shared ceiling (`crate::cache::MAX_LOG2_CAPACITY`, 8 MiB here) and
@@ -119,7 +113,6 @@ impl MinMemo {
 
     #[inline]
     pub(crate) fn get(&mut self, tag: u64, a: Edge, b: Edge) -> Option<(Edge, Edge)> {
-        debug_assert_eq!(tag & PRED_BIT, 0, "bit 60 is reserved for pair entries");
         let (a, b) = (a.to_bits(), b.to_bits());
         self.table
             .find(key_hash(tag, a, b), |e| {
@@ -130,7 +123,6 @@ impl MinMemo {
 
     #[inline]
     pub(crate) fn insert(&mut self, tag: u64, a: Edge, b: Edge, result: (Edge, Edge)) {
-        debug_assert_eq!(tag & PRED_BIT, 0, "bit 60 is reserved for pair entries");
         let fresh = MemoEntry {
             tag,
             a: a.to_bits(),
@@ -142,48 +134,6 @@ impl MinMemo {
         };
         self.table.insert(fresh.key_hash(), fresh, |e| {
             e.tag == tag && e.a == fresh.a && e.b == fresh.b
-        });
-    }
-
-    /// Looks up a memoized boolean predicate over the 4-edge key
-    /// `(a, b, p, q)`. Pair entries reuse the ordinary entry layout: the
-    /// bucket is chosen by `(tag, a, b)` alone (so growth rehashes them
-    /// unchanged), `(p, q)` live in the result slots and are compared at
-    /// lookup, and the verdict sits in the padding word. `scrub_dead`
-    /// already checks all four edge slots, so GC exactness carries over.
-    #[inline]
-    pub(crate) fn get_pred(&mut self, tag: u64, a: Edge, b: Edge, p: Edge, q: Edge) -> Option<bool> {
-        debug_assert_eq!(tag & PRED_BIT, 0, "bit 60 is reserved for pair entries");
-        let tag = tag | PRED_BIT;
-        let (a, b) = (a.to_bits(), b.to_bits());
-        let (p, q) = (p.to_bits(), q.to_bits());
-        self.table
-            .find(key_hash(tag, a, b), |e| {
-                e.tag == tag && e.a == a && e.b == b && e.r0 == p && e.r1 == q
-            })
-            .map(|e| e._pad != 0)
-    }
-
-    /// Records a predicate verdict for the 4-edge key (see
-    /// [`MinMemo::get_pred`]).
-    #[inline]
-    pub(crate) fn insert_pred(&mut self, tag: u64, a: Edge, b: Edge, p: Edge, q: Edge, result: bool) {
-        debug_assert_eq!(tag & PRED_BIT, 0, "bit 60 is reserved for pair entries");
-        let fresh = MemoEntry {
-            tag: tag | PRED_BIT,
-            a: a.to_bits(),
-            b: b.to_bits(),
-            r0: p.to_bits(),
-            r1: q.to_bits(),
-            generation: self.table.generation(),
-            _pad: result as u32,
-        };
-        self.table.insert(fresh.key_hash(), fresh, |e| {
-            e.tag == fresh.tag
-                && e.a == fresh.a
-                && e.b == fresh.b
-                && e.r0 == fresh.r0
-                && e.r1 == fresh.r1
         });
     }
 
@@ -247,49 +197,6 @@ mod tests {
         for i in 0..200u32 {
             if let Some(r) = m.get(3, e(i), e(i + 1)) {
                 assert_eq!(r, (e(i), e(i)));
-            }
-        }
-    }
-
-    #[test]
-    fn pred_entries_round_trip_and_do_not_alias_results() {
-        let mut m = MinMemo::default();
-        let tag = 4u64 << 61;
-        assert_eq!(m.get_pred(tag, e(2), e(4), e(6), e(8)), None);
-        m.insert_pred(tag, e(2), e(4), e(6), e(8), true);
-        m.insert_pred(tag, e(2), e(4), e(10), e(12), false);
-        assert_eq!(m.get_pred(tag, e(2), e(4), e(6), e(8)), Some(true));
-        assert_eq!(m.get_pred(tag, e(2), e(4), e(10), e(12)), Some(false));
-        // A different partner pair is a different key.
-        assert_eq!(m.get_pred(tag, e(2), e(4), e(6), e(10)), None);
-        // Same (tag, a, b) through the result API finds nothing: pair
-        // entries are discriminated from result entries.
-        assert_eq!(m.get(tag, e(2), e(4)), None);
-        m.insert(tag, e(2), e(4), (e(6), e(8)));
-        assert_eq!(m.get(tag, e(2), e(4)), Some((e(6), e(8))));
-        assert_eq!(m.get_pred(tag, e(2), e(4), e(6), e(8)), Some(true));
-        m.table.clear();
-        assert_eq!(m.get_pred(tag, e(2), e(4), e(6), e(8)), None);
-    }
-
-    #[test]
-    fn pred_entries_survive_growth() {
-        let mut m = MinMemo::with_log2_capacity(2);
-        let tag = 4u64 << 61;
-        for _ in 0..64 {
-            for i in 0..64u32 {
-                if m.get_pred(tag, e(i), e(i), e(i + 1), e(i + 2)).is_none() {
-                    m.insert_pred(tag, e(i), e(i), e(i + 1), e(i + 2), i % 3 == 0);
-                    let _ = m.get_pred(tag, e(i), e(i), e(i + 1), e(i + 2));
-                }
-            }
-            m.table.maybe_grow(1 << 20);
-        }
-        assert!(m.table.resizes() > 0);
-        // Whatever survived the lossy growth is still exact.
-        for i in 0..64u32 {
-            if let Some(r) = m.get_pred(tag, e(i), e(i), e(i + 1), e(i + 2)) {
-                assert_eq!(r, i % 3 == 0);
             }
         }
     }
@@ -382,36 +289,25 @@ mod tests {
     }
 
     #[test]
-    fn growth_after_a_shrink_keeps_result_and_pred_entries() {
+    fn growth_after_a_shrink_keeps_result_entries() {
         let mut m = MinMemo::default();
         fill(&mut m, 3, 1 << 15);
         m.table.clear();
         m.table.clear();
         assert_eq!(m.table.capacity(), 1 << FLOOR_LOG2_CAPACITY);
-        let tag = 4u64 << 61;
-        for i in 0..12_000u32 {
+        for i in 0..24_000u32 {
             m.insert(5, e(i), e(i), (e(i), e(i + 1)));
-            m.insert_pred(tag, e(i), e(i), e(i + 1), e(i + 2), i % 3 == 0);
             let _ = m.get(5, e(i), e(i));
         }
-        let results: Vec<u32> = (0..12_000)
+        let results: Vec<u32> = (0..24_000)
             .filter(|&i| m.get(5, e(i), e(i)).is_some())
             .collect();
-        let preds: Vec<u32> = (0..12_000)
-            .filter(|&i| m.get_pred(tag, e(i), e(i), e(i + 1), e(i + 2)).is_some())
-            .collect();
-        assert_eq!(results.len() + preds.len(), m.table.len());
+        assert_eq!(results.len(), m.table.len());
         assert!(m.table.maybe_grow(1 << 20));
         assert_eq!(m.table.allocated(), 1 << 15, "the allocation is reused");
-        assert_eq!(m.table.len(), results.len() + preds.len());
+        assert_eq!(m.table.len(), results.len());
         for &i in &results {
             assert_eq!(m.get(5, e(i), e(i)), Some((e(i), e(i + 1))));
-        }
-        for &i in &preds {
-            assert_eq!(
-                m.get_pred(tag, e(i), e(i), e(i + 1), e(i + 2)),
-                Some(i % 3 == 0)
-            );
         }
         for i in 0..1u32 << 15 {
             assert_eq!(m.get(3, e(i), e(i)), None);

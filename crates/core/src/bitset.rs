@@ -48,7 +48,6 @@ impl Bitset {
 /// of a matching graph.
 #[derive(Clone, Debug)]
 pub(crate) struct BitMatrix {
-    n: usize,
     words_per_row: usize,
     blocks: Vec<u64>,
 }
@@ -57,7 +56,6 @@ impl BitMatrix {
     pub(crate) fn new(n: usize) -> BitMatrix {
         let words_per_row = n.div_ceil(64);
         BitMatrix {
-            n,
             words_per_row,
             blocks: vec![0; n * words_per_row],
         }
@@ -117,10 +115,6 @@ impl BitMatrix {
             .position(|&w| w != 0)
             .map(|wi| (wi << 6) | self.row(row)[wi].trailing_zeros() as usize)
     }
-
-    pub(crate) fn len(&self) -> usize {
-        self.n
-    }
 }
 
 #[cfg(test)]
@@ -159,14 +153,13 @@ mod tests {
         assert!(m.row_is_empty(8));
         assert_eq!(m.row_first(8), None);
         assert!(m.get(7, 64) && !m.get(7, 65));
-        assert_eq!(m.len(), 200);
     }
 
     #[test]
     fn empty_universe_is_fine() {
         let s = Bitset::new(0);
         let m = BitMatrix::new(0);
-        assert_eq!(m.len(), 0);
+        assert!(m.blocks.is_empty());
         assert!(s.subset_of(&[]));
     }
 }

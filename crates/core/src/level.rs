@@ -19,32 +19,21 @@
 //! The driver [`opt_lv`] visits levels top-down with tsm, which is the
 //! heuristic evaluated in the paper's experiments.
 //!
-//! Building the matching graph is the schedule's most expensive step —
-//! Θ(n²) exact BDD matching checks over the gathered set — so the solvers
-//! run behind a **refutation-only acceleration layer** ([`LevelAccel`]):
-//! 64-lane semantic signatures cheaply disprove most non-matching pairs
-//! before any BDD work (see [`crate::sigfilter`]), symmetric tsm verdicts
-//! are memoized in the manager so regathered levels never re-prove a
-//! pair, and the graph itself is a dense bitset whose clique-cover
-//! operations are word-parallel. None of it changes results: every
-//! filter is a proof of non-matching, so the accelerated solvers are
-//! byte-identical to the plain ones (asserted by the differential suite
-//! and the `sig-invariance` verify oracle).
+//! Building the matching graph is the schedule's most expensive step:
+//! Θ(n²) exact pair checks over the gathered set. Each check is the
+//! node-free, cached `agree` predicate, cheap enough that every pair runs
+//! it directly. The graph is a dense bitset whose clique-cover operations
+//! are word-parallel.
 
 use std::collections::{HashMap, HashSet};
 
-use bddmin_bdd::{
-    Bdd, BudgetExceeded, Edge, FastBuild, SigEvaluator, Var, BUDGET_PANIC, MAX_REC_DEPTH,
-};
+use bddmin_bdd::{Bdd, BudgetExceeded, Edge, FastBuild, Var, BUDGET_PANIC, MAX_REC_DEPTH};
 
 use crate::bitset::{BitMatrix, Bitset};
 use crate::isf::Isf;
-use crate::matching::{
-    matches_directed_budgeted, matches_tsm_pair_memoized, merge_tsm_many_budgeted, MatchCriterion,
-};
+use crate::matching::{matches_directed_budgeted, merge_tsm_many_budgeted, MatchCriterion};
 use crate::memo_tags::subst_tag;
 use crate::report::{MinReport, StepKind};
-use crate::sigfilter::{isf_sig, refutes_osm, refutes_tsm, IsfSig};
 
 /// A sub-function gathered below the target level, together with the
 /// variable-assignment path used to reach it (for the distance weight).
@@ -148,86 +137,15 @@ fn gather_rec(
     Ok(())
 }
 
-/// Toggles for the matching-graph acceleration layer. The default is
-/// everything on; [`LevelAccel::UNFILTERED`] is the plain path the
-/// differential suite and the parity benchmarks replay against. Every
-/// setting is refutation-only or a pure memo, so results are identical
-/// across all configurations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LevelAccel {
-    /// Refute non-matching pairs with 64-lane semantic signatures before
-    /// the exact BDD check (and bucket osm vertex dedup by signature).
-    pub sig_filter: bool,
-    /// Memoize symmetric tsm verdicts in the manager-owned memo, keyed
-    /// on the order-canonicalized ISF pair.
-    pub pair_memo: bool,
-    /// Testing hook for the `sig-invariance` oracle's mutation gate:
-    /// deterministically over-refute surviving pairs, modelling a filter
-    /// that drops real matching edges. Never set outside the harness.
-    #[doc(hidden)]
-    pub sabotage_overrefute: bool,
-}
-
-impl Default for LevelAccel {
-    fn default() -> Self {
-        LevelAccel {
-            sig_filter: true,
-            pair_memo: true,
-            sabotage_overrefute: false,
-        }
-    }
-}
-
-impl LevelAccel {
-    /// The unaccelerated reference path: every pair runs the exact check.
-    pub const UNFILTERED: LevelAccel = LevelAccel {
-        sig_filter: false,
-        pair_memo: false,
-        sabotage_overrefute: false,
-    };
-}
-
-/// Signature pairs of a batch of ISFs, computed through one transient
-/// evaluator **before** any BDD mutation (the per-node memo inside the
-/// evaluator must not survive an allocation or collection).
-fn batch_sigs<'a>(bdd: &Bdd, isfs: impl Iterator<Item = &'a Isf>) -> Vec<IsfSig> {
-    let mut ev = SigEvaluator::for_bdd(bdd);
-    isfs.map(|&isf| isf_sig(&mut ev, bdd, isf)).collect()
-}
-
-/// The injected over-refutation of the `BreakSigFilter` mutant: drops the
-/// pair (j, k) from the graph whenever the indices have opposite parity.
-#[inline]
-fn sabotaged(accel: LevelAccel, j: usize, k: usize) -> bool {
-    accel.sabotage_overrefute && (j + k) % 2 == 1
-}
-
 /// Solves FMM on the gathered set with the **osm** criterion via the DMG
-/// sink construction (paper Proposition 10), under the given
-/// [`LevelAccel`] (the unfiltered reference path is
-/// `LevelAccel::UNFILTERED`). Returns, for each input index, the i-cover
-/// that replaces it.
-pub fn solve_fmm_osm_with(bdd: &mut Bdd, functions: &[Isf], accel: LevelAccel) -> Vec<Isf> {
-    solve_fmm_osm_budgeted(bdd, functions, accel).expect(BUDGET_PANIC)
-}
-
-/// Checked [`solve_fmm_osm_with`].
-fn solve_fmm_osm_budgeted(
-    bdd: &mut Bdd,
-    functions: &[Isf],
-    accel: LevelAccel,
-) -> Result<Vec<Isf>, BudgetExceeded> {
+/// sink construction (paper Proposition 10). Returns, for each input
+/// index, the i-cover that replaces it.
+fn solve_fmm_osm(bdd: &mut Bdd, functions: &[Isf]) -> Result<Vec<Isf>, BudgetExceeded> {
     // Collapse equal ISFs (different representatives) to one vertex, so
     // mutually-osm-matching pairs cannot form a 2-cycle and the graph
     // stays acyclic as in the paper's Proposition 10.
-    let (vertices, vertex_idx, vsigs) = if accel.sig_filter {
-        let sigs = batch_sigs(bdd, functions.iter());
-        dedup_by_signature(bdd, functions, &sigs)?
-    } else {
-        let (v, idx) = dedup_by_canonical_key(bdd, functions)?;
-        (v, idx, Vec::new())
-    };
-    let adj = build_osm_graph_budgeted(bdd, &vertices, &vsigs, accel)?;
+    let (vertices, vertex_idx) = dedup_by_canonical_key(bdd, functions)?;
+    let adj = build_osm_graph(bdd, &vertices)?;
     let m = vertices.len();
     let is_sink: Vec<bool> = (0..m).map(|j| adj.row_is_empty(j)).collect();
     // Map every vertex to a sink it can reach; by transitivity a direct
@@ -264,8 +182,9 @@ fn solve_fmm_osm_budgeted(
         .collect())
 }
 
-/// The plain vertex dedup: compute every canonical key `(f·c, c)` with
-/// BDD operations and group through a hash map.
+/// The osm vertex dedup: compute every canonical key `(f·c, c)` with
+/// BDD operations and group through a hash map, keeping first-occurrence
+/// order.
 fn dedup_by_canonical_key(
     bdd: &mut Bdd,
     functions: &[Isf],
@@ -288,61 +207,6 @@ fn dedup_by_canonical_key(
     Ok((vertices, vertex_idx))
 }
 
-/// Deduplicated vertex set: the distinct ISFs, the vertex index each input
-/// function maps to, and the signature of each distinct vertex.
-type DedupedVertices = (Vec<Isf>, Vec<usize>, Vec<IsfSig>);
-
-/// Signature-bucketed vertex dedup: equal ISFs have equal signature pairs
-/// (signatures are exact and representative-independent), so buckets by
-/// signature partition coarser than canonical-key classes. The exact
-/// canonical key — the only BDD work here — is computed lazily, and only
-/// inside buckets that actually collide; singleton buckets never touch
-/// the manager at all. First-occurrence vertex order is preserved, so the
-/// result is identical to [`dedup_by_canonical_key`].
-fn dedup_by_signature(
-    bdd: &mut Bdd,
-    functions: &[Isf],
-    sigs: &[IsfSig],
-) -> Result<DedupedVertices, BudgetExceeded> {
-    let n = functions.len();
-    let mut buckets: HashMap<(u64, u64), Vec<usize>, FastBuild> = HashMap::default();
-    let mut vertices: Vec<Isf> = Vec::new();
-    let mut vsigs: Vec<IsfSig> = Vec::new();
-    let mut canon: Vec<Option<(Edge, Edge)>> = Vec::new();
-    let mut vertex_idx: Vec<usize> = Vec::with_capacity(n);
-    for (i, &isf) in functions.iter().enumerate() {
-        let s = sigs[i];
-        let bucket = buckets.entry((s.on, s.c)).or_default();
-        let mut found = None;
-        let mut my_key = None;
-        if !bucket.is_empty() {
-            let key = isf.try_canonical_key(bdd)?;
-            my_key = Some(key);
-            for &v in bucket.iter() {
-                if canon[v].is_none() {
-                    canon[v] = Some(vertices[v].try_canonical_key(bdd)?);
-                }
-                if canon[v] == Some(key) {
-                    found = Some(v);
-                    break;
-                }
-            }
-        }
-        match found {
-            Some(v) => vertex_idx.push(v),
-            None => {
-                let v = vertices.len();
-                vertices.push(isf);
-                vsigs.push(s);
-                canon.push(my_key);
-                bucket.push(v);
-                vertex_idx.push(v);
-            }
-        }
-    }
-    Ok((vertices, vertex_idx, vsigs))
-}
-
 /// The number of unordered pairs of `n` vertices, `n·(n−1)/2`: the pair
 /// examinations a matching graph costs, charged as steps in one call.
 fn pair_count(n: usize) -> u64 {
@@ -351,14 +215,8 @@ fn pair_count(n: usize) -> u64 {
 }
 
 /// Builds the directed osm matching graph over deduplicated vertices:
-/// edge j → k iff vertex j osm-matches vertex k. `vsigs` is non-empty iff
-/// the signature filter is on.
-fn build_osm_graph_budgeted(
-    bdd: &mut Bdd,
-    vertices: &[Isf],
-    vsigs: &[IsfSig],
-    accel: LevelAccel,
-) -> Result<BitMatrix, BudgetExceeded> {
+/// edge j → k iff vertex j osm-matches vertex k.
+fn build_osm_graph(bdd: &mut Bdd, vertices: &[Isf]) -> Result<BitMatrix, BudgetExceeded> {
     let m = vertices.len();
     // Charge the m·(m−1) ordered pair examinations up front, before the
     // m² adjacency bits are allocated.
@@ -366,13 +224,9 @@ fn build_osm_graph_budgeted(
     let mut adj = BitMatrix::new(m);
     for j in 0..m {
         for k in 0..m {
-            if j == k {
-                continue;
-            }
-            if accel.sig_filter && (refutes_osm(vsigs[j], vsigs[k]) || sabotaged(accel, j, k)) {
-                continue;
-            }
-            if matches_directed_budgeted(bdd, MatchCriterion::Osm, vertices[j], vertices[k])? {
+            if j != k
+                && matches_directed_budgeted(bdd, MatchCriterion::Osm, vertices[j], vertices[k])?
+            {
                 adj.set(j, k);
             }
         }
@@ -400,54 +254,21 @@ impl Default for CliqueOptions {
     }
 }
 
-/// Solves FMM on the gathered set with the **tsm** criterion by greedy
-/// clique cover (paper Theorem 15 + §3.3.2), under the given
-/// [`LevelAccel`] (the unfiltered reference path is
-/// `LevelAccel::UNFILTERED`). Returns, for each input index, the merged
-/// i-cover that replaces it.
-pub fn solve_fmm_tsm_with(
-    bdd: &mut Bdd,
-    functions: &[GatheredFunction],
-    options: CliqueOptions,
-    accel: LevelAccel,
-) -> Vec<Isf> {
-    solve_fmm_tsm_budgeted(bdd, functions, options, accel).expect(BUDGET_PANIC)
-}
-
 /// Builds the undirected tsm matching graph: edge {j, k} iff the two
-/// gathered ISFs tsm-match. Surviving pairs run the exact check through
-/// the manager-owned pair memo when `accel.pair_memo` is on.
-fn build_tsm_graph_budgeted(
+/// gathered ISFs tsm-match.
+fn build_tsm_graph(
     bdd: &mut Bdd,
     functions: &[GatheredFunction],
-    accel: LevelAccel,
 ) -> Result<BitMatrix, BudgetExceeded> {
     let n = functions.len();
-    // Charge the n·(n−1)/2 pair examinations up front, before the
-    // signatures and the n² adjacency bits are allocated.
+    // Charge the n·(n−1)/2 pair examinations up front, before the n²
+    // adjacency bits are allocated.
     bdd.charge_steps(pair_count(n))?;
-    let sigs = if accel.sig_filter {
-        batch_sigs(bdd, functions.iter().map(|g| &g.isf))
-    } else {
-        Vec::new()
-    };
     let mut adj = BitMatrix::new(n);
     for j in 0..n {
         for k in (j + 1)..n {
-            if accel.sig_filter && (refutes_tsm(sigs[j], sigs[k]) || sabotaged(accel, j, k)) {
-                continue;
-            }
-            let matched = if accel.pair_memo {
-                matches_tsm_pair_memoized(bdd, functions[j].isf, functions[k].isf)?
-            } else {
-                matches_directed_budgeted(
-                    bdd,
-                    MatchCriterion::Tsm,
-                    functions[j].isf,
-                    functions[k].isf,
-                )?
-            };
-            if matched {
+            let (a, b) = (functions[j].isf, functions[k].isf);
+            if matches_directed_budgeted(bdd, MatchCriterion::Tsm, a, b)? {
                 adj.set(j, k);
                 adj.set(k, j);
             }
@@ -456,17 +277,18 @@ fn build_tsm_graph_budgeted(
     Ok(adj)
 }
 
-/// Checked [`solve_fmm_tsm_with`]. This is the schedule's most expensive
-/// step (quadratic matching graph + greedy clique cover), so it is the
-/// step budgets most often interrupt.
-fn solve_fmm_tsm_budgeted(
+/// Solves FMM on the gathered set with the **tsm** criterion by greedy
+/// clique cover (paper Theorem 15 + §3.3.2). Returns, for each input
+/// index, the merged i-cover that replaces it. This is the schedule's
+/// most expensive step (quadratic matching graph + greedy clique cover),
+/// so it is the step budgets most often interrupt.
+fn solve_fmm_tsm(
     bdd: &mut Bdd,
     functions: &[GatheredFunction],
     options: CliqueOptions,
-    accel: LevelAccel,
 ) -> Result<Vec<Isf>, BudgetExceeded> {
     let n = functions.len();
-    let adj = build_tsm_graph_budgeted(bdd, functions, accel)?;
+    let adj = build_tsm_graph(bdd, functions)?;
     let mut order: Vec<usize> = (0..n).collect();
     if options.order_by_degree {
         order.sort_by_key(|&v| std::cmp::Reverse(adj.row_len(v)));
@@ -540,47 +362,6 @@ fn solve_fmm_tsm_budgeted(
         .collect())
 }
 
-/// The edge set of the undirected tsm matching graph over the gathered
-/// functions, as `(j, k)` pairs with `j < k`, ascending. Exposed for the
-/// differential suite: the filtered and unfiltered graphs must be equal.
-#[doc(hidden)]
-pub fn tsm_matching_pairs(
-    bdd: &mut Bdd,
-    functions: &[GatheredFunction],
-    accel: LevelAccel,
-) -> Vec<(usize, usize)> {
-    let adj = build_tsm_graph_budgeted(bdd, functions, accel).expect(BUDGET_PANIC);
-    let mut pairs = Vec::new();
-    for j in 0..adj.len() {
-        pairs.extend(adj.row_indices(j).filter(|&k| j < k).map(|k| (j, k)));
-    }
-    pairs
-}
-
-/// The edge set of the directed osm matching graph over the
-/// **deduplicated** vertices, as `(j, k)` pairs, ascending. Exposed for
-/// the differential suite.
-#[doc(hidden)]
-pub fn osm_matching_pairs(
-    bdd: &mut Bdd,
-    functions: &[Isf],
-    accel: LevelAccel,
-) -> Vec<(usize, usize)> {
-    let (vertices, _idx, vsigs) = if accel.sig_filter {
-        let sigs = batch_sigs(bdd, functions.iter());
-        dedup_by_signature(bdd, functions, &sigs).expect(BUDGET_PANIC)
-    } else {
-        let (v, idx) = dedup_by_canonical_key(bdd, functions).expect(BUDGET_PANIC);
-        (v, idx, Vec::new())
-    };
-    let adj = build_osm_graph_budgeted(bdd, &vertices, &vsigs, accel).expect(BUDGET_PANIC);
-    let mut pairs = Vec::new();
-    for j in 0..adj.len() {
-        pairs.extend(adj.row_indices(j).map(|k| (j, k)));
-    }
-    pairs
-}
-
 /// Rewrites `[f, c]`, substituting `replacements[j]` for the `j`-th gathered
 /// pair, and returns the new ISF. Pairs map one-to-one: the traversal
 /// mirrors [`gather_below_level`].
@@ -646,22 +427,7 @@ pub fn minimize_at_level(
     criterion: MatchCriterion,
     options: CliqueOptions,
 ) -> Isf {
-    minimize_at_level_with(bdd, isf, level, criterion, options, LevelAccel::default())
-}
-
-/// [`minimize_at_level`] with an explicit [`LevelAccel`]. The result is
-/// identical for every `accel` — this entry point exists for the
-/// differential suite, the `sig-invariance` oracle, and parity
-/// benchmarking against [`LevelAccel::UNFILTERED`].
-pub fn minimize_at_level_with(
-    bdd: &mut Bdd,
-    isf: Isf,
-    level: Var,
-    criterion: MatchCriterion,
-    options: CliqueOptions,
-    accel: LevelAccel,
-) -> Isf {
-    minimize_at_level_budgeted(bdd, isf, level, criterion, options, accel).expect(BUDGET_PANIC)
+    minimize_at_level_budgeted(bdd, isf, level, criterion, options).expect(BUDGET_PANIC)
 }
 
 /// The level pass itself, fallible: returns [`BudgetExceeded`] instead of
@@ -675,17 +441,16 @@ pub(crate) fn minimize_at_level_budgeted(
     level: Var,
     criterion: MatchCriterion,
     options: CliqueOptions,
-    accel: LevelAccel,
 ) -> Result<Isf, BudgetExceeded> {
     let gathered = gather_budgeted(bdd, isf, level)?;
     if gathered.len() < 2 {
         return Ok(isf);
     }
     let replacements = match criterion {
-        MatchCriterion::Tsm => solve_fmm_tsm_budgeted(bdd, &gathered, options, accel)?,
+        MatchCriterion::Tsm => solve_fmm_tsm(bdd, &gathered, options)?,
         MatchCriterion::Osm | MatchCriterion::Osdm => {
             let isfs: Vec<Isf> = gathered.iter().map(|g| g.isf).collect();
-            solve_fmm_osm_budgeted(bdd, &isfs, accel)?
+            solve_fmm_osm(bdd, &isfs)?
         }
     };
     substitute_below_level(bdd, isf, level, &gathered, &replacements)
@@ -728,14 +493,7 @@ pub(crate) fn opt_lv_steps(
     let mut cur = isf;
     let n = bdd.num_vars() as u32;
     for lvl in 0..n {
-        let pass = minimize_at_level_budgeted(
-            bdd,
-            cur,
-            Var(lvl),
-            MatchCriterion::Tsm,
-            options,
-            LevelAccel::default(),
-        );
+        let pass = minimize_at_level_budgeted(bdd, cur, Var(lvl), MatchCriterion::Tsm, options);
         if let Some(next) = report.record(StepKind::TsmLevel, Some(lvl), pass) {
             cur = next;
         }
@@ -856,7 +614,6 @@ mod tests {
             level,
             MatchCriterion::Tsm,
             CliqueOptions::default(),
-            LevelAccel::default(),
         );
         bdd.clear_budget();
         assert_eq!(pass, Err(BudgetExceeded::STEPS));
@@ -870,7 +627,7 @@ mod tests {
         let bc = bdd.and(b, c);
         // [b·c, b] osm-matches [c, 1] (a sink); [c,1] matches nothing else.
         let fns = [Isf::new(bc, b), Isf::new(c, Edge::ONE)];
-        let solved = solve_fmm_osm_with(&mut bdd, &fns, LevelAccel::default());
+        let solved = solve_fmm_osm(&mut bdd, &fns).unwrap();
         assert_eq!(solved[1], fns[1], "sink keeps itself");
         assert_eq!(solved[0], fns[1], "non-sink maps to sink");
         for (orig, repl) in fns.iter().zip(&solved) {
@@ -891,7 +648,7 @@ mod tests {
             Isf::new(c, Edge::ONE),   // sink
             Isf::new(nb, Edge::ONE),  // sink (disagrees with c where b... )
         ];
-        let solved = solve_fmm_osm_with(&mut bdd, &fns, LevelAccel::default());
+        let solved = solve_fmm_osm(&mut bdd, &fns).unwrap();
         let mut uniq: Vec<Isf> = solved.clone();
         uniq.sort_by_key(|i| (i.f.to_bits(), i.c.to_bits()));
         uniq.dedup();
@@ -906,7 +663,7 @@ mod tests {
         let c = bdd.var(Var(2));
         let bc = bdd.and(b, c);
         let fns = [Isf::new(bc, b), Isf::new(c, b)]; // equal on care b
-        let solved = solve_fmm_osm_with(&mut bdd, &fns, LevelAccel::default());
+        let solved = solve_fmm_osm(&mut bdd, &fns).unwrap();
         assert_eq!(solved[0], solved[1]);
     }
 
@@ -923,12 +680,7 @@ mod tests {
         .into_iter()
         .map(|(isf, path)| GatheredFunction { isf, path })
         .collect();
-        let solved = solve_fmm_tsm_with(
-            &mut bdd,
-            &gathered,
-            CliqueOptions::default(),
-            LevelAccel::default(),
-        );
+        let solved = solve_fmm_tsm(&mut bdd, &gathered, CliqueOptions::default()).unwrap();
         // All three are pairwise tsm-compatible → single clique.
         assert_eq!(solved[0], solved[1]);
         assert_eq!(solved[1], solved[2]);
@@ -948,12 +700,7 @@ mod tests {
         .into_iter()
         .map(|(isf, path)| GatheredFunction { isf, path })
         .collect();
-        let solved = solve_fmm_tsm_with(
-            &mut bdd,
-            &gathered,
-            CliqueOptions::default(),
-            LevelAccel::default(),
-        );
+        let solved = solve_fmm_tsm(&mut bdd, &gathered, CliqueOptions::default()).unwrap();
         assert_ne!(solved[0], solved[1]);
         assert_eq!(solved[0], gathered[0].isf);
         assert_eq!(solved[1], gathered[1].isf);

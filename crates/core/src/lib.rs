@@ -59,7 +59,6 @@ mod report;
 pub mod rng;
 mod schedule;
 mod sibling;
-pub mod sigfilter;
 mod vector;
 mod windowed;
 
@@ -67,11 +66,8 @@ pub use exact::{exact_minimum, ExactConfig, ExactLimit, ExactResult};
 pub use heuristics::{minimize_all, BudgetLimits, Heuristic, ParseHeuristicError};
 pub use isf::Isf;
 pub use level::{
-    gather_below_level, minimize_at_level, minimize_at_level_with, opt_lv, path_distance,
-    solve_fmm_osm_with, solve_fmm_tsm_with, CliqueOptions, GatheredFunction, LevelAccel,
+    gather_below_level, minimize_at_level, opt_lv, path_distance, CliqueOptions, GatheredFunction,
 };
-#[doc(hidden)]
-pub use level::{osm_matching_pairs, tsm_matching_pairs};
 pub use lower_bound::{lower_bound, LowerBound};
 pub use matching::{matches_directed, try_match, MatchCriterion};
 pub use report::{MinReport, StepKind, StepReport, StepStatus};

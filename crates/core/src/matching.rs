@@ -20,7 +20,6 @@
 use bddmin_bdd::{Bdd, BudgetExceeded, Edge, BUDGET_PANIC};
 
 use crate::isf::Isf;
-use crate::memo_tags::tsm_pair_tag;
 
 /// One of the paper's three matching criteria.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -85,33 +84,6 @@ pub(crate) fn matches_directed_budgeted(
             bdd.try_agree(a.f, b.f, both)
         }
     }
-}
-
-/// [`matches_directed`] for tsm, memoized in the manager-owned memo.
-///
-/// tsm is symmetric, so the pair is order-canonicalized on the raw edge
-/// bits before the lookup — `(a, b)` and `(b, a)` share one entry — and
-/// the tag is unsalted, so windowed/scheduled passes that regather
-/// overlapping levels re-use verdicts instead of re-proving pairs. The
-/// verdict is pure in the four canonical edges, which is what makes the
-/// shared key space sound; GC scrubbing drops entries whose edges die.
-pub(crate) fn matches_tsm_pair_memoized(
-    bdd: &mut Bdd,
-    a: Isf,
-    b: Isf,
-) -> Result<bool, BudgetExceeded> {
-    let (x, y) = if (a.f.to_bits(), a.c.to_bits()) <= (b.f.to_bits(), b.c.to_bits()) {
-        (a, b)
-    } else {
-        (b, a)
-    };
-    let tag = tsm_pair_tag();
-    if let Some(verdict) = bdd.memo_get_pred(tag, x.f, x.c, y.f, y.c) {
-        return Ok(verdict);
-    }
-    let verdict = matches_directed_budgeted(bdd, MatchCriterion::Tsm, x, y)?;
-    bdd.memo_insert_pred(tag, x.f, x.c, y.f, y.c, verdict);
-    Ok(verdict)
 }
 
 /// Attempts to match `a` and `b`; on success returns the common i-cover

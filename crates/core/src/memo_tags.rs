@@ -18,14 +18,6 @@
 //! * below-level substitution (`substitute_below_level`): class 3, salt in
 //!   bits 0..=31. Always salted: the result depends on the invocation's
 //!   substitution map, which is not part of the `(f, c)` key.
-//! * tsm pair matching (`matches_tsm_pair_memoized`): class 4, no salt —
-//!   a tsm verdict is pure in the two ISFs' canonical edges, so entries
-//!   are shared across invocations (that sharing is the point: windowed
-//!   and scheduled passes regather overlapping levels and must never
-//!   re-prove a pair). Stored through the manager's predicate-pair API.
-//!
-//! Bit 60 is reserved by the memo itself to discriminate predicate-pair
-//! entries from result entries; tags built here must leave it clear.
 
 use crate::matching::MatchCriterion;
 use crate::sibling::SiblingConfig;
@@ -34,7 +26,6 @@ use crate::windowed::LevelWindow;
 const CLASS_SIBLING: u64 = 1 << 61;
 const CLASS_WINDOW: u64 = 2 << 61;
 const CLASS_SUBST: u64 = 3 << 61;
-const CLASS_TSMPAIR: u64 = 4 << 61;
 
 /// `SiblingConfig` packed into 4 bits (criterion 0..=2, then the flags).
 fn config_bits(config: SiblingConfig) -> u64 {
@@ -69,13 +60,6 @@ pub(crate) fn subst_tag(salt: u32) -> u64 {
     CLASS_SUBST | salt as u64
 }
 
-/// Tag for the symmetric tsm pair memo. Unsalted by design: the verdict
-/// is a pure function of the order-canonicalized pair of ISFs (canonical
-/// edges within one manager), and GC scrubbing keeps stale slots out.
-pub(crate) fn tsm_pair_tag() -> u64 {
-    CLASS_TSMPAIR
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,21 +92,9 @@ mod tests {
         }
         tags.push(subst_tag(0));
         tags.push(subst_tag(1));
-        tags.push(tsm_pair_tag());
         let mut dedup = tags.clone();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), tags.len(), "tag collision");
-    }
-
-    #[test]
-    fn tags_leave_the_pred_discriminator_bit_clear() {
-        for cfg in all_configs() {
-            assert_eq!(sibling_tag(cfg) & (1 << 60), 0);
-            let w = LevelWindow::new(Var(0), Var((1 << 28) - 1));
-            assert_eq!(window_tag(cfg, w) & (1 << 60), 0);
-        }
-        assert_eq!(subst_tag(u32::MAX) & (1 << 60), 0);
-        assert_eq!(tsm_pair_tag() & (1 << 60), 0);
     }
 }

@@ -17,7 +17,7 @@ use bddmin_bdd::{Bdd, Budget, Edge, Var};
 
 use crate::heuristics::run_budgeted;
 use crate::isf::Isf;
-use crate::level::{minimize_at_level_budgeted, CliqueOptions, LevelAccel};
+use crate::level::{minimize_at_level_budgeted, CliqueOptions};
 use crate::matching::MatchCriterion;
 use crate::report::{MinReport, StepKind};
 use crate::sibling::SiblingConfig;
@@ -181,7 +181,6 @@ impl Schedule {
                             Var(lvl),
                             criterion,
                             self.clique_options,
-                            LevelAccel::default(),
                         );
                         if let Some(next) = report.record(kind, Some(lvl), pass) {
                             cur = next;

@@ -46,13 +46,33 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 
 use bddmin_bdd::{Bdd, Edge, SigEvaluator, Var, SIG_SEED};
-use bddmin_core::sigfilter::{isf_sig, IsfSig};
 use bddmin_core::{Heuristic, Isf};
 use bddmin_eval::shard;
 use bddmin_fsm::{parse_blif, simplify_report};
 
 use crate::json;
 use crate::protocol::{error_body, parse_job, render_result, CacheLabel, Job, JobKind, SERVE_MAX_VARS};
+
+/// The signature pair of an ISF `[f, c]`: its values on the 64 lanes of
+/// a [`SigEvaluator`]. On lanes where `c`'s bit is set, `on`'s bit is the
+/// function's cared-about value; on don't-care lanes `on` is forced to 0,
+/// so equal ISFs (equal onset and care) always produce equal pairs,
+/// whatever their representatives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct IsfSig {
+    /// `sig(f) & sig(c)`: the function's value on the cared lanes.
+    pub on: u64,
+    /// `sig(c)`: which lanes the ISF cares about.
+    pub c: u64,
+}
+
+/// Computes the signature pair of `isf` through a shared evaluator (so a
+/// batch of ISFs over one DAG costs one traversal of the union).
+pub(crate) fn isf_sig(ev: &mut SigEvaluator, bdd: &Bdd, isf: Isf) -> IsfSig {
+    let sc = ev.signature(bdd, isf.c);
+    let sf = ev.signature(bdd, isf.f);
+    IsfSig { on: sf & sc, c: sc }
+}
 
 /// Everything that identifies a cacheable request besides the exact ISF.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -619,6 +639,20 @@ pub fn demo_stream(n: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn equal_isfs_have_equal_sig_pairs_despite_representatives() {
+        let mut bdd = Bdd::new(3);
+        let a = bdd.var(Var(0));
+        let b = bdd.var(Var(1));
+        let ab = bdd.and(a, b);
+        // [a·b, a] and [b, a] are the same ISF with different
+        // representatives; don't-care lanes must not leak into `on`.
+        let mut ev = SigEvaluator::for_bdd(&bdd);
+        let s1 = isf_sig(&mut ev, &bdd, Isf::new(ab, a));
+        let s2 = isf_sig(&mut ev, &bdd, Isf::new(b, a));
+        assert_eq!(s1, s2);
+    }
 
     fn run(input: &str, shards: usize) -> (String, ServeSummary) {
         let mut out = Vec::new();

@@ -4,7 +4,7 @@
 //! leaf-spec notation plus the oracle it tripped and the chaos plan it
 //! needs, and appended to `tests/corpus/` at the repository root. The
 //! `corpus_replay` tier-1 test parses every file in that directory and
-//! re-runs **all ten** oracles on each instance forever — a corpus entry
+//! re-runs **all nine** oracles on each instance forever — a corpus entry
 //! records a bug that once existed, so after the fix it must pass
 //! everything, and any future regression that resurrects the bug fails
 //! the replay immediately.

@@ -3,14 +3,13 @@
 //! This crate closes the loop between the paper's theorems and the
 //! implementation in `bddmin-core`/`bddmin-bdd`: it generates random
 //! incompletely specified functions `[f, c]`, runs the entire heuristic
-//! registry on each, and checks ten independent oracles — cover
+//! registry on each, and checks nine independent oracles — cover
 //! validity, Theorem 7 cube-optimality, Theorem 12 level safety, the
 //! `lower_bound ≤ exact ≤ heuristic` sandwich, Table 2 agreement with
 //! the classic constrain/restrict operators, invariance under
 //! GC/cache-flush injection, graceful degradation under resource
-//! budgets, bit-for-bit equality of the accelerated level passes
-//! with the unfiltered reference, reorder invariance, and agreement of
-//! the monolithic and range image methods. Failures are shrunk to
+//! budgets, reorder invariance, and agreement of the monolithic and
+//! range image methods. Failures are shrunk to
 //! minimal reproducers in the paper's `(d1 01)` leaf notation and
 //! appended to the committed corpus under `tests/corpus/`, which tier-1
 //! replays forever.
@@ -22,7 +21,7 @@
 //! Layout:
 //!
 //! * [`gen`] — instance representation and the sweep generator,
-//! * [`oracle`] — the ten oracles plus the mutation harness that
+//! * [`oracle`] — the nine oracles plus the mutation harness that
 //!   proves they fire,
 //! * [`shrink`] — greedy, deterministic failure minimization,
 //! * [`corpus`] — reproducer serialization and strict parsing,

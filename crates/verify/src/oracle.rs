@@ -1,4 +1,4 @@
-//! The ten theorem oracles.
+//! The nine theorem oracles.
 //!
 //! Each oracle is an independent judge of one correctness contract from
 //! the paper (or from the kernel's own documentation), checked against a
@@ -13,7 +13,6 @@
 //! | `agreement`    | generic matcher instances ≡ classic constrain/restrict| Table 2          |
 //! | `invariance`   | results unchanged under GC / cache-flush injection    | kernel contract  |
 //! | `budget`       | budget-exceeded paths still return a valid cover ≤ \|f\|| degradation ladder|
-//! | `sig-invariance`| accelerated level passes ≡ unfiltered reference bit for bit | refutation-only filtering |
 //! | `reorder-invariance`| sift/swap sequences preserve semantics: 64-lane signatures and `sat_count` unchanged | dynamic-reordering contract |
 //! | `image-equivalence` | monolithic and range-method images agree edge for edge on random circuits | image-computation method transparency |
 //!
@@ -24,8 +23,8 @@
 
 use bddmin_bdd::{Bdd, Budget, Cube, Edge, ReorderSettings, SigEvaluator, Var};
 use bddmin_core::{
-    exact_minimum, generic_td, lower_bound, minimize_at_level, minimize_at_level_with,
-    CliqueOptions, ExactConfig, Heuristic, Isf, LevelAccel, MatchCriterion, SiblingConfig,
+    exact_minimum, generic_td, lower_bound, minimize_at_level, CliqueOptions, ExactConfig,
+    Heuristic, Isf, MatchCriterion, SiblingConfig,
 };
 
 use crate::gen::{care_is_cube, ChaosPlan, Instance};
@@ -55,11 +54,6 @@ pub enum Oracle {
     /// node budget the registry still returns a valid cover no larger
     /// than `f`, and an ample budget reproduces the unbudgeted result.
     Budget,
-    /// The matching-graph acceleration layer (signature filtering, tsm
-    /// pair memoization, bitset clique cover) is refutation-only: an
-    /// accelerated level pass returns the unfiltered reference result
-    /// bit for bit.
-    SigInvariance,
     /// After any sift/swap sequence, every root evaluates identically on
     /// the 64-lane `SigEvaluator` assignments and `sat_count` is
     /// unchanged — a reorder permutes levels, never functions.
@@ -71,8 +65,8 @@ pub enum Oracle {
 }
 
 impl Oracle {
-    /// All ten oracles, in checking order.
-    pub const ALL: [Oracle; 10] = [
+    /// All nine oracles, in checking order.
+    pub const ALL: [Oracle; 9] = [
         Oracle::Cover,
         Oracle::CubeOptimal,
         Oracle::OsmLevel,
@@ -80,7 +74,6 @@ impl Oracle {
         Oracle::Agreement,
         Oracle::Invariance,
         Oracle::Budget,
-        Oracle::SigInvariance,
         Oracle::ReorderInvariance,
         Oracle::ImageEquivalence,
     ];
@@ -95,7 +88,6 @@ impl Oracle {
             Oracle::Agreement => "agreement",
             Oracle::Invariance => "invariance",
             Oracle::Budget => "budget",
-            Oracle::SigInvariance => "sig-invariance",
             Oracle::ReorderInvariance => "reorder-invariance",
             Oracle::ImageEquivalence => "image-equivalence",
         }
@@ -111,9 +103,6 @@ impl Oracle {
             Oracle::Agreement => "Table 2 (constrain/restrict instantiations)",
             Oracle::Invariance => "kernel cache/GC transparency contract",
             Oracle::Budget => "Definition 1 under resource budgets (degradation ladder)",
-            Oracle::SigInvariance => {
-                "refutation-only signature filtering (simulate-then-prove, §3.3 acceleration)"
-            }
             Oracle::ReorderInvariance => {
                 "dynamic-reordering contract (sifting permutes levels, never functions)"
             }
@@ -193,10 +182,6 @@ pub enum Mutant {
     /// a degradation path that forgets the soundness clamp — breaks
     /// `budget`.
     BreakDegradation,
-    /// Make the signature filter over-refute: deterministically drop
-    /// surviving pairs from the matching graph, simulating a filter that
-    /// loses real matches — breaks `sig-invariance`.
-    BreakSigFilter,
     /// Desynchronize the level-permutation maps after a reorder (so
     /// `var_at_level` lies about which variable sits where), simulating
     /// the maps-out-of-sync bug class a swap kernel can introduce —
@@ -211,8 +196,8 @@ pub enum Mutant {
 }
 
 impl Mutant {
-    /// The ten injectable bugs (everything except [`Mutant::None`]).
-    pub const BREAKING: [Mutant; 10] = [
+    /// The nine injectable bugs (everything except [`Mutant::None`]).
+    pub const BREAKING: [Mutant; 9] = [
         Mutant::BreakCover,
         Mutant::BreakCubeOptimal,
         Mutant::BreakOsmLevel,
@@ -220,7 +205,6 @@ impl Mutant {
         Mutant::BreakAgreement,
         Mutant::BreakInvariance,
         Mutant::BreakDegradation,
-        Mutant::BreakSigFilter,
         Mutant::BreakReorder,
         Mutant::BreakAndExists,
     ];
@@ -236,7 +220,6 @@ impl Mutant {
             Mutant::BreakAgreement => "break-agreement",
             Mutant::BreakInvariance => "break-invariance",
             Mutant::BreakDegradation => "break-degradation",
-            Mutant::BreakSigFilter => "break-sig-filter",
             Mutant::BreakReorder => "break-reorder",
             Mutant::BreakAndExists => "break-and-exists",
         }
@@ -253,7 +236,6 @@ impl Mutant {
             Mutant::BreakAgreement => Some(Oracle::Agreement),
             Mutant::BreakInvariance => Some(Oracle::Invariance),
             Mutant::BreakDegradation => Some(Oracle::Budget),
-            Mutant::BreakSigFilter => Some(Oracle::SigInvariance),
             Mutant::BreakReorder => Some(Oracle::ReorderInvariance),
             Mutant::BreakAndExists => Some(Oracle::ImageEquivalence),
         }
@@ -380,7 +362,6 @@ pub fn check(oracle: Oracle, inst: &Instance, mutant: Mutant) -> Verdict {
         Oracle::Agreement => check_agreement(inst, mutant),
         Oracle::Invariance => check_invariance(inst, mutant),
         Oracle::Budget => check_budget(inst, mutant),
-        Oracle::SigInvariance => check_sig_invariance(inst, mutant),
         Oracle::ReorderInvariance => check_reorder_invariance(inst, mutant),
         Oracle::ImageEquivalence => check_image_equivalence(inst, mutant),
     }
@@ -681,54 +662,6 @@ fn check_budget(inst: &Instance, mutant: Mutant) -> Verdict {
     Verdict::Pass
 }
 
-fn check_sig_invariance(inst: &Instance, mutant: Mutant) -> Verdict {
-    if inst.is_all_dc() {
-        return Verdict::Skip("all-don't-care instance");
-    }
-    let mut bdd = inst.fresh_manager();
-    let isf = inst.build(&mut bdd);
-    // The mutant flips the sabotage hook inside the accelerated path:
-    // the filter starts dropping real matching edges, which is exactly
-    // the class of bug this oracle exists to catch.
-    let accel = if mutant == Mutant::BreakSigFilter {
-        LevelAccel {
-            sabotage_overrefute: true,
-            ..LevelAccel::default()
-        }
-    } else {
-        LevelAccel::default()
-    };
-    let n = inst.num_vars() as u32;
-    for criterion in [MatchCriterion::Tsm, MatchCriterion::Osm] {
-        for lvl in 0..n {
-            let reference = minimize_at_level_with(
-                &mut bdd,
-                isf,
-                Var(lvl),
-                criterion,
-                CliqueOptions::default(),
-                LevelAccel::UNFILTERED,
-            );
-            let accelerated = minimize_at_level_with(
-                &mut bdd,
-                isf,
-                Var(lvl),
-                criterion,
-                CliqueOptions::default(),
-                accel,
-            );
-            if (accelerated.f, accelerated.c) != (reference.f, reference.c) {
-                return Verdict::Fail(format!(
-                    "accelerated {criterion:?} pass at level {lvl} diverged from the unfiltered \
-                     reference on {}",
-                    inst.spec_string()
-                ));
-            }
-        }
-    }
-    Verdict::Pass
-}
-
 fn check_reorder_invariance(inst: &Instance, mutant: Mutant) -> Verdict {
     let mut bdd = inst.fresh_manager();
     let isf = inst.build(&mut bdd);
@@ -953,22 +886,6 @@ mod tests {
         // Every breaking mutant declares its target oracle.
         for m in Mutant::BREAKING {
             assert!(m.target_oracle().is_some());
-        }
-    }
-
-    #[test]
-    fn break_sig_filter_mutant_fires_on_a_paper_instance() {
-        let fired = paper_instances()
-            .iter()
-            .any(|inst| check(Oracle::SigInvariance, inst, Mutant::BreakSigFilter).is_fail());
-        assert!(
-            fired,
-            "a sabotaged signature filter must diverge on some paper instance"
-        );
-        // And the real accelerated path stays equal to the reference, so
-        // the sabotage hook is the only difference.
-        for inst in paper_instances() {
-            assert!(!check(Oracle::SigInvariance, &inst, Mutant::None).is_fail());
         }
     }
 

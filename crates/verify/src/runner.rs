@@ -718,12 +718,12 @@ mod tests {
         };
         let report = run_fuzz(&config).unwrap();
         assert_eq!(report.instances, 20);
-        assert_eq!(report.checks, 200);
+        assert_eq!(report.checks, 180);
         assert!(report.failures.is_empty());
         assert!(!report.budget_exhausted);
         let passes: u64 = report.oracle_stats.iter().map(|s| s.passes).sum();
         let skips: u64 = report.oracle_stats.iter().map(|s| s.skips).sum();
-        assert_eq!(passes + skips, 200);
+        assert_eq!(passes + skips, 180);
     }
 
     #[test]
@@ -780,7 +780,6 @@ mod tests {
             "\"agreement\"",
             "\"invariance\"",
             "\"budget\"",
-            "\"sig-invariance\"",
             "\"reorder-invariance\"",
             "\"image-equivalence\"",
         ] {

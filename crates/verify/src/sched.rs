@@ -69,7 +69,7 @@ impl ArmKind {
     }
 
     /// True for arms whose plays are leaf-table instances run through
-    /// the ten oracles (these count toward the report's `instances`).
+    /// the nine oracles (these count toward the report's `instances`).
     pub fn is_instance_arm(self) -> bool {
         matches!(
             self,

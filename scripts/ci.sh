@@ -32,7 +32,7 @@
 #
 # Opt-in stages (valid for --stage, excluded from the default run):
 #   fuzz-deep    sustained structured fuzz: 60 s budget, bandit over all
-#                seven generator arms, all ten oracles, instance floors
+#                seven generator arms, all nine oracles, instance floors
 #                (>= 1000 instances, >= 16/s); shrunk reproducers land in
 #                fuzz-scratch/deep with a loud diff against tests/corpus
 #
@@ -201,19 +201,18 @@ stage_fuzz_smoke() {
     # The release binary exists when the build stage ran; build it
     # quietly otherwise (e.g. `--stage fuzz-smoke` alone).
     cargo build --release -q -p bddmin-verify
-    echo "    differential fuzz, seeds 1..4, 30 s budget, all ten oracles"
+    echo "    differential fuzz, seeds 1..4, 30 s budget, all nine oracles"
     ./target/release/verify --seed 1..4 --budget-ms 30000 --no-write
     echo "    mutation gates: every oracle must catch + shrink its injected bug"
     for mutant in break-cover break-cube-optimal break-osm-level \
                   break-lower-bound break-agreement break-invariance \
-                  break-degradation break-sig-filter break-reorder \
-                  break-and-exists; do
+                  break-degradation break-reorder break-and-exists; do
         echo "    -- $mutant"
         ./target/release/verify --seed 1..3 --iters 2000 --budget-ms 20000 \
             --mutant "$mutant" --max-failures 1 --no-write --expect-failure \
             >/dev/null
     done
-    echo "    all ten oracles fired and shrank their mutants"
+    echo "    all nine oracles fired and shrank their mutants"
     echo "    structured fuzz: bandit over all seven arms, every input surface"
     ./target/release/verify --structured --corpus-seed tests/corpus \
         --seed 1..2 --budget-ms 10000 --no-write
@@ -225,7 +224,7 @@ stage_fuzz_deep() {
     local scratch="fuzz-scratch/deep"
     rm -rf "$scratch"
     mkdir -p "$scratch"
-    echo "    sustained structured fuzz: 60 s budget, all ten oracles,"
+    echo "    sustained structured fuzz: 60 s budget, all nine oracles,"
     echo "    floors: >= 1000 instances and >= 16 instances/s"
     if ! ./target/release/verify --structured --corpus-seed tests/corpus \
         --seed 17..20 --budget-ms 60000 --corpus-dir "$scratch" \
