@@ -188,7 +188,10 @@ mod tests {
 
     #[test]
     fn display_and_names() {
-        assert_eq!(BudgetExceeded::STEPS.to_string(), "resource budget exceeded (steps)");
+        assert_eq!(
+            BudgetExceeded::STEPS.to_string(),
+            "resource budget exceeded (steps)"
+        );
         assert_eq!(BudgetKind::Nodes.name(), "nodes");
         assert_eq!(BudgetKind::Time.to_string(), "time");
         assert_eq!(BudgetKind::Depth.name(), "depth");

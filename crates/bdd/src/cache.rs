@@ -581,15 +581,9 @@ mod tests {
         let mut t = ComputedTable::new();
         t.insert(Op::Ite, Edge::ONE, Edge::ONE, Edge::ONE, Edge::ZERO);
         assert_eq!(t.get(Op::Exists, Edge::ONE, Edge::ONE, Edge::ONE), None);
-        assert_eq!(
-            t.get(Op::Compose(1), Edge::ONE, Edge::ONE, Edge::ONE),
-            None
-        );
+        assert_eq!(t.get(Op::Compose(1), Edge::ONE, Edge::ONE, Edge::ONE), None);
         t.insert(Op::Compose(1), Edge::ONE, Edge::ONE, Edge::ONE, Edge::ONE);
-        assert_eq!(
-            t.get(Op::Compose(2), Edge::ONE, Edge::ONE, Edge::ONE),
-            None
-        );
+        assert_eq!(t.get(Op::Compose(2), Edge::ONE, Edge::ONE, Edge::ONE), None);
     }
 
     #[test]
@@ -640,17 +634,32 @@ mod tests {
     fn generation_clear_is_total() {
         let mut t = ComputedTable::with_log2_capacity(4);
         for i in 0..16u32 {
-            t.insert(Op::Ite, Edge::from_bits(i), Edge::ONE, Edge::ZERO, Edge::ONE);
+            t.insert(
+                Op::Ite,
+                Edge::from_bits(i),
+                Edge::ONE,
+                Edge::ZERO,
+                Edge::ONE,
+            );
         }
         let occupied = t.table.len();
         assert!(occupied > 0);
         t.table.clear();
         for i in 0..16u32 {
-            assert_eq!(t.get(Op::Ite, Edge::from_bits(i), Edge::ONE, Edge::ZERO), None);
+            assert_eq!(
+                t.get(Op::Ite, Edge::from_bits(i), Edge::ONE, Edge::ZERO),
+                None
+            );
         }
         // Entries from before the flush must not be resurrected by
         // re-inserting a subset.
-        t.insert(Op::Ite, Edge::from_bits(3), Edge::ONE, Edge::ZERO, Edge::ZERO);
+        t.insert(
+            Op::Ite,
+            Edge::from_bits(3),
+            Edge::ONE,
+            Edge::ZERO,
+            Edge::ZERO,
+        );
         assert_eq!(
             t.get(Op::Ite, Edge::from_bits(3), Edge::ONE, Edge::ZERO),
             Some(Edge::ZERO)
@@ -661,20 +670,41 @@ mod tests {
     #[test]
     fn way1_hit_promotes() {
         let mut t = ComputedTable::with_log2_capacity(1); // one bucket, 2 ways
-        t.insert(Op::Ite, Edge::from_bits(10), Edge::ONE, Edge::ZERO, Edge::ONE);
-        t.insert(Op::Ite, Edge::from_bits(20), Edge::ONE, Edge::ZERO, Edge::ZERO);
+        t.insert(
+            Op::Ite,
+            Edge::from_bits(10),
+            Edge::ONE,
+            Edge::ZERO,
+            Edge::ONE,
+        );
+        t.insert(
+            Op::Ite,
+            Edge::from_bits(20),
+            Edge::ONE,
+            Edge::ZERO,
+            Edge::ZERO,
+        );
         // Entry 10 got demoted to way 1; hitting it must promote it back.
         assert_eq!(
             t.get(Op::Ite, Edge::from_bits(10), Edge::ONE, Edge::ZERO),
             Some(Edge::ONE)
         );
         // A third insert now evicts 20 (the cold one), not 10.
-        t.insert(Op::Ite, Edge::from_bits(30), Edge::ONE, Edge::ZERO, Edge::ONE);
+        t.insert(
+            Op::Ite,
+            Edge::from_bits(30),
+            Edge::ONE,
+            Edge::ZERO,
+            Edge::ONE,
+        );
         assert_eq!(
             t.get(Op::Ite, Edge::from_bits(10), Edge::ONE, Edge::ZERO),
             Some(Edge::ONE)
         );
-        assert_eq!(t.get(Op::Ite, Edge::from_bits(20), Edge::ONE, Edge::ZERO), None);
+        assert_eq!(
+            t.get(Op::Ite, Edge::from_bits(20), Edge::ONE, Edge::ZERO),
+            None
+        );
     }
 
     /// Drive a tiny table with a re-read working set until the growth
@@ -748,7 +778,10 @@ mod tests {
         t.table.clear();
         assert_eq!(t.table.len(), 0);
         for i in 0..64u32 {
-            assert_eq!(t.get(Op::Ite, Edge::from_bits(i), Edge::ONE, Edge::ZERO), None);
+            assert_eq!(
+                t.get(Op::Ite, Edge::from_bits(i), Edge::ONE, Edge::ZERO),
+                None
+            );
         }
     }
 

@@ -62,7 +62,10 @@ impl SatCount {
             m *= 2.0;
             e -= 1;
         }
-        SatCount { mantissa: m, exp2: e }
+        SatCount {
+            mantissa: m,
+            exp2: e,
+        }
     }
 
     /// The complement probability `1 - self` (valid only for values in
@@ -256,7 +259,11 @@ impl Bdd {
     pub fn sat_count_scaled(&self, f: Edge) -> SatCount {
         let mut memo: HashMap<NodeId, SatCount, FastBuild> = HashMap::default();
         let p = self.prob_rec(f.regular(), &mut memo);
-        let p = if f.is_complemented() { p.one_minus() } else { p };
+        let p = if f.is_complemented() {
+            p.one_minus()
+        } else {
+            p
+        };
         if p.is_zero() {
             return SatCount::ZERO;
         }
@@ -278,9 +285,17 @@ impl Bdd {
         }
         let n = self.node(e);
         let ph = self.prob_rec(n.hi.regular(), memo);
-        let ph = if n.hi.is_complemented() { ph.one_minus() } else { ph };
+        let ph = if n.hi.is_complemented() {
+            ph.one_minus()
+        } else {
+            ph
+        };
         let pl = self.prob_rec(n.lo.regular(), memo);
-        let pl = if n.lo.is_complemented() { pl.one_minus() } else { pl };
+        let pl = if n.lo.is_complemented() {
+            pl.one_minus()
+        } else {
+            pl
+        };
         let p = SatCount::half_sum(ph, pl);
         memo.insert(e.node(), p);
         p
@@ -452,10 +467,7 @@ mod tests {
         let a = big.var(Var(0));
         let b = big.var(Var(1));
         let f_big = big.and(a, b);
-        assert_eq!(
-            small.onset_percentage(f_small),
-            big.onset_percentage(f_big)
-        );
+        assert_eq!(small.onset_percentage(f_small), big.onset_percentage(f_big));
     }
 
     #[test]

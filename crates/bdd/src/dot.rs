@@ -34,12 +34,19 @@ impl Bdd {
         let mut seen: HashSet<NodeId> = HashSet::new();
         let mut stack: Vec<Edge> = Vec::new();
         for (name, f) in functions {
-            let _ = writeln!(out, "  \"root_{name}\" [label=\"{name}\", shape=plaintext];");
+            let _ = writeln!(
+                out,
+                "  \"root_{name}\" [label=\"{name}\", shape=plaintext];"
+            );
             let _ = writeln!(
                 out,
                 "  \"root_{name}\" -> {} [arrowhead={}];",
                 node_name(*f),
-                if f.is_complemented() { "odot" } else { "normal" }
+                if f.is_complemented() {
+                    "odot"
+                } else {
+                    "normal"
+                }
             );
             stack.push(f.regular());
         }
@@ -59,14 +66,22 @@ impl Bdd {
                 "  n{} -> {} [arrowhead={}];",
                 e.node().0,
                 node_name(n.hi),
-                if n.hi.is_complemented() { "odot" } else { "normal" }
+                if n.hi.is_complemented() {
+                    "odot"
+                } else {
+                    "normal"
+                }
             );
             let _ = writeln!(
                 out,
                 "  n{} -> {} [style=dashed, arrowhead={}];",
                 e.node().0,
                 node_name(n.lo),
-                if n.lo.is_complemented() { "odot" } else { "normal" }
+                if n.lo.is_complemented() {
+                    "odot"
+                } else {
+                    "normal"
+                }
             );
             stack.push(n.hi.regular());
             stack.push(n.lo.regular());

@@ -133,7 +133,12 @@ fn tokenize(input: &str) -> Result<Vec<(Token, usize)>, ParseExprError> {
                 let mut j = i;
                 while j < bytes.len() {
                     let cj = bytes[j] as char;
-                    if cj.is_ascii_alphanumeric() || cj == '_' || cj == '.' || cj == '[' || cj == ']' {
+                    if cj.is_ascii_alphanumeric()
+                        || cj == '_'
+                        || cj == '.'
+                        || cj == '['
+                        || cj == ']'
+                    {
                         j += 1;
                     } else {
                         break;
@@ -265,10 +270,9 @@ impl<'a> Parser<'a> {
         match self.bump() {
             Some(Token::Const(b)) => Ok(self.bdd.constant(b)),
             Some(Token::Ident(name)) => {
-                let var = self
-                    .bdd
-                    .var_by_name(&name)
-                    .ok_or_else(|| ParseExprError::new(format!("unknown variable '{name}'"), pos))?;
+                let var = self.bdd.var_by_name(&name).ok_or_else(|| {
+                    ParseExprError::new(format!("unknown variable '{name}'"), pos)
+                })?;
                 Ok(self.bdd.var(var))
             }
             Some(Token::LParen) => {
@@ -439,7 +443,10 @@ mod tests {
     fn deep_parentheses_are_an_error_not_an_overflow() {
         let mut bdd = bdd3();
         let nested = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
-        assert_eq!(bdd.from_expr(&nested(MAX_EXPR_DEPTH)).unwrap(), bdd.var(Var(0)));
+        assert_eq!(
+            bdd.from_expr(&nested(MAX_EXPR_DEPTH)).unwrap(),
+            bdd.var(Var(0))
+        );
         let err = bdd.from_expr(&nested(30_000)).unwrap_err();
         assert!(err.to_string().contains("nested deeper than"), "{err}");
         // The first `(` past the cap, one byte per parenthesis.

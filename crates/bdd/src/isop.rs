@@ -184,10 +184,7 @@ mod tests {
                 .map(|(_, c)| c.to_edge(bdd))
                 .collect();
             let union = bdd.or_many(parts);
-            assert!(
-                !bdd.implies_holds(lower, union),
-                "cube {skip} is redundant"
-            );
+            assert!(!bdd.implies_holds(lower, union), "cube {skip} is redundant");
         }
     }
 

@@ -186,10 +186,7 @@ mod tests {
     fn parse_shapes() {
         let s = LeafSpec::parse("(d1 01)").unwrap();
         assert_eq!(s.num_vars(), 2);
-        assert_eq!(
-            s.leaves(),
-            &[None, Some(true), Some(false), Some(true)]
-        );
+        assert_eq!(s.leaves(), &[None, Some(true), Some(false), Some(true)]);
         let s3 = LeafSpec::parse("1d d1 d0 0d").unwrap();
         assert_eq!(s3.num_vars(), 3);
         assert!(LeafSpec::parse("01x").is_err());
@@ -248,9 +245,8 @@ mod tests {
         let f = s.build_function(&mut bdd);
         assert_eq!(f, bdd.var(Var(1)));
         let sd = LeafSpec::parse("d101").unwrap();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sd.build_function(&mut bdd)
-        }));
+        let r =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sd.build_function(&mut bdd)));
         assert!(r.is_err());
     }
 

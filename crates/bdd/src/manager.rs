@@ -671,8 +671,7 @@ impl Bdd {
                 self.reorder_roots(&settings, &[result]);
                 // Back off: require meaningful regrowth before the next
                 // one, or auto-reorder would thrash on irreducible BDDs.
-                self.reorder_threshold =
-                    (self.live_count() * 4).max(MIN_AUTO_REORDER_THRESHOLD);
+                self.reorder_threshold = (self.live_count() * 4).max(MIN_AUTO_REORDER_THRESHOLD);
             }
             // Adaptive cache growth is also a quiescent-point decision: the
             // budget ties cache memory to the node store so a cache never
@@ -704,7 +703,10 @@ impl Bdd {
         lo: Edge,
     ) -> Result<Edge, BudgetExceeded> {
         debug_assert!(!var.is_terminal());
-        debug_assert!(var < self.level(hi) && var < self.level(lo), "order violation");
+        debug_assert!(
+            var < self.level(hi) && var < self.level(lo),
+            "order violation"
+        );
         if hi == lo {
             return Ok(hi);
         }
@@ -887,8 +889,7 @@ impl Bdd {
 
     /// Estimated bytes one allocated node costs: the payload, the
     /// liveness flag, and one amortized unique-table slot word.
-    pub const BYTES_PER_NODE: usize =
-        std::mem::size_of::<Node>() + std::mem::size_of::<u32>() + 1;
+    pub const BYTES_PER_NODE: usize = std::mem::size_of::<Node>() + std::mem::size_of::<u32>() + 1;
 
     /// Test hook for the `reorder-invariance` mutation gate: swaps two
     /// entries of the level-permutation maps **without** moving any node,

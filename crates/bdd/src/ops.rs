@@ -207,16 +207,12 @@ impl Bdd {
 
     /// Conjunction of many functions (`ONE` for an empty iterator).
     pub fn and_many<I: IntoIterator<Item = Edge>>(&mut self, edges: I) -> Edge {
-        edges
-            .into_iter()
-            .fold(Edge::ONE, |acc, e| self.and(acc, e))
+        edges.into_iter().fold(Edge::ONE, |acc, e| self.and(acc, e))
     }
 
     /// Disjunction of many functions (`ZERO` for an empty iterator).
     pub fn or_many<I: IntoIterator<Item = Edge>>(&mut self, edges: I) -> Edge {
-        edges
-            .into_iter()
-            .fold(Edge::ZERO, |acc, e| self.or(acc, e))
+        edges.into_iter().fold(Edge::ZERO, |acc, e| self.or(acc, e))
     }
 
     /// Decision check: does `f ≤ g` (i.e. `f ⇒ g`) hold for all inputs?
@@ -287,7 +283,11 @@ impl Bdd {
         }
         // Canonical pair: only f ⊕ g matters, so order the pair (constants
         // sort last) and make f regular by complementing both.
-        let (mut f, mut g) = if self.order_before(g, f) { (g, f) } else { (f, g) };
+        let (mut f, mut g) = if self.order_before(g, f) {
+            (g, f)
+        } else {
+            (f, g)
+        };
         if f.is_complemented() {
             f = f.complement();
             g = g.complement();
@@ -332,12 +332,7 @@ impl Bdd {
     }
 
     /// Checked [`Bdd::cofactor`].
-    pub fn try_cofactor(
-        &mut self,
-        f: Edge,
-        var: Var,
-        value: bool,
-    ) -> Result<Edge, BudgetExceeded> {
+    pub fn try_cofactor(&mut self, f: Edge, var: Var, value: bool) -> Result<Edge, BudgetExceeded> {
         self.begin_op();
         let value = if value { Edge::ONE } else { Edge::ZERO };
         // The recursion runs in level space: convert the variable identity
@@ -386,7 +381,8 @@ impl Bdd {
             let e = self.cofactor_rec(f0, level, value, depth + 1)?;
             self.mk_checked(top, t, e)?
         };
-        self.cache.insert(Op::Compose(level.0), f, value, Edge::ONE, r);
+        self.cache
+            .insert(Op::Compose(level.0), f, value, Edge::ONE, r);
         Ok(r)
     }
 
@@ -520,12 +516,7 @@ impl Bdd {
     /// Checked [`Bdd::and_exists`]: aborts cleanly with [`BudgetExceeded`]
     /// when the armed budget runs out, and reports a malformed `vars` as
     /// [`BudgetExceeded::INTERNAL`] instead of panicking.
-    pub fn try_and_exists(
-        &mut self,
-        f: Edge,
-        g: Edge,
-        vars: Edge,
-    ) -> Result<Edge, BudgetExceeded> {
+    pub fn try_and_exists(&mut self, f: Edge, g: Edge, vars: Edge) -> Result<Edge, BudgetExceeded> {
         self.check_positive_cube(vars)?;
         self.begin_op();
         match self.and_exists_rec(f, g, vars, 0) {
@@ -575,7 +566,11 @@ impl Bdd {
             return self.ite_rec(f, g, Edge::ZERO, depth + 1);
         }
         // Commutativity canonicalization for the cache key.
-        let (f, g) = if self.order_before(g, f) { (g, f) } else { (f, g) };
+        let (f, g) = if self.order_before(g, f) {
+            (g, f)
+        } else {
+            (f, g)
+        };
         if let Some(r) = self.cache.get(Op::AndExists, f, g, cube) {
             return Ok(r);
         }
@@ -715,8 +710,7 @@ impl Bdd {
     /// Panics if the slices have different lengths.
     pub fn rename(&mut self, f: Edge, from: &[Var], to: &[Var]) -> Edge {
         assert_eq!(from.len(), to.len(), "rename arity mismatch");
-        let mut pairs: Vec<(Var, Var)> =
-            from.iter().copied().zip(to.iter().copied()).collect();
+        let mut pairs: Vec<(Var, Var)> = from.iter().copied().zip(to.iter().copied()).collect();
         // Compose deepest source first (deepest in the *current order*) so
         // earlier substitutions cannot be re-captured by later ones.
         pairs.sort_by_key(|p| std::cmp::Reverse(self.level_of_var(p.0)));
@@ -929,10 +923,18 @@ mod tests {
 
     /// Build a pseudo-random function over `n` vars from a seed.
     fn random_fn(bdd: &mut Bdd, n: u32, seed: &mut u64) -> Edge {
-        let mut f = if xorshift(seed) & 1 == 0 { Edge::ZERO } else { Edge::ONE };
+        let mut f = if xorshift(seed) & 1 == 0 {
+            Edge::ZERO
+        } else {
+            Edge::ONE
+        };
         for _ in 0..(2 + (xorshift(seed) % 5)) {
             let v = bdd.var(Var((xorshift(seed) % n as u64) as u32));
-            let v = if xorshift(seed) & 1 == 0 { bdd.not(v) } else { v };
+            let v = if xorshift(seed) & 1 == 0 {
+                bdd.not(v)
+            } else {
+                v
+            };
             f = match xorshift(seed) % 3 {
                 0 => bdd.and(f, v),
                 1 => bdd.or(f, v),
@@ -1004,7 +1006,10 @@ mod tests {
         let f = bdd.and(a, b);
         assert_eq!(bdd.try_exists(f, non_cube), Err(BudgetExceeded::INTERNAL));
         assert_eq!(bdd.try_forall(f, non_cube), Err(BudgetExceeded::INTERNAL));
-        assert_eq!(bdd.try_and_exists(f, b, non_cube), Err(BudgetExceeded::INTERNAL));
+        assert_eq!(
+            bdd.try_and_exists(f, b, non_cube),
+            Err(BudgetExceeded::INTERNAL)
+        );
         // A negative literal is not a positive cube either.
         let neg = bdd.not(a);
         assert_eq!(bdd.try_exists(f, neg), Err(BudgetExceeded::INTERNAL));

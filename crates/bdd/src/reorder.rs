@@ -199,7 +199,10 @@ impl Bdd {
     /// swaps and surfaces as `Err`. The unique table, the permutation
     /// maps and canonicity are consistent on both paths; an aborted pass
     /// simply leaves the order where the sift stopped.
-    pub fn try_reorder(&mut self, settings: &ReorderSettings) -> Result<ReorderStats, BudgetExceeded> {
+    pub fn try_reorder(
+        &mut self,
+        settings: &ReorderSettings,
+    ) -> Result<ReorderStats, BudgetExceeded> {
         self.try_reorder_roots(settings, &[])
     }
 
@@ -576,7 +579,10 @@ impl Bdd {
                 !new_hi.is_complemented(),
                 "regular-hi invariant broken by swap"
             );
-            debug_assert_ne!(new_hi, new_lo, "y-dependent node cannot lose its dependence");
+            debug_assert_ne!(
+                new_hi, new_lo,
+                "y-dependent node cannot lose its dependence"
+            );
             inc_ref(refs, new_hi);
             inc_ref(refs, new_lo);
             self.nodes[id as usize] = Node {
@@ -664,7 +670,13 @@ impl Bdd {
     /// release cascades to its children. Freed slots go to `freed`, not
     /// the manager free list — the caller recycles them only once the
     /// enclosing swap has finished with its detached level lists.
-    fn release_ref(&mut self, e: Edge, refs: &mut Vec<u32>, detached_level: u32, freed: &mut Vec<u32>) {
+    fn release_ref(
+        &mut self,
+        e: Edge,
+        refs: &mut Vec<u32>,
+        detached_level: u32,
+        freed: &mut Vec<u32>,
+    ) {
         if e.is_constant() {
             return;
         }
@@ -907,7 +919,11 @@ mod tests {
         for (k, &(want_f, want_p)) in truth.iter().enumerate() {
             let assig: Vec<bool> = (0..n).map(|v| (k >> v) & 1 == 1).collect();
             assert_eq!(bdd.eval(f, &assig), want_f, "f diverged at {k:#x}");
-            assert_eq!(bdd.eval(parity, &assig), want_p, "parity diverged at {k:#x}");
+            assert_eq!(
+                bdd.eval(parity, &assig),
+                want_p,
+                "parity diverged at {k:#x}"
+            );
         }
         // Parity is order-insensitive: sifting must not grow it.
         assert_eq!(bdd.size(parity), n + 1);
@@ -955,7 +971,11 @@ mod tests {
 
     #[test]
     fn method_parsing_round_trips() {
-        for m in [ReorderMethod::None, ReorderMethod::Sift, ReorderMethod::GroupSift] {
+        for m in [
+            ReorderMethod::None,
+            ReorderMethod::Sift,
+            ReorderMethod::GroupSift,
+        ] {
             assert_eq!(m.name().parse::<ReorderMethod>().unwrap(), m);
         }
         assert!("bogus".parse::<ReorderMethod>().is_err());

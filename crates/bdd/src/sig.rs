@@ -195,7 +195,11 @@ impl SigEvaluator {
             const CHILD: &str = "children are recorded before their parent";
             let hi = self.memo(hi_slot).expect(CHILD); // hi edges are always regular
             let lo_raw = self.memo(lo_slot).expect(CHILD);
-            let lo = if n.lo.is_complemented() { !lo_raw } else { lo_raw };
+            let lo = if n.lo.is_complemented() {
+                !lo_raw
+            } else {
+                lo_raw
+            };
             // `n.var` is a level; the lane masks are per variable identity,
             // so the same function signs identically under any order.
             let mask = self.masks[bdd.var_at_level(n.var).index()];
@@ -218,7 +222,11 @@ mod tests {
                 return cur.is_one();
             }
             let (hi, lo) = bdd.branches(cur);
-            cur = if assign(bdd.var_of(cur).index()) { hi } else { lo };
+            cur = if assign(bdd.var_of(cur).index()) {
+                hi
+            } else {
+                lo
+            };
         }
     }
 

@@ -107,12 +107,7 @@ impl Bdd {
     /// assert!(dst.eval(g, &[true, false, true]));
     /// assert!(!dst.eval(g, &[false, false, true]));
     /// ```
-    pub fn transfer(
-        &mut self,
-        f: Edge,
-        target: &mut Bdd,
-        var_map: impl Fn(Var) -> Var,
-    ) -> Edge {
+    pub fn transfer(&mut self, f: Edge, target: &mut Bdd, var_map: impl Fn(Var) -> Var) -> Edge {
         match self.try_transfer(f, target, var_map) {
             Ok(g) => g,
             Err(e) => panic!("{e}"),
@@ -355,7 +350,11 @@ mod tests {
         // Non-injective: both support variables collapse onto v0.
         let err = src.try_transfer(f, &mut dst, |_| Var(0)).unwrap_err();
         match err {
-            TransferError::NotInjective { first, second, target } => {
+            TransferError::NotInjective {
+                first,
+                second,
+                target,
+            } => {
                 assert_eq!(first, Var(0));
                 assert_eq!(second, Var(1));
                 assert_eq!(target, Var(0));
@@ -366,7 +365,11 @@ mod tests {
         // Out-of-range image carries the full context.
         let err = src.try_transfer(f, &mut dst, |v| Var(v.0 + 7)).unwrap_err();
         match err {
-            TransferError::UndeclaredTarget { source, target, declared } => {
+            TransferError::UndeclaredTarget {
+                source,
+                target,
+                declared,
+            } => {
                 assert_eq!(source, Var(0));
                 assert_eq!(target, Var(7));
                 assert_eq!(declared, 2);

@@ -317,8 +317,10 @@ mod tests {
             table.insert(&nodes, id);
         }
         // Keep only even-v nodes.
-        let survivors: Vec<NodeId> =
-            (0..100u32).filter(|v| v % 2 == 0).map(|v| NodeId(v + 1)).collect();
+        let survivors: Vec<NodeId> = (0..100u32)
+            .filter(|v| v % 2 == 0)
+            .map(|v| NodeId(v + 1))
+            .collect();
         table.rebuild(&nodes, survivors.iter().copied());
         assert_eq!(table.len(), 50);
         for v in 0..100u32 {
@@ -435,7 +437,12 @@ mod tests {
             (3, 0x6, 0x9, 0x5073_4dd1_53e9_f075),
             (17, 0x28, 0x29, 0xb3a7_deca_40d4_9902),
             (1000, 0x1234, 0x5679, 0xb798_c72d_f43b_6e67),
-            (u32::MAX >> 2, 0x7fff_fffe, 0x7fff_ffff, 0x7dd5_2f3f_a957_a16f),
+            (
+                u32::MAX >> 2,
+                0x7fff_fffe,
+                0x7fff_ffff,
+                0x7dd5_2f3f_a957_a16f,
+            ),
         ];
         for (v, h, l, want) in golden {
             let got = key_hash(Var(v), Edge::from_bits(h), Edge::from_bits(l));

@@ -128,6 +128,10 @@ mod tests {
         for i in 0..1024u64 {
             seen.insert(mix64(i) & 0xFFFF);
         }
-        assert!(seen.len() > 950, "low-bit collisions: {}", 1024 - seen.len());
+        assert!(
+            seen.len() > 950,
+            "low-bit collisions: {}",
+            1024 - seen.len()
+        );
     }
 }

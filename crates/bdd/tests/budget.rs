@@ -31,7 +31,10 @@ fn unbudgeted_checked_ops_match_infallible_ones() {
     let plain = bdd.and(f, x);
     bdd.clear_caches();
     let checked = bdd.try_and(f, x).unwrap();
-    assert_eq!(plain, checked, "checked and unchecked paths are the same recursion");
+    assert_eq!(
+        plain, checked,
+        "checked and unchecked paths are the same recursion"
+    );
 }
 
 #[test]
@@ -48,7 +51,11 @@ fn step_budget_trips_deterministically() {
     let (kind1, steps1) = run();
     let (kind2, steps2) = run();
     assert_eq!(kind1, BudgetKind::Steps);
-    assert_eq!((kind1, steps1), (kind2, steps2), "trip point is deterministic");
+    assert_eq!(
+        (kind1, steps1),
+        (kind2, steps2),
+        "trip point is deterministic"
+    );
     assert_eq!(steps1, 11, "fails on the first step past the limit");
 }
 
@@ -149,7 +156,9 @@ fn unchecked_deep_recursion_panics_cleanly() {
 fn shallow_functions_never_hit_the_depth_guard() {
     let mut bdd = Bdd::new(1400);
     let (even, odd) = interleaved_cubes(&mut bdd, 1400);
-    let both = bdd.try_and(even, odd).expect("1400 levels fit under the guard");
+    let both = bdd
+        .try_and(even, odd)
+        .expect("1400 levels fit under the guard");
     let all: Vec<Var> = (0..1400).map(Var).collect();
     assert_eq!(both, bdd.cube_of_vars(&all));
 }

@@ -23,8 +23,7 @@ fn check_golden(name: &str, actual: &str) {
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
     assert_eq!(
-        actual,
-        expected,
+        actual, expected,
         "DOT output for {name} drifted from the golden file; \
          rerun with UPDATE_GOLDEN=1 if the change is intentional"
     );

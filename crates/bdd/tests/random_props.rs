@@ -92,7 +92,10 @@ fn boolean_algebra_laws() {
         let x1c = bdd.xor(x1, c);
         let x2 = bdd.xor(b, c);
         let ax2 = bdd.xor(a, x2);
-        assert_eq!(x1c, ax2, "xor associativity on {ta:#06x} {tb:#06x} {tc:#06x}");
+        assert_eq!(
+            x1c, ax2,
+            "xor associativity on {ta:#06x} {tb:#06x} {tc:#06x}"
+        );
     }
 }
 
@@ -107,7 +110,11 @@ fn ite_matches_semantics() {
         let h = from_table(&mut bdd, th);
         let r = bdd.ite(f, g, h);
         let expect = (tf & tg) | (!tf & th);
-        assert_eq!(to_table(&bdd, r), expect, "ite on {tf:#06x} {tg:#06x} {th:#06x}");
+        assert_eq!(
+            to_table(&bdd, r),
+            expect,
+            "ite on {tf:#06x} {tg:#06x} {th:#06x}"
+        );
     }
 }
 
@@ -173,14 +180,23 @@ fn constrain_restrict_are_covers_and_constrain_agrees_on_care() {
         let nc = bdd.not(c);
         let upper = bdd.or(f, nc);
         for g in [bdd.constrain(f, c), bdd.restrict(f, c)] {
-            assert!(bdd.implies_holds(onset, g), "cover lower on {tf:#06x}/{tc:#06x}");
-            assert!(bdd.implies_holds(g, upper), "cover upper on {tf:#06x}/{tc:#06x}");
+            assert!(
+                bdd.implies_holds(onset, g),
+                "cover lower on {tf:#06x}/{tc:#06x}"
+            );
+            assert!(
+                bdd.implies_holds(g, upper),
+                "cover upper on {tf:#06x}/{tc:#06x}"
+            );
         }
         // constrain agrees with f everywhere on the care set.
         let g = bdd.constrain(f, c);
         let gf = bdd.xor(g, f);
         let disagreement = bdd.and(gf, c);
-        assert!(disagreement.is_zero(), "constrain image on {tf:#06x}/{tc:#06x}");
+        assert!(
+            disagreement.is_zero(),
+            "constrain image on {tf:#06x}/{tc:#06x}"
+        );
     }
 }
 
@@ -196,7 +212,10 @@ fn sat_counts_are_exact_and_additive() {
         let aib = bdd.and(a, b);
         let lhs = bdd.sat_fraction(aub) + bdd.sat_fraction(aib);
         let rhs = bdd.sat_fraction(a) + bdd.sat_fraction(b);
-        assert!((lhs - rhs).abs() < 1e-12, "additivity on {ta:#06x} {tb:#06x}");
+        assert!(
+            (lhs - rhs).abs() < 1e-12,
+            "additivity on {ta:#06x} {tb:#06x}"
+        );
         assert_eq!(bdd.sat_count(a), f64::from(ta.count_ones()));
     }
 }
@@ -213,7 +232,11 @@ fn gc_preserves_roots_and_canonicity() {
         let table_before = to_table(&bdd, keep);
         let size_before = bdd.size(keep);
         bdd.collect_garbage(&[keep]);
-        assert_eq!(to_table(&bdd, keep), table_before, "gc on {ta:#06x} {tb:#06x}");
+        assert_eq!(
+            to_table(&bdd, keep),
+            table_before,
+            "gc on {ta:#06x} {tb:#06x}"
+        );
         assert_eq!(bdd.size(keep), size_before);
         // Rebuild after GC stays canonical: identical edge.
         let a2 = from_table(&mut bdd, ta);
@@ -430,7 +453,15 @@ fn agree_depth_guard_converts_stack_overflow_into_error() {
 fn agree_op_class_is_appended() {
     assert_eq!(
         BddStats::OP_CLASSES[..7],
-        ["ite", "exists", "forall", "constrain", "restrict", "compose", "and_exists"]
+        [
+            "ite",
+            "exists",
+            "forall",
+            "constrain",
+            "restrict",
+            "compose",
+            "and_exists"
+        ]
     );
     assert_eq!(BddStats::OP_CLASSES[7], "agree");
 }

@@ -226,7 +226,10 @@ HEURISTICS: --heuristic takes a comma-separated list of names and single-`*`
 /// Parses command-line arguments (without the program name). File
 /// arguments are returned as paths; [`run`] is given loaded contents via
 /// [`Command`], so tests can inject sources directly.
-pub fn parse_args(args: &[String], read_file: impl Fn(&str) -> Result<String, CliError>) -> Result<Command, CliError> {
+pub fn parse_args(
+    args: &[String],
+    read_file: impl Fn(&str) -> Result<String, CliError>,
+) -> Result<Command, CliError> {
     let mut it = args.iter();
     let sub = it.next().ok_or_else(|| CliError(USAGE.to_owned()))?;
     let rest: Vec<String> = it.cloned().collect();
@@ -532,11 +535,19 @@ fn report_instance(
         let _ = writeln!(out, "{:<8} {size:>4} nodes", "min");
     }
     let lb = lower_bound(bdd, isf, 1000);
-    let _ = writeln!(out, "lower bound: {} ({} cubes)", lb.bound, lb.cubes_examined);
+    let _ = writeln!(
+        out,
+        "lower bound: {} ({} cubes)",
+        lb.bound, lb.cubes_examined
+    );
     if exact {
         match exact_minimum(bdd, isf, ExactConfig::default()) {
             Ok(r) => {
-                let _ = writeln!(out, "exact optimum: {} nodes ({} candidates)", r.size, r.candidates);
+                let _ = writeln!(
+                    out,
+                    "exact optimum: {} nodes ({} candidates)",
+                    r.size, r.candidates
+                );
             }
             Err(limit) => {
                 let _ = writeln!(out, "exact solver declined: {limit:?}");
@@ -596,7 +607,9 @@ fn run_expr(
 ) -> Result<String, CliError> {
     let names: Vec<&str> = vars.iter().map(String::as_str).collect();
     let mut bdd = Bdd::with_names(&names);
-    let f = bdd.from_expr(function).map_err(|e| CliError(e.to_string()))?;
+    let f = bdd
+        .from_expr(function)
+        .map_err(|e| CliError(e.to_string()))?;
     let c = bdd.from_expr(care).map_err(|e| CliError(e.to_string()))?;
     report_instance(
         &mut bdd,
@@ -623,8 +636,7 @@ fn run_verify(
     let verdict = match heuristic {
         None => verify_fsm_equivalence_with(&a, &b, None, image),
         Some(h) => {
-            let mut hook =
-                move |bdd: &mut Bdd, isf: Isf| h.minimize(bdd, isf);
+            let mut hook = move |bdd: &mut Bdd, isf: Isf| h.minimize(bdd, isf);
             verify_fsm_equivalence_with(&a, &b, Some(&mut hook), image)
         }
     };
@@ -648,7 +660,11 @@ fn run_simplify(blif: &str, heuristic: Option<Heuristic>) -> Result<String, CliE
     let report = simplify_report(&circuit, |bdd, isf| h.minimize(bdd, isf));
     let mut out = String::new();
     let _ = writeln!(out, "{circuit} — ODC simplification with {}", h.name());
-    let _ = writeln!(out, "{:<16} {:>8} {:>8} {:>8}", "net", "orig", "min", "ODC%");
+    let _ = writeln!(
+        out,
+        "{:<16} {:>8} {:>8} {:>8}",
+        "net", "orig", "min", "ODC%"
+    );
     let mut before = 0;
     let mut after = 0;
     for entry in &report {
@@ -771,11 +787,8 @@ mod tests {
     fn empty_heuristic_filter_is_a_structured_error() {
         // A glob that matches nothing errors at parse time, carrying the
         // offending filter string and the known names.
-        let err = parse_args(
-            &strs(&["spec", "d1 01", "--heuristic", "osm_z*"]),
-            no_files,
-        )
-        .unwrap_err();
+        let err =
+            parse_args(&strs(&["spec", "d1 01", "--heuristic", "osm_z*"]), no_files).unwrap_err();
         assert!(
             err.0.contains("no heuristic selected") && err.0.contains("osm_z*"),
             "unhelpful filter error: {err}"
@@ -864,10 +877,7 @@ mod tests {
 
     #[test]
     fn verify_parses_image_method() {
-        for (flag, want) in [
-            ("mono", ImageMethod::Mono),
-            ("range", ImageMethod::Range),
-        ] {
+        for (flag, want) in [("mono", ImageMethod::Mono), ("range", ImageMethod::Range)] {
             let cmd = parse_args(
                 &strs(&["verify", "a.blif", "b.blif", "--image", flag]),
                 |_| Ok(String::new()),
@@ -880,9 +890,18 @@ mod tests {
         }
         // Default is mono; unknown and retired methods and a missing value
         // are errors.
-        let cmd = parse_args(&strs(&["verify", "a.blif", "b.blif"]), |_| Ok(String::new()))
-            .unwrap();
-        assert!(matches!(cmd, Command::Verify { image: ImageMethod::Mono, .. }));
+        let cmd = parse_args(
+            &strs(&["verify", "a.blif", "b.blif"]),
+            |_| Ok(String::new()),
+        )
+        .unwrap();
+        assert!(matches!(
+            cmd,
+            Command::Verify {
+                image: ImageMethod::Mono,
+                ..
+            }
+        ));
         for bad in ["bogus", "part"] {
             assert!(parse_args(
                 &strs(&["verify", "a.blif", "b.blif", "--image", bad]),
@@ -933,7 +952,14 @@ mod tests {
     #[test]
     fn parse_reorder_flags() {
         let cmd = parse_args(
-            &strs(&["spec", "d1 01 1d 01", "--reorder", "sift", "--reorder-growth", "1.5"]),
+            &strs(&[
+                "spec",
+                "d1 01 1d 01",
+                "--reorder",
+                "sift",
+                "--reorder-growth",
+                "1.5",
+            ]),
             no_files,
         )
         .unwrap();
@@ -954,10 +980,18 @@ mod tests {
         }
         // Bogus methods and growths are parse errors.
         assert!(parse_args(&strs(&["spec", "d1 01", "--reorder", "bogus"]), no_files).is_err());
-        assert!(
-            parse_args(&strs(&["spec", "d1 01", "--reorder", "sift", "--reorder-growth", "x"]), no_files)
-                .is_err()
-        );
+        assert!(parse_args(
+            &strs(&[
+                "spec",
+                "d1 01",
+                "--reorder",
+                "sift",
+                "--reorder-growth",
+                "x"
+            ]),
+            no_files
+        )
+        .is_err());
     }
 
     #[test]
@@ -997,13 +1031,25 @@ mod tests {
     fn parse_expr_command() {
         let cmd = parse_args(
             &strs(&[
-                "expr", "--vars", "a,b,c", "--function", "a&b", "--care", "a|c",
+                "expr",
+                "--vars",
+                "a,b,c",
+                "--function",
+                "a&b",
+                "--care",
+                "a|c",
             ]),
             no_files,
         )
         .unwrap();
         match cmd {
-            Command::Expr { vars, function, care, heuristic, .. } => {
+            Command::Expr {
+                vars,
+                function,
+                care,
+                heuristic,
+                ..
+            } => {
                 assert_eq!(vars, vec!["a", "b", "c"]);
                 assert_eq!(function, "a&b");
                 assert_eq!(care, "a|c");
@@ -1018,7 +1064,9 @@ mod tests {
         // `-H osm_bt` before the spec must not swallow it.
         let cmd = parse_args(&strs(&["spec", "-H", "osm_bt", "d1 01"]), no_files).unwrap();
         match cmd {
-            Command::Spec { spec, heuristic, .. } => {
+            Command::Spec {
+                spec, heuristic, ..
+            } => {
                 assert_eq!(spec, "d1 01");
                 assert_eq!(heuristic, Some(HeuristicFilter::single(Heuristic::OsmBt)));
             }
@@ -1206,7 +1254,13 @@ mod tests {
         let out = run_sandboxed(&argv(&["spec", "(d1 01)", "--heuristic", "osm_td"])).unwrap();
         assert!(out.contains("osm_td"));
         let out = run_sandboxed(&argv(&[
-            "expr", "--vars", "a,b", "--function", "a&b", "--care", "1",
+            "expr",
+            "--vars",
+            "a,b",
+            "--function",
+            "a&b",
+            "--care",
+            "1",
         ]))
         .unwrap();
         assert!(out.contains("f_orig"));

@@ -91,7 +91,10 @@ pub fn exact_minimum(
     isf: Isf,
     config: ExactConfig,
 ) -> Result<ExactResult, ExactLimit> {
-    assert!(!isf.c.is_zero(), "exact_minimum: care set must be non-empty");
+    assert!(
+        !isf.c.is_zero(),
+        "exact_minimum: care set must be non-empty"
+    );
     let support = bdd.support_many(&[isf.f, isf.c]);
     if support.len() > config.max_support_vars {
         return Err(ExactLimit::SupportTooLarge {

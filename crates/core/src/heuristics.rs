@@ -469,11 +469,7 @@ mod tests {
                 let best = exhaustive_min_size(&mut bdd, isf);
                 for h in Heuristic::SIBLING {
                     let g = h.minimize(&mut bdd, isf);
-                    assert_eq!(
-                        bdd.size(g),
-                        best,
-                        "{h} not optimal for cube care"
-                    );
+                    assert_eq!(bdd.size(g), best, "{h} not optimal for cube care");
                 }
             }
         }

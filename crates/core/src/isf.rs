@@ -202,10 +202,7 @@ mod tests {
         let x = Isf::new(ab, a);
         let y = Isf::new(b, a);
         assert!(x.same_function(&mut bdd, y));
-        assert_eq!(
-            x.canonical_key(&mut bdd),
-            y.canonical_key(&mut bdd)
-        );
+        assert_eq!(x.canonical_key(&mut bdd), y.canonical_key(&mut bdd));
         let z = Isf::new(bdd.not(b), a);
         assert!(!x.same_function(&mut bdd, z));
     }

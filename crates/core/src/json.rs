@@ -283,12 +283,10 @@ impl<'a> Parser<'a> {
                                 if !(0xDC00..0xE000).contains(&low) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let c =
-                                    0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                let c = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                                 char::from_u32(c).ok_or_else(|| self.err("bad code point"))?
                             } else {
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad code point"))?
+                                char::from_u32(code).ok_or_else(|| self.err("bad code point"))?
                             };
                             out.push(ch);
                             continue; // hex4 already advanced past the digits

@@ -644,9 +644,9 @@ mod tests {
         let bc = bdd.and(b, c);
         let nb = bdd.not(b);
         let fns = [
-            Isf::new(bc, b),          // matches [c, 1]
-            Isf::new(c, Edge::ONE),   // sink
-            Isf::new(nb, Edge::ONE),  // sink (disagrees with c where b... )
+            Isf::new(bc, b),         // matches [c, 1]
+            Isf::new(c, Edge::ONE),  // sink
+            Isf::new(nb, Edge::ONE), // sink (disagrees with c where b... )
         ];
         let solved = solve_fmm_osm(&mut bdd, &fns).unwrap();
         let mut uniq: Vec<Isf> = solved.clone();
@@ -726,7 +726,12 @@ mod tests {
 
     #[test]
     fn opt_lv_is_cover_on_paper_instances() {
-        for spec in ["d1 01", "d1 01 1d 01", "1d d1 d0 0d", "0d d1 10 01 11 d0 d1 00"] {
+        for spec in [
+            "d1 01",
+            "d1 01 1d 01",
+            "1d d1 d0 0d",
+            "0d d1 10 01 11 d0 d1 00",
+        ] {
             let mut bdd = Bdd::new(4);
             let (f, c) = bdd.from_leaf_spec(spec).unwrap();
             let isf = Isf::new(f, c);

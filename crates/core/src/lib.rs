@@ -72,6 +72,6 @@ pub use lower_bound::{lower_bound, LowerBound};
 pub use matching::{matches_directed, try_match, MatchCriterion};
 pub use report::{MinReport, StepKind, StepReport, StepStatus};
 pub use schedule::Schedule;
-pub use vector::{minimize_vector, VectorMinimization};
 pub use sibling::{generic_td, SiblingConfig};
+pub use vector::{minimize_vector, VectorMinimization};
 pub use windowed::{windowed_sibling_pass, LevelWindow};

@@ -77,7 +77,12 @@ mod tests {
 
     #[test]
     fn bound_below_every_heuristic() {
-        let specs = ["d1 01", "d1 01 1d 01", "1d d1 d0 0d", "0d d1 10 01 11 d0 d1 00"];
+        let specs = [
+            "d1 01",
+            "d1 01 1d 01",
+            "1d d1 d0 0d",
+            "0d d1 10 01 11 d0 d1 00",
+        ];
         for spec in specs {
             let mut bdd = Bdd::new(4);
             let (f, c) = bdd.from_leaf_spec(spec).unwrap();

@@ -34,8 +34,11 @@ pub enum MatchCriterion {
 
 impl MatchCriterion {
     /// All criteria, in increasing strength.
-    pub const ALL: [MatchCriterion; 3] =
-        [MatchCriterion::Osdm, MatchCriterion::Osm, MatchCriterion::Tsm];
+    pub const ALL: [MatchCriterion; 3] = [
+        MatchCriterion::Osdm,
+        MatchCriterion::Osm,
+        MatchCriterion::Tsm,
+    ];
 
     /// Short lowercase name as used in the paper.
     pub fn name(self) -> &'static str {
@@ -145,10 +148,7 @@ fn merge_tsm_budgeted(bdd: &mut Bdd, a: Isf, b: Isf) -> Result<Isf, BudgetExceed
 /// Merges a whole set of pairwise tsm-matching ISFs into their common
 /// i-cover `[Σ fj·cj, Σ cj]` (paper Lemma 14 guarantees a common cover
 /// exists exactly when they match pairwise).
-pub(crate) fn merge_tsm_many_budgeted(
-    bdd: &mut Bdd,
-    isfs: &[Isf],
-) -> Result<Isf, BudgetExceeded> {
+pub(crate) fn merge_tsm_many_budgeted(bdd: &mut Bdd, isfs: &[Isf]) -> Result<Isf, BudgetExceeded> {
     let mut f = Edge::ZERO;
     let mut c = Edge::ZERO;
     for isf in isfs {
@@ -177,8 +177,18 @@ mod tests {
         let (mut bdd, a, b, _) = setup();
         let all_dc = Isf::new(a, Edge::ZERO);
         let other = Isf::new(b, Edge::ONE);
-        assert!(matches_directed(&mut bdd, MatchCriterion::Osdm, all_dc, other));
-        assert!(!matches_directed(&mut bdd, MatchCriterion::Osdm, other, all_dc));
+        assert!(matches_directed(
+            &mut bdd,
+            MatchCriterion::Osdm,
+            all_dc,
+            other
+        ));
+        assert!(!matches_directed(
+            &mut bdd,
+            MatchCriterion::Osdm,
+            other,
+            all_dc
+        ));
         let m = try_match(&mut bdd, MatchCriterion::Osdm, other, all_dc).unwrap();
         assert_eq!(m, other, "osdm keeps the cared-about side");
     }
@@ -191,8 +201,18 @@ mod tests {
         let ab = bdd.and(a, b);
         let first = Isf::new(ab, a);
         let second = Isf::new(b, Edge::ONE);
-        assert!(matches_directed(&mut bdd, MatchCriterion::Osm, first, second));
-        assert!(!matches_directed(&mut bdd, MatchCriterion::Osm, second, first));
+        assert!(matches_directed(
+            &mut bdd,
+            MatchCriterion::Osm,
+            first,
+            second
+        ));
+        assert!(!matches_directed(
+            &mut bdd,
+            MatchCriterion::Osm,
+            second,
+            first
+        ));
         let m = try_match(&mut bdd, MatchCriterion::Osm, first, second).unwrap();
         assert_eq!(m, second);
         // The i-cover really i-covers both.
@@ -208,7 +228,12 @@ mod tests {
         let first = Isf::new(b, a);
         let second = Isf::new(b, b);
         // agreement on a holds (same f), but c1=a ≤ c2=b fails.
-        assert!(!matches_directed(&mut bdd, MatchCriterion::Osm, first, second));
+        assert!(!matches_directed(
+            &mut bdd,
+            MatchCriterion::Osm,
+            first,
+            second
+        ));
     }
 
     #[test]
@@ -273,7 +298,12 @@ mod tests {
         ];
         // osdm: not reflexive (any ISF with c != 0), transitive.
         let with_care = Isf::new(a, Edge::ONE);
-        assert!(!matches_directed(&mut bdd, MatchCriterion::Osdm, with_care, with_care));
+        assert!(!matches_directed(
+            &mut bdd,
+            MatchCriterion::Osdm,
+            with_care,
+            with_care
+        ));
         // osm and tsm: reflexive.
         for &x in &isfs {
             assert!(matches_directed(&mut bdd, MatchCriterion::Osm, x, x));
@@ -303,8 +333,18 @@ mod tests {
         // osm: not symmetric — witness.
         let first = Isf::new(ab, a);
         let second = Isf::new(b, Edge::ONE);
-        assert!(matches_directed(&mut bdd, MatchCriterion::Osm, first, second));
-        assert!(!matches_directed(&mut bdd, MatchCriterion::Osm, second, first));
+        assert!(matches_directed(
+            &mut bdd,
+            MatchCriterion::Osm,
+            first,
+            second
+        ));
+        assert!(!matches_directed(
+            &mut bdd,
+            MatchCriterion::Osm,
+            second,
+            first
+        ));
         // tsm: not transitive — witness: [a,·] ~ all-DC ~ [¬a,·] but
         // [a,1] !~ [¬a,1].
         let x = Isf::new(a, Edge::ONE);

@@ -138,7 +138,10 @@ impl MinReport {
 
     /// Number of completed steps.
     pub fn completed(&self) -> usize {
-        self.steps.iter().filter(|s| s.status.is_completed()).count()
+        self.steps
+            .iter()
+            .filter(|s| s.status.is_completed())
+            .count()
     }
 
     /// Number of skipped steps.
@@ -202,7 +205,12 @@ impl MinReport {
 impl std::fmt::Display for MinReport {
     /// One line: `3 completed, 2 skipped (first: tsm-level@1 steps)`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} completed, {} skipped", self.completed(), self.skipped())?;
+        write!(
+            f,
+            "{} completed, {} skipped",
+            self.completed(),
+            self.skipped()
+        )?;
         if let Some(step) = self.first_skip() {
             write!(f, " (first: {}", step.kind)?;
             if let Some(lvl) = step.level {

@@ -213,7 +213,12 @@ mod tests {
 
     #[test]
     fn schedule_produces_cover() {
-        for spec in ["d1 01", "d1 01 1d 01", "1d d1 d0 0d", "0d d1 10 01 11 d0 d1 00"] {
+        for spec in [
+            "d1 01",
+            "d1 01 1d 01",
+            "1d d1 d0 0d",
+            "0d d1 10 01 11 d0 d1 00",
+        ] {
             let mut bdd = Bdd::new(4);
             let (f, c) = bdd.from_leaf_spec(spec).unwrap();
             let isf = Isf::new(f, c);

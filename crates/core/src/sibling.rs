@@ -166,8 +166,7 @@ fn td_rec(
         // Parent and one child eliminated.
         td_rec(bdd, m, config, tag, depth + 1)?
     } else if config.match_complement {
-        if let Some(m) =
-            try_match_budgeted(bdd, config.criterion, then_isf, else_isf.complement())?
+        if let Some(m) = try_match_budgeted(bdd, config.criterion, then_isf, else_isf.complement())?
         {
             // Parent kept, but only one recursion: then-branch is covered by
             // the i-cover's cover, else-branch by its complement.
@@ -286,8 +285,13 @@ mod tests {
         // osdm) and rows 10,12 equal rows 9,11 (no-new-vars has no effect
         // on tsm) — verified behaviourally on a batch of instances.
         let specs = [
-            "d1 01", "d1 01 1d 01", "1d d1 d0 0d", "01 0d 01 d1",
-            "dd 01 11 d0", "10 d1 0d 11", "0d d1 10 01 11 d0 d1 00",
+            "d1 01",
+            "d1 01 1d 01",
+            "1d d1 d0 0d",
+            "01 0d 01 d1",
+            "dd 01 11 d0",
+            "10 d1 0d 11",
+            "0d d1 10 01 11 d0 d1 00",
         ];
         for spec in specs {
             let mut bdd = Bdd::new(4);

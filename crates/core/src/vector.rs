@@ -59,7 +59,10 @@ pub fn minimize_vector(
     care: Edge,
     heuristic: Heuristic,
 ) -> VectorMinimization {
-    assert!(!care.is_zero(), "minimize_vector: care set must be non-empty");
+    assert!(
+        !care.is_zero(),
+        "minimize_vector: care set must be non-empty"
+    );
     let original_shared = bdd.size_many(fs);
     let mut covers: Vec<Edge> = fs.to_vec();
     for i in 0..covers.len() {
@@ -97,14 +100,10 @@ mod tests {
         let b = bdd.var(Var(1));
         let c = bdd.var(Var(2));
         let d = bdd.var(Var(3));
-        let fs = [
-            bdd.and(b, c),
-            bdd.xor(c, d),
-            {
-                let t = bdd.or(b, d);
-                bdd.and(t, c)
-            },
-        ];
+        let fs = [bdd.and(b, c), bdd.xor(c, d), {
+            let t = bdd.or(b, d);
+            bdd.and(t, c)
+        }];
         let care = bdd.or(a, b);
         for h in [Heuristic::Constrain, Heuristic::Restrict, Heuristic::OsmBt] {
             let m = minimize_vector(&mut bdd, &fs, care, h);

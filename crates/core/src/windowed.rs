@@ -218,8 +218,10 @@ mod tests {
             let mut cur = isf;
             for crit in MatchCriterion::ALL {
                 let cfg = SiblingConfig::new(crit);
-                let next =
-                    { let w = LevelWindow::all(&bdd); windowed_sibling_pass(&mut bdd, cur, cfg, w) };
+                let next = {
+                    let w = LevelWindow::all(&bdd);
+                    windowed_sibling_pass(&mut bdd, cur, cfg, w)
+                };
                 assert!(
                     bdd.implies_holds(cur.c, next.c),
                     "care shrank under {crit} on {spec}"
@@ -260,7 +262,7 @@ mod tests {
         let a = bdd.var(Var(0));
         let isf = Isf::new(a, Edge::ZERO);
         let w = LevelWindow::all(&bdd);
-            let out = windowed_sibling_pass(&mut bdd, isf, osm(), w);
+        let out = windowed_sibling_pass(&mut bdd, isf, osm(), w);
         assert_eq!(out, isf);
     }
 

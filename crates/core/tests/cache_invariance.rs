@@ -47,8 +47,18 @@ fn random_isf_of(bdd: &mut Bdd, rng: &mut XorShift64, num_vars: usize, cubes: us
             let mut cube = Edge::ONE;
             for v in 0..num_vars {
                 match rng.gen_range(0..3) {
-                    0 => cube = { let l = bdd.literal(Var(v as u32), true); bdd.and(cube, l) },
-                    1 => cube = { let l = bdd.literal(Var(v as u32), false); bdd.and(cube, l) },
+                    0 => {
+                        cube = {
+                            let l = bdd.literal(Var(v as u32), true);
+                            bdd.and(cube, l)
+                        }
+                    }
+                    1 => {
+                        cube = {
+                            let l = bdd.literal(Var(v as u32), false);
+                            bdd.and(cube, l)
+                        }
+                    }
                     _ => {}
                 }
             }

@@ -5,7 +5,12 @@ use bddmin_bdd::{Bdd, Budget, BudgetKind, Edge, Var, MAX_REC_DEPTH};
 use bddmin_core::rng::XorShift64;
 use bddmin_core::{Heuristic, Isf, MinReport, Schedule, StepStatus};
 
-const SPECS: [&str; 4] = ["d1 01", "d1 01 1d 01", "1d d1 d0 0d", "0d d1 10 01 11 d0 d1 00"];
+const SPECS: [&str; 4] = [
+    "d1 01",
+    "d1 01 1d 01",
+    "1d d1 d0 0d",
+    "0d d1 10 01 11 d0 d1 00",
+];
 
 fn instance(spec: &str) -> (Bdd, Isf) {
     let mut bdd = Bdd::new(4);
@@ -14,7 +19,10 @@ fn instance(spec: &str) -> (Bdd, Isf) {
 }
 
 fn registry() -> Vec<Heuristic> {
-    Heuristic::ALL.into_iter().chain([Heuristic::Scheduled]).collect()
+    Heuristic::ALL
+        .into_iter()
+        .chain([Heuristic::Scheduled])
+        .collect()
 }
 
 fn assert_sound(bdd: &mut Bdd, isf: Isf, g: Edge, context: &str) {
@@ -101,7 +109,12 @@ fn node_ceiling_degrades_gracefully() {
             let live = bdd.stats().live_nodes;
             // Allow almost nothing beyond what already exists.
             let (g, _) = h.minimize_budgeted(&mut bdd, isf, Budget::default().nodes(live + 1));
-            assert_sound(&mut bdd, isf, g, &format!("{h} on {spec} under node ceiling"));
+            assert_sound(
+                &mut bdd,
+                isf,
+                g,
+                &format!("{h} on {spec} under node ceiling"),
+            );
         }
     }
 }
@@ -113,7 +126,9 @@ fn schedule_report_records_the_skip_reason() {
         Schedule::new(2, 1).apply_with_report(&mut bdd, isf, Budget::default().steps(3));
     assert_sound(&mut bdd, isf, g, "schedule at steps=3");
     assert!(report.degraded());
-    let first = report.first_skip().expect("a 3-step budget must skip something");
+    let first = report
+        .first_skip()
+        .expect("a 3-step budget must skip something");
     match first.status {
         StepStatus::Skipped(e) => assert_eq!(e.kind, BudgetKind::Steps),
         StepStatus::Completed => unreachable!(),
@@ -132,9 +147,10 @@ fn schedule_keeps_osm_when_tsm_blows_budget() {
         let (g, report) =
             Schedule::new(4, 1).apply_with_report(&mut bdd, isf, Budget::default().steps(steps));
         assert_sound(&mut bdd, isf, g, &format!("schedule at steps={steps}"));
-        let osm_done = report.steps.iter().any(|s| {
-            s.kind == bddmin_core::StepKind::OsmSiblings && s.status.is_completed()
-        });
+        let osm_done = report
+            .steps
+            .iter()
+            .any(|s| s.kind == bddmin_core::StepKind::OsmSiblings && s.status.is_completed());
         let tsm_skipped = report.steps.iter().any(|s| {
             matches!(
                 s.kind,
@@ -146,7 +162,10 @@ fn schedule_keeps_osm_when_tsm_blows_budget() {
             break;
         }
     }
-    assert!(found, "no budget exhibited the keep-osm-drop-tsm degradation");
+    assert!(
+        found,
+        "no budget exhibited the keep-osm-drop-tsm degradation"
+    );
 }
 
 #[test]
@@ -156,8 +175,11 @@ fn budgeted_runs_are_deterministic() {
     for steps in [1, 7, 63, 900] {
         let run = |steps: u64| -> (usize, MinReport) {
             let (mut bdd, isf) = instance("0d d1 10 01 11 d0 d1 00");
-            let (g, report) =
-                Heuristic::Scheduled.minimize_budgeted(&mut bdd, isf, Budget::default().steps(steps));
+            let (g, report) = Heuristic::Scheduled.minimize_budgeted(
+                &mut bdd,
+                isf,
+                Budget::default().steps(steps),
+            );
             (bdd.size(g), report)
         };
         let (size1, report1) = run(steps);

@@ -8,9 +8,9 @@
 use bddmin_bdd::{Bdd, Budget, Cube, Edge, Var};
 use bddmin_core::rng::XorShift64;
 use bddmin_core::{
-    exact_minimum, generic_td, lower_bound, matches_directed, minimize_at_level, opt_lv,
-    try_match, windowed_sibling_pass, CliqueOptions, ExactConfig, Heuristic, Isf, LevelWindow,
-    MatchCriterion, Schedule, SiblingConfig,
+    exact_minimum, generic_td, lower_bound, matches_directed, minimize_at_level, opt_lv, try_match,
+    windowed_sibling_pass, CliqueOptions, ExactConfig, Heuristic, Isf, LevelWindow, MatchCriterion,
+    Schedule, SiblingConfig,
 };
 
 const NVARS: usize = 4;
@@ -202,8 +202,14 @@ fn matching_hierarchy_on_random_isfs() {
         let osdm = matches_directed(&mut bdd, MatchCriterion::Osdm, a, b);
         let osm = matches_directed(&mut bdd, MatchCriterion::Osm, a, b);
         let tsm = matches_directed(&mut bdd, MatchCriterion::Tsm, a, b);
-        assert!(!osdm || osm, "osdm ⟹ osm on {t1:#06x}/{c1:#06x} vs {t2:#06x}/{c2:#06x}");
-        assert!(!osm || tsm, "osm ⟹ tsm on {t1:#06x}/{c1:#06x} vs {t2:#06x}/{c2:#06x}");
+        assert!(
+            !osdm || osm,
+            "osdm ⟹ osm on {t1:#06x}/{c1:#06x} vs {t2:#06x}/{c2:#06x}"
+        );
+        assert!(
+            !osm || tsm,
+            "osm ⟹ tsm on {t1:#06x}/{c1:#06x} vs {t2:#06x}/{c2:#06x}"
+        );
         // Any produced i-cover i-covers both inputs.
         for crit in MatchCriterion::ALL {
             if let Some(m) = try_match(&mut bdd, crit, a, b) {
@@ -225,13 +231,7 @@ fn level_pass_produces_icover() {
         let c = from_table(&mut bdd, tc);
         let isf = Isf::new(f, c);
         for crit in [MatchCriterion::Osm, MatchCriterion::Tsm] {
-            let out = minimize_at_level(
-                &mut bdd,
-                isf,
-                Var(lvl),
-                crit,
-                CliqueOptions::default(),
-            );
+            let out = minimize_at_level(&mut bdd, isf, Var(lvl), crit, CliqueOptions::default());
             assert!(
                 out.i_covers(&mut bdd, isf),
                 "{crit} level pass on {tf:#06x}/{tc:#06x} at {lvl}"
@@ -302,7 +302,10 @@ fn opt_lv_sound_and_deterministic() {
         let g1 = opt_lv(&mut bdd, isf, CliqueOptions::default());
         let g2 = opt_lv(&mut bdd, isf, CliqueOptions::default());
         assert_eq!(g1, g2, "opt_lv nondeterministic on {tf:#06x}/{tc:#06x}");
-        assert!(isf.is_cover(&mut bdd, g1), "opt_lv non-cover on {tf:#06x}/{tc:#06x}");
+        assert!(
+            isf.is_cover(&mut bdd, g1),
+            "opt_lv non-cover on {tf:#06x}/{tc:#06x}"
+        );
     }
 }
 

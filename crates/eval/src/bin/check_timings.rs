@@ -136,12 +136,12 @@ mod tests {
     #[test]
     fn rejects_schema_violations() {
         for bad in [
-            "",                                                     // no array
-            "{}",                                                   // wrong top level
-            "[{\"stage\": \"a\", \"status\": \"ok\"}]",             // missing ms
-            "[{\"stage\": \"a\", \"status\": \"meh\", \"ms\": 1}]", // bad status
-            "[{\"stage\": \"\", \"status\": \"ok\", \"ms\": 1}]",   // empty stage
-            "[{\"stage\": \"a\", \"status\": \"ok\", \"ms\": -1}]", // negative ms
+            "",                                                                      // no array
+            "{}",                                                    // wrong top level
+            "[{\"stage\": \"a\", \"status\": \"ok\"}]",              // missing ms
+            "[{\"stage\": \"a\", \"status\": \"meh\", \"ms\": 1}]",  // bad status
+            "[{\"stage\": \"\", \"status\": \"ok\", \"ms\": 1}]",    // empty stage
+            "[{\"stage\": \"a\", \"status\": \"ok\", \"ms\": -1}]",  // negative ms
             "[{\"stage\": \"a\", \"status\": \"ok\", \"ms\": 1.5}]", // float ms
             "[{\"stage\": \"a\", \"status\": \"ok\", \"ms\": 1, \"extra\": 2}]", // extra key
             "[{\"stage\": \"a\", \"stage\": \"b\", \"status\": \"ok\", \"ms\": 1}]", // dup key

@@ -592,7 +592,10 @@ mod tests {
         let f_size = bdd.size(isf.f);
         for (&size, &skips) in sizes.iter().zip(&skipped) {
             // Degradation never inflates the result past |f|.
-            assert!(size <= f_size, "budgeted size {size} exceeds |f| = {f_size}");
+            assert!(
+                size <= f_size,
+                "budgeted size {size} exceeds |f| = {f_size}"
+            );
             let _ = skips;
         }
         assert!(

@@ -164,8 +164,10 @@ pub fn parse_blif(source: &str) -> Result<Circuit, ParseBlifError> {
                     return Err(ParseBlifError::new(".names needs an output", lineno));
                 }
                 let output = tokens[tokens.len() - 1].to_owned();
-                let ins: Vec<String> =
-                    tokens[1..tokens.len() - 1].iter().map(|s| s.to_string()).collect();
+                let ins: Vec<String> = tokens[1..tokens.len() - 1]
+                    .iter()
+                    .map(|s| s.to_string())
+                    .collect();
                 let mut rows = Vec::new();
                 while i < logical_lines.len() {
                     let (row_line, row_no) = &logical_lines[i];
@@ -198,7 +200,9 @@ pub fn parse_blif(source: &str) -> Result<Circuit, ParseBlifError> {
                     let value = match value {
                         "1" => true,
                         "0" => false,
-                        _ => return Err(ParseBlifError::new("cover value must be 0 or 1", *row_no)),
+                        _ => {
+                            return Err(ParseBlifError::new("cover value must be 0 or 1", *row_no))
+                        }
                     };
                     rows.push((pattern, value));
                     i += 1;
@@ -342,18 +346,11 @@ fn elaborate(
         taken.insert(n.output.clone());
         taken.extend(n.inputs.iter().cloned());
     }
-    let mut namegen = NameGen {
-        taken,
-        counter: 0,
-    };
+    let mut namegen = NameGen { taken, counter: 0 };
 
     for &idx in &order {
         let node = &names_nodes[idx];
-        let ins: Vec<NetId> = node
-            .inputs
-            .iter()
-            .map(|n| env[n.as_str()])
-            .collect();
+        let ins: Vec<NetId> = node.inputs.iter().map(|n| env[n.as_str()]).collect();
         let out = build_cover(&mut b, &ins, &node.rows, &node.output, &mut namegen);
         env.insert(node.output.clone(), out);
     }
@@ -370,10 +367,7 @@ fn elaborate(
     }
     for name in &outputs {
         let Some(&net) = env.get(name.as_str()) else {
-            return Err(ParseBlifError::new(
-                format!("output {name:?} undefined"),
-                0,
-            ));
+            return Err(ParseBlifError::new(format!("output {name:?} undefined"), 0));
         };
         b.output(name, net);
     }
@@ -480,8 +474,16 @@ fn build_canonical(
 ) -> Option<NetId> {
     if patterns.len() == 1 {
         let p = patterns[0].as_str();
-        let one_pos: Vec<usize> = p.char_indices().filter(|&(_, c)| c == '1').map(|(i, _)| i).collect();
-        let zero_pos: Vec<usize> = p.char_indices().filter(|&(_, c)| c == '0').map(|(i, _)| i).collect();
+        let one_pos: Vec<usize> = p
+            .char_indices()
+            .filter(|&(_, c)| c == '1')
+            .map(|(i, _)| i)
+            .collect();
+        let zero_pos: Vec<usize> = p
+            .char_indices()
+            .filter(|&(_, c)| c == '0')
+            .map(|(i, _)| i)
+            .collect();
         let (kind, pos) = match (one_pos.len(), zero_pos.len()) {
             (0, 0) => (GateKind::Const1, one_pos),
             (1, 0) => (GateKind::Buf, one_pos),
@@ -524,8 +526,7 @@ fn build_canonical(
     // XOR/XNOR: the full parity enumeration (all odd- or even-count rows).
     let arity = ins.len();
     if (2..=12).contains(&arity) && patterns.len() == 1usize << (arity - 1) {
-        let rows: std::collections::HashSet<&str> =
-            patterns.iter().map(|p| p.as_str()).collect();
+        let rows: std::collections::HashSet<&str> = patterns.iter().map(|p| p.as_str()).collect();
         if rows.len() == patterns.len() && rows.iter().all(|p| !p.contains('-')) {
             for (parity, kind) in [(1, GateKind::Xor), (0, GateKind::Xnor)] {
                 let matches = (0..1u32 << arity)
@@ -675,8 +676,9 @@ pub fn blif_round_trip(circuit: &Circuit) -> Result<(), String> {
     // One normalization round (hand-built circuits may legitimately need
     // it, e.g. renamed output ports), after which the text must be stable.
     let t2 = print_blif(&reparsed);
-    let c3 = parse_blif(&t2)
-        .map_err(|e| format!("second-generation BLIF does not re-parse: {e}\n--- text ---\n{t2}"))?;
+    let c3 = parse_blif(&t2).map_err(|e| {
+        format!("second-generation BLIF does not re-parse: {e}\n--- text ---\n{t2}")
+    })?;
     let t3 = print_blif(&c3);
     if t2 != t3 {
         return Err(format!(
@@ -1088,9 +1090,8 @@ b
             generators::random_fsm("r", 4, 3, 7),
         ] {
             let text = print_blif(&circuit);
-            let reparsed = parse_blif(&text).unwrap_or_else(|e| {
-                panic!("reparse of {} failed: {e}\n{text}", circuit.name())
-            });
+            let reparsed = parse_blif(&text)
+                .unwrap_or_else(|e| panic!("reparse of {} failed: {e}\n{text}", circuit.name()));
             assert_eq!(reparsed.num_inputs(), circuit.num_inputs());
             assert_eq!(reparsed.num_latches(), circuit.num_latches());
             assert_eq!(reparsed.num_outputs(), circuit.num_outputs());
@@ -1104,8 +1105,12 @@ b
                 let inputs: Vec<bool> = (0..circuit.num_inputs())
                     .map(|i| (step.wrapping_mul(2654435761) >> i) & 1 == 1)
                     .collect();
-                assert!(symbolic_matches_simulation(&circuit, &fsm_a, &inputs, &state));
-                assert!(symbolic_matches_simulation(&reparsed, &fsm_b, &inputs, &state_b));
+                assert!(symbolic_matches_simulation(
+                    &circuit, &fsm_a, &inputs, &state
+                ));
+                assert!(symbolic_matches_simulation(
+                    &reparsed, &fsm_b, &inputs, &state_b
+                ));
                 let (oa, na) = circuit.simulate(&inputs, &state);
                 let (ob, nb) = reparsed.simulate(&inputs, &state_b);
                 assert_eq!(oa, ob, "outputs diverged on {}", circuit.name());

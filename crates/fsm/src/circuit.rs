@@ -485,15 +485,13 @@ mod tests {
     #[test]
     fn toggle_counts() {
         let c = toggle();
-        let trace = vec![
-            vec![true],
-            vec![true],
-            vec![false],
-            vec![true],
-        ];
+        let trace = vec![vec![true], vec![true], vec![false], vec![true]];
         let outs = c.run_trace(&trace);
         // Output is the *current* state before the toggle applies.
-        assert_eq!(outs, vec![vec![false], vec![true], vec![false], vec![false]]);
+        assert_eq!(
+            outs,
+            vec![vec![false], vec![true], vec![false], vec![false]]
+        );
     }
 
     #[test]

@@ -86,10 +86,11 @@ pub fn lfsr(name: &str, n: usize, taps: u64) -> Circuit {
     assert!(n > 0 && n <= 63);
     let mut b = CircuitBuilder::new(name);
     let seed_in = b.input("seed_in");
-    let qs: Vec<NetId> = (0..n)
-        .map(|i| b.latch(&format!("s{i}"), i == 0))
+    let qs: Vec<NetId> = (0..n).map(|i| b.latch(&format!("s{i}"), i == 0)).collect();
+    let tapped: Vec<NetId> = (0..n)
+        .filter(|i| taps >> i & 1 == 1)
+        .map(|i| qs[i])
         .collect();
-    let tapped: Vec<NetId> = (0..n).filter(|i| taps >> i & 1 == 1).map(|i| qs[i]).collect();
     let feedback = if tapped.is_empty() {
         b.gate(GateKind::Buf, &[qs[n - 1]])
     } else {
@@ -125,8 +126,8 @@ pub fn traffic_light() -> Circuit {
     let hy = b.gate(GateKind::And, &[ns1, s0]); // 01
     let fg = b.gate(GateKind::And, &[s1, ns0]); // 10
     let fy = b.gate(GateKind::And, &[s1, s0]); // 11
-    // Transitions: hg --car&timer--> hy --timer--> fg --(!car)|timer--> fy
-    // --timer--> hg.
+                                               // Transitions: hg --car&timer--> hy --timer--> fg --(!car)|timer--> fy
+                                               // --timer--> hg.
     let car_and_timer = b.gate(GateKind::And, &[car, timer]);
     let leave_hg = b.gate(GateKind::And, &[hg, car_and_timer]);
     let leave_hy = b.gate(GateKind::And, &[hy, timer]);
@@ -223,7 +224,10 @@ pub fn serial_mult(name: &str, n: usize) -> Circuit {
     let m: Vec<NetId> = (0..n).map(|i| b.input(&format!("m{i}"))).collect();
     let acc: Vec<NetId> = (0..n).map(|i| b.latch(&format!("acc{i}"), false)).collect();
     // addend_i = bit & m_i
-    let addend: Vec<NetId> = m.iter().map(|&mi| b.gate(GateKind::And, &[bit, mi])).collect();
+    let addend: Vec<NetId> = m
+        .iter()
+        .map(|&mi| b.gate(GateKind::And, &[bit, mi]))
+        .collect();
     // Ripple add acc + addend, then shift right by one into the latches.
     let mut carry = b.gate(GateKind::Const0, &[]);
     let mut sum = Vec::with_capacity(n);
@@ -464,11 +468,12 @@ mod tests {
     fn minmax_tracks_extremes() {
         let c = minmax("m", 3);
         // inputs: d0..d2 (LSB..MSB), reset.
-        let encode = |v: usize, reset: bool| {
-            vec![v & 1 == 1, v & 2 == 2, v & 4 == 4, reset]
-        };
+        let encode = |v: usize, reset: bool| vec![v & 1 == 1, v & 2 == 2, v & 4 == 4, reset];
         let decode = |bits: &[bool]| -> usize {
-            bits.iter().enumerate().map(|(i, &b)| (b as usize) << i).sum()
+            bits.iter()
+                .enumerate()
+                .map(|(i, &b)| (b as usize) << i)
+                .sum()
         };
         let mut state = c.initial_state();
         let values = [5usize, 2, 7, 3];
@@ -493,7 +498,11 @@ mod tests {
         let inputs = vec![true, true, true, false, false];
         let state = vec![false; 4];
         let (_, next) = c.simulate(&inputs, &state);
-        let value: usize = next.iter().enumerate().map(|(i, &b)| (b as usize) << i).sum();
+        let value: usize = next
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| (b as usize) << i)
+            .sum();
         assert_eq!(value, 1);
     }
 
@@ -503,7 +512,10 @@ mod tests {
         let mut state = vec![false; 8];
         let encode = |v: usize| (0..8).map(|i| v >> i & 1 == 1).collect::<Vec<bool>>();
         let decode = |bits: &[bool]| -> usize {
-            bits.iter().enumerate().map(|(i, &b)| (b as usize) << i).sum()
+            bits.iter()
+                .enumerate()
+                .map(|(i, &b)| (b as usize) << i)
+                .sum()
         };
         for v in [13usize, 200, 77] {
             let (_, next) = c.simulate(&encode(v), &state);

@@ -32,9 +32,9 @@
 
 mod blif;
 mod circuit;
+pub mod generators;
 mod odc;
 pub mod ordering;
-pub mod generators;
 mod product;
 mod range;
 mod reach;
@@ -42,9 +42,7 @@ mod symbolic;
 mod tr_min;
 
 pub use blif::{blif_round_trip, parse_blif, print_blif, ParseBlifError};
-pub use circuit::{
-    Circuit, CircuitBuilder, Gate, GateKind, Latch, NetId, NetSource, OutputPort,
-};
+pub use circuit::{Circuit, CircuitBuilder, Gate, GateKind, Latch, NetId, NetSource, OutputPort};
 pub use odc::{simplify_report, NetAnalysis, NetSimplification};
 pub use product::{is_from_machine_a, product_circuit, with_flipped_latch};
 pub use range::range_of_vector;

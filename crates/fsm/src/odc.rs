@@ -131,12 +131,7 @@ impl NetAnalysis {
                 let ins: Vec<Edge> = gate
                     .inputs
                     .iter()
-                    .map(|n| {
-                        subst
-                            .get(&n.0)
-                            .copied()
-                            .unwrap_or(self.net_fns[n.index()])
-                    })
+                    .map(|n| subst.get(&n.0).copied().unwrap_or(self.net_fns[n.index()]))
                     .collect();
                 let f = build_gate(&mut self.bdd, gate.kind, &ins);
                 subst.insert(gate.output.0, f);
@@ -340,9 +335,8 @@ mod tests {
             crate::generators::traffic_light(),
             crate::generators::random_fsm("r", 4, 3, 5),
         ] {
-            let report = simplify_report(&circuit, |bdd, isf| {
-                Heuristic::Restrict.minimize(bdd, isf)
-            });
+            let report =
+                simplify_report(&circuit, |bdd, isf| Heuristic::Restrict.minimize(bdd, isf));
             assert_eq!(report.len(), circuit.gates().len());
             for entry in &report {
                 assert!(

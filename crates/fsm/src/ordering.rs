@@ -80,8 +80,16 @@ pub fn dfs_leaf_order(circuit: &Circuit) -> LeafOrder {
 ///
 /// Panics if `order` does not cover exactly the circuit's leaves.
 pub fn reorder_leaves(circuit: &Circuit, order: &LeafOrder) -> Circuit {
-    assert_eq!(order.inputs.len(), circuit.num_inputs(), "input order arity");
-    assert_eq!(order.latches.len(), circuit.num_latches(), "latch order arity");
+    assert_eq!(
+        order.inputs.len(),
+        circuit.num_inputs(),
+        "input order arity"
+    );
+    assert_eq!(
+        order.latches.len(),
+        circuit.num_latches(),
+        "latch order arity"
+    );
     let mut b = CircuitBuilder::new(circuit.name());
     let mut map: Vec<Option<NetId>> = vec![None; circuit.num_nets()];
     for &n in &order.inputs {

@@ -179,9 +179,8 @@ mod tests {
             let a = generators::random_fsm("r", latches, inputs, rng.gen_u64());
             (a.clone(), a)
         });
-        let pairs =
-            std::iter::once((generators::counter("c", 2), generators::counter("c2", 2)))
-                .chain(random);
+        let pairs = std::iter::once((generators::counter("c", 2), generators::counter("c2", 2)))
+            .chain(random);
         for (case, (a, b)) in pairs.enumerate() {
             let mut fsm = SymbolicFsm::new(&product_circuit(&a, &b));
             let init = fsm.initial_states();

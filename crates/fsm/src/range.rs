@@ -179,7 +179,8 @@ mod tests {
                 let by_rel = fsm.image(set);
                 let by_rng = fsm.image_by_range(set);
                 assert_eq!(
-                    by_rel, by_rng,
+                    by_rel,
+                    by_rng,
                     "image methods disagree on {} step {step}",
                     circuit.name()
                 );

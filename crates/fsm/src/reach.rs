@@ -110,10 +110,7 @@ impl<'a> Reachability<'a> {
             let minimized = match self.hook.as_mut() {
                 Some(hook) => {
                     let m = hook(fsm.bdd_mut(), isf);
-                    debug_assert!(
-                        isf.is_cover(fsm.bdd_mut(), m),
-                        "hook returned a non-cover"
-                    );
+                    debug_assert!(isf.is_cover(fsm.bdd_mut(), m), "hook returned a non-cover");
                     m
                 }
                 None => fsm.bdd_mut().constrain(isf.f, isf.c),
@@ -267,7 +264,12 @@ mod tests {
         // same fixpoint.
         let c = generators::lfsr("l", 4, 0b1001);
         let mut reference = None;
-        for h in [Heuristic::Constrain, Heuristic::Restrict, Heuristic::OsmBt, Heuristic::TsmTd] {
+        for h in [
+            Heuristic::Constrain,
+            Heuristic::Restrict,
+            Heuristic::OsmBt,
+            Heuristic::TsmTd,
+        ] {
             let mut fsm = SymbolicFsm::new(&c);
             let stats = Reachability::new()
                 .with_hook(move |bdd, isf| h.minimize(bdd, isf))

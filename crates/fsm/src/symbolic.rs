@@ -252,8 +252,11 @@ impl SymbolicFsm {
         let ns_image = self
             .bdd
             .and_exists(self.transition, states, self.img_quant_cube);
-        self.bdd
-            .rename(ns_image, &self.next_vars.clone(), &self.present_vars.clone())
+        self.bdd.rename(
+            ns_image,
+            &self.next_vars.clone(),
+            &self.present_vars.clone(),
+        )
     }
 
     /// Dispatches to the image computation selected by `method`.
@@ -304,9 +307,8 @@ impl SymbolicFsm {
     /// The machine's own functions (next-state, outputs, initial state,
     /// transition relation, quantification cube) followed by `extra_roots`.
     fn roots_with(&self, extra_roots: &[Edge]) -> Vec<Edge> {
-        let mut roots: Vec<Edge> = Vec::with_capacity(
-            self.next_fns.len() + self.output_fns.len() + extra_roots.len() + 3,
-        );
+        let mut roots: Vec<Edge> =
+            Vec::with_capacity(self.next_fns.len() + self.output_fns.len() + extra_roots.len() + 3);
         roots.extend_from_slice(&self.next_fns);
         roots.extend_from_slice(&self.output_fns);
         roots.push(self.initial);
@@ -512,7 +514,12 @@ mod tests {
             for step in 0..4 {
                 let mono = fsm.image(set);
                 let range = fsm.image_by_range(set);
-                assert_eq!(mono, range, "mono vs range on {} step {step}", circuit.name());
+                assert_eq!(
+                    mono,
+                    range,
+                    "mono vs range on {} step {step}",
+                    circuit.name()
+                );
                 set = fsm.bdd_mut().or(set, mono);
             }
         }

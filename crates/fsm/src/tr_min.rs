@@ -133,9 +133,7 @@ mod tests {
         // An LFSR without external seed visits a small orbit: most of the
         // state space is unreachable, so the relation should shrink.
         let mut b = crate::circuit::CircuitBuilder::new("orbit");
-        let qs: Vec<_> = (0..5)
-            .map(|i| b.latch(&format!("s{i}"), i == 0))
-            .collect();
+        let qs: Vec<_> = (0..5).map(|i| b.latch(&format!("s{i}"), i == 0)).collect();
         // Pure rotation: s0 <- s4, s_{i} <- s_{i-1}.
         let buf4 = b.gate(crate::circuit::GateKind::Buf, &[qs[4]]);
         b.connect_latch(qs[0], buf4);

@@ -122,9 +122,7 @@ pub fn parse_job(line: &str) -> Result<Job, String> {
         (Some(_), Some(_)) => {
             return Err("job carries both \"spec\" and \"blif\"; pick one".to_owned())
         }
-        (None, None) => {
-            return Err("job carries neither \"spec\" nor \"blif\"".to_owned())
-        }
+        (None, None) => return Err("job carries neither \"spec\" nor \"blif\"".to_owned()),
         (Some(spec_text), None) => {
             let spec = LeafSpec::parse(&spec_text)
                 .map_err(|e: ParseLeafSpecError| format!("bad spec: {e}"))?;
@@ -281,7 +279,11 @@ mod tests {
             }
             other => panic!("wrong kind: {other:?}"),
         }
-        assert_eq!(job.filter.selected.len(), 13, "default is the full registry");
+        assert_eq!(
+            job.filter.selected.len(),
+            13,
+            "default is the full registry"
+        );
     }
 
     #[test]
@@ -293,16 +295,34 @@ mod tests {
             (r#"{"id":"x"}"#, "neither"),
             (r#"{"spec":"dx 01"}"#, "bad spec"),
             (r#"{"spec":"d1 01","frobnicate":1}"#, "unknown job key"),
-            (r#"{"spec":"d1 01","step_limit":-3}"#, "non-negative integer"),
+            (
+                r#"{"spec":"d1 01","step_limit":-3}"#,
+                "non-negative integer",
+            ),
             (r#"{"spec":"d1 01","var_map":[0,1,2]}"#, "2 variables"),
-            (r#"{"spec":"d1 01","var_map":["a"]}"#, "non-negative integers"),
+            (
+                r#"{"spec":"d1 01","var_map":["a"]}"#,
+                "non-negative integers",
+            ),
             (r#"{"blif":"not blif"}"#, "bad blif"),
-            (r#"{"blif":".model m\n.end","var_map":[0]}"#, "only applies to spec"),
-            (r#"{"spec":"d1 01","heuristic":"osm_td,,tsm_td"}"#, "empty segment at position 2"),
-            (r#"{"spec":"d1 01","heuristic":"nope"}"#, "unknown heuristic"),
+            (
+                r#"{"blif":".model m\n.end","var_map":[0]}"#,
+                "only applies to spec",
+            ),
+            (
+                r#"{"spec":"d1 01","heuristic":"osm_td,,tsm_td"}"#,
+                "empty segment at position 2",
+            ),
+            (
+                r#"{"spec":"d1 01","heuristic":"nope"}"#,
+                "unknown heuristic",
+            ),
         ] {
             let err = parse_job(line).unwrap_err();
-            assert!(err.contains(needle), "{line:?}: wanted {needle:?}, got {err:?}");
+            assert!(
+                err.contains(needle),
+                "{line:?}: wanted {needle:?}, got {err:?}"
+            );
         }
     }
 
@@ -329,7 +349,14 @@ mod tests {
             r#"{"index":3,"id":"j\"3","status":"ok","cache":"hit","x":1}"#
         );
         assert_eq!(
-            render_result(0, None, false, CacheLabel::Bypass, Some(2), &error_body("boom")),
+            render_result(
+                0,
+                None,
+                false,
+                CacheLabel::Bypass,
+                Some(2),
+                &error_body("boom")
+            ),
             r#"{"index":0,"status":"error","cache":"bypass","shard":2,"error":"boom"}"#
         );
     }

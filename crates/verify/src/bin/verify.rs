@@ -174,8 +174,8 @@ fn load_seed_corpus(dir: &std::path::Path) -> Result<Vec<bddmin_verify::gen::Ins
     for path in paths {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let entry = corpus::parse(&text)
-            .map_err(|e| format!("bad corpus file {}: {e}", path.display()))?;
+        let entry =
+            corpus::parse(&text).map_err(|e| format!("bad corpus file {}: {e}", path.display()))?;
         seeds.push(entry.instance);
     }
     Ok(seeds)
@@ -184,7 +184,9 @@ fn load_seed_corpus(dir: &std::path::Path) -> Result<Vec<bddmin_verify::gen::Ins
 /// Parses `7` or an inclusive range `1..4`.
 fn parse_seed_spec(spec: &str) -> Result<Vec<u64>, String> {
     if let Some((lo, hi)) = spec.split_once("..") {
-        let lo: u64 = lo.parse().map_err(|e| format!("bad seed range start: {e}"))?;
+        let lo: u64 = lo
+            .parse()
+            .map_err(|e| format!("bad seed range start: {e}"))?;
         let hi: u64 = hi.parse().map_err(|e| format!("bad seed range end: {e}"))?;
         if lo > hi {
             return Err(format!("empty seed range {spec:?}"));
@@ -213,10 +215,7 @@ fn main() -> ExitCode {
         eprintln!(
             "verify: running with injected bug `{}` (target oracle: {})",
             opts.config.mutant,
-            opts.config
-                .mutant
-                .target_oracle()
-                .map_or("-", Oracle::name)
+            opts.config.mutant.target_oracle().map_or("-", Oracle::name)
         );
     }
     let report = match run_fuzz(&opts.config) {

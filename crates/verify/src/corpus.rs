@@ -107,16 +107,20 @@ pub fn parse(text: &str) -> Result<CorpusEntry, CorpusError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (key, value) = line
-            .split_once(':')
-            .ok_or_else(|| CorpusError::new(format!("line {}: expected `key: value`", lineno + 1)))?;
+        let (key, value) = line.split_once(':').ok_or_else(|| {
+            CorpusError::new(format!("line {}: expected `key: value`", lineno + 1))
+        })?;
         let value = value.trim();
         match key.trim() {
             "oracle" => {
                 if oracle.is_some() {
                     return Err(CorpusError::new("duplicate `oracle` line"));
                 }
-                oracle = Some(value.parse().map_err(|e| CorpusError::new(format!("{e}")))?);
+                oracle = Some(
+                    value
+                        .parse()
+                        .map_err(|e| CorpusError::new(format!("{e}")))?,
+                );
             }
             "spec" => {
                 if leaves.is_some() {
@@ -157,20 +161,24 @@ fn parse_chaos(value: &str) -> Result<ChaosPlan, CorpusError> {
         let flag = || match v {
             "0" => Ok(false),
             "1" => Ok(true),
-            _ => Err(CorpusError::new(format!("bad chaos value {v:?} (want 0/1)"))),
+            _ => Err(CorpusError::new(format!(
+                "bad chaos value {v:?} (want 0/1)"
+            ))),
         };
         match key {
             "flush" => plan.flush_between = flag()?,
             "gc" => plan.gc_between = flag()?,
             "steps" => {
-                plan.step_budget = Some(v.parse().map_err(|e| {
-                    CorpusError::new(format!("bad chaos steps value {v:?}: {e}"))
-                })?);
+                plan.step_budget =
+                    Some(v.parse().map_err(|e| {
+                        CorpusError::new(format!("bad chaos steps value {v:?}: {e}"))
+                    })?);
             }
             "nodes" => {
-                plan.node_budget = Some(v.parse().map_err(|e| {
-                    CorpusError::new(format!("bad chaos nodes value {v:?}: {e}"))
-                })?);
+                plan.node_budget =
+                    Some(v.parse().map_err(|e| {
+                        CorpusError::new(format!("bad chaos nodes value {v:?}: {e}"))
+                    })?);
             }
             "reorder" => plan.reorder_between = flag()?,
             _ => return Err(CorpusError::new(format!("unknown chaos field {key:?}"))),
@@ -274,7 +282,10 @@ mod tests {
         let text = serialize(&entry.instance, entry.oracle, "");
         assert!(text.contains("chaos: flush=0 gc=0 steps=7 nodes=32"));
         assert_eq!(parse(&text).unwrap(), entry);
-        let plain = Instance::new(vec![None, Some(true), Some(false), Some(true)], ChaosPlan::NONE);
+        let plain = Instance::new(
+            vec![None, Some(true), Some(false), Some(true)],
+            ChaosPlan::NONE,
+        );
         assert!(serialize(&plain, Oracle::Budget, "").contains("chaos: flush=0 gc=0\n"));
         // Garbage budget values are hard errors.
         assert!(parse("oracle: budget\nspec: (d1 01)\nchaos: steps=abc\n").is_err());

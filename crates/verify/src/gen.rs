@@ -226,12 +226,14 @@ mod tests {
         let mut a = XorShift64::seed_from_u64(11);
         let mut b = XorShift64::seed_from_u64(11);
         for round in 0..64 {
-            assert_eq!(random_instance(&mut a, round), random_instance(&mut b, round));
+            assert_eq!(
+                random_instance(&mut a, round),
+                random_instance(&mut b, round)
+            );
         }
         let mut c = XorShift64::seed_from_u64(12);
-        let differs = (0..64).any(|round| {
-            random_instance(&mut a, round) != random_instance(&mut c, round)
-        });
+        let differs =
+            (0..64).any(|round| random_instance(&mut a, round) != random_instance(&mut c, round));
         assert!(differs, "different seeds must differ somewhere");
     }
 

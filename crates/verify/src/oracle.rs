@@ -258,7 +258,10 @@ impl std::str::FromStr for Mutant {
             .find(|m| m.name() == s)
             .ok_or_else(|| {
                 let names: Vec<&str> = Mutant::BREAKING.iter().map(|m| m.name()).collect();
-                format!("unknown mutant {s:?} (expected one of: none, {})", names.join(", "))
+                format!(
+                    "unknown mutant {s:?} (expected one of: none, {})",
+                    names.join(", ")
+                )
             })
     }
 }
@@ -770,13 +773,19 @@ mod tests {
     use bddmin_core::rng::XorShift64;
 
     fn paper_instances() -> Vec<Instance> {
-        ["d1 01", "d1 01 1d 01", "1d d1 d0 0d", "0d d1 10 01 11 d0 d1 00", "dd 01 11 d0"]
-            .iter()
-            .map(|spec| {
-                let leaves = bddmin_bdd::LeafSpec::parse(spec).unwrap().leaves().to_vec();
-                Instance::new(leaves, ChaosPlan::NONE)
-            })
-            .collect()
+        [
+            "d1 01",
+            "d1 01 1d 01",
+            "1d d1 d0 0d",
+            "0d d1 10 01 11 d0 d1 00",
+            "dd 01 11 d0",
+        ]
+        .iter()
+        .map(|spec| {
+            let leaves = bddmin_bdd::LeafSpec::parse(spec).unwrap().leaves().to_vec();
+            Instance::new(leaves, ChaosPlan::NONE)
+        })
+        .collect()
     }
 
     #[test]

@@ -224,7 +224,10 @@ impl FuzzReport {
             "  \"instances_per_sec\": {:.1},\n",
             self.instances_per_sec()
         ));
-        s.push_str(&format!("  \"budget_exhausted\": {},\n", self.budget_exhausted));
+        s.push_str(&format!(
+            "  \"budget_exhausted\": {},\n",
+            self.budget_exhausted
+        ));
         s.push_str(&format!("  \"failures\": {},\n", self.failures.len()));
         s.push_str(&format!(
             "  \"surface_failures\": {},\n",
@@ -246,7 +249,11 @@ impl FuzzReport {
                     ar.skips,
                     ar.novel_shapes,
                     ar.mean_reward,
-                    if i + 1 < self.arm_reports.len() { "," } else { "" }
+                    if i + 1 < self.arm_reports.len() {
+                        ","
+                    } else {
+                        ""
+                    }
                 ));
             }
             s.push_str("  },\n");
@@ -589,7 +596,11 @@ fn run_structured(
             fails: a.fails,
             skips: a.skips,
             novel_shapes: a.novel,
-            mean_reward: if a.plays == 0 { 0.0 } else { a.reward / a.plays as f64 },
+            mean_reward: if a.plays == 0 {
+                0.0
+            } else {
+                a.reward / a.plays as f64
+            },
         })
         .collect();
     Ok(())
@@ -634,19 +645,19 @@ fn record_surface_failure(
     let (text, ext, steps) = match artifact {
         SurfaceArtifact::Blif(p) => {
             let (min, steps) = shrink_with(&p, |c| surface::check_blif(c).is_fail());
-            let mut text = String::from(
-                "# bddmin-verify structured reproducer (blif surface)\n",
-            );
-            text.push_str(&format!("# provenance: arm {arm}, seed {seed}, round {round}\n"));
+            let mut text = String::from("# bddmin-verify structured reproducer (blif surface)\n");
+            text.push_str(&format!(
+                "# provenance: arm {arm}, seed {seed}, round {round}\n"
+            ));
             text.push_str(&min.render());
             (text, "blif", steps)
         }
         SurfaceArtifact::Expr(e) => {
             let (min, steps) = shrink_with(&e, |c| surface::check_expr(c).is_fail());
-            let mut text = String::from(
-                "# bddmin-verify structured reproducer (expr surface)\n",
-            );
-            text.push_str(&format!("# provenance: arm {arm}, seed {seed}, round {round}\n"));
+            let mut text = String::from("# bddmin-verify structured reproducer (expr surface)\n");
+            text.push_str(&format!(
+                "# provenance: arm {arm}, seed {seed}, round {round}\n"
+            ));
             text.push_str(&format!("vars: {}\n", min.vars));
             text.push_str(&format!("function: {}\n", min.function_text()));
             text.push_str(&format!("care: {}\n", min.care_text()));
@@ -658,10 +669,10 @@ fn record_surface_failure(
         }
         SurfaceArtifact::Args(a) => {
             let (min, steps) = shrink_with(&a, |c| surface::check_args(c).is_fail());
-            let mut text = String::from(
-                "# bddmin-verify structured reproducer (args surface)\n",
-            );
-            text.push_str(&format!("# provenance: arm {arm}, seed {seed}, round {round}\n"));
+            let mut text = String::from("# bddmin-verify structured reproducer (args surface)\n");
+            text.push_str(&format!(
+                "# provenance: arm {arm}, seed {seed}, round {round}\n"
+            ));
             text.push_str(&format!("expect_valid: {}\n", min.expect_valid));
             for tok in &min.args {
                 text.push_str(&format!("arg: {tok}\n"));

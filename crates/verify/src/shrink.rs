@@ -72,19 +72,34 @@ fn candidates(inst: &Instance) -> Vec<Instance> {
         chaos_drops.push(ChaosPlan::NONE);
     }
     if inst.chaos.flush_between {
-        chaos_drops.push(ChaosPlan { flush_between: false, ..inst.chaos });
+        chaos_drops.push(ChaosPlan {
+            flush_between: false,
+            ..inst.chaos
+        });
     }
     if inst.chaos.gc_between {
-        chaos_drops.push(ChaosPlan { gc_between: false, ..inst.chaos });
+        chaos_drops.push(ChaosPlan {
+            gc_between: false,
+            ..inst.chaos
+        });
     }
     if inst.chaos.step_budget.is_some() {
-        chaos_drops.push(ChaosPlan { step_budget: None, ..inst.chaos });
+        chaos_drops.push(ChaosPlan {
+            step_budget: None,
+            ..inst.chaos
+        });
     }
     if inst.chaos.node_budget.is_some() {
-        chaos_drops.push(ChaosPlan { node_budget: None, ..inst.chaos });
+        chaos_drops.push(ChaosPlan {
+            node_budget: None,
+            ..inst.chaos
+        });
     }
     if inst.chaos.reorder_between {
-        chaos_drops.push(ChaosPlan { reorder_between: false, ..inst.chaos });
+        chaos_drops.push(ChaosPlan {
+            reorder_between: false,
+            ..inst.chaos
+        });
     }
     for chaos in chaos_drops {
         out.push(Instance {
@@ -390,7 +405,9 @@ mod tests {
         // Predicate: the vector still contains the token "spec". The
         // minimum is the single-token vector.
         let v = ArgVec {
-            args: ["spec", "d1 01", "--exact", "--isop"].map(str::to_owned).to_vec(),
+            args: ["spec", "d1 01", "--exact", "--isop"]
+                .map(str::to_owned)
+                .to_vec(),
             expect_valid: true,
         };
         let (min, steps) = shrink_with(&v, |c| c.args.iter().any(|a| a == "spec"));

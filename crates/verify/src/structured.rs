@@ -227,7 +227,11 @@ impl BlifProgram {
             let _ = writeln!(out, ".outputs {}", self.outputs.join(" "));
         }
         for latch in &self.latches {
-            let _ = writeln!(out, ".latch {} {} {}", latch.input, latch.output, latch.init);
+            let _ = writeln!(
+                out,
+                ".latch {} {} {}",
+                latch.input, latch.output, latch.init
+            );
         }
         for node in &self.names {
             if node.inputs.is_empty() {
@@ -517,8 +521,13 @@ impl ExprTree {
         if rng.gen_bool(0.25) {
             return ExprTree::Not(Box::new(ExprTree::random(rng, num_vars, depth - 1)));
         }
-        let op = [ExprOp::And, ExprOp::Or, ExprOp::Xor, ExprOp::Imp, ExprOp::Iff]
-            [rng.gen_range(0..5)];
+        let op = [
+            ExprOp::And,
+            ExprOp::Or,
+            ExprOp::Xor,
+            ExprOp::Imp,
+            ExprOp::Iff,
+        ][rng.gen_range(0..5)];
         ExprTree::Bin(
             op,
             Box::new(ExprTree::random(rng, num_vars, depth - 1)),
@@ -535,7 +544,11 @@ impl ExprTree {
             ExprTree::Var(_) => vec![ExprTree::Const(false), ExprTree::Const(true)],
             ExprTree::Not(c) => {
                 let mut out = vec![(**c).clone()];
-                out.extend(c.reductions().into_iter().map(|r| ExprTree::Not(Box::new(r))));
+                out.extend(
+                    c.reductions()
+                        .into_iter()
+                        .map(|r| ExprTree::Not(Box::new(r))),
+                );
                 out
             }
             ExprTree::Bin(op, l, r) => {
@@ -577,7 +590,11 @@ impl ExprTree {
             ExprTree::Bin(op, l, r) => {
                 let l = l.replace_at(target, sub, counter);
                 // Preorder index already advanced through the left side.
-                ExprTree::Bin(*op, Box::new(l), Box::new(r.replace_at(target, sub, counter)))
+                ExprTree::Bin(
+                    *op,
+                    Box::new(l),
+                    Box::new(r.replace_at(target, sub, counter)),
+                )
             }
         }
     }
@@ -768,8 +785,16 @@ impl Generate for ArgVec {
             let function = ExprTree::random(rng, vars, 3).render(&names);
             let care = ExprTree::random(rng, vars, 2).render(&names);
             args.extend(
-                ["expr", "--vars", &names.join(","), "--function", &function, "--care", &care]
-                    .map(str::to_owned),
+                [
+                    "expr",
+                    "--vars",
+                    &names.join(","),
+                    "--function",
+                    &function,
+                    "--care",
+                    &care,
+                ]
+                .map(str::to_owned),
             );
             if rng.gen_bool(0.4) {
                 args.push("-H".to_owned());
@@ -937,8 +962,7 @@ mod tests {
                 .from_expr(&input.function_text())
                 .unwrap_or_else(|e| panic!("{}: {e}", input.function_text()));
             for bits in 0..1u32 << input.vars {
-                let assignment: Vec<bool> =
-                    (0..input.vars).map(|i| bits >> i & 1 == 1).collect();
+                let assignment: Vec<bool> = (0..input.vars).map(|i| bits >> i & 1 == 1).collect();
                 assert_eq!(
                     bdd.eval(f, &assignment),
                     input.function.eval(&assignment),

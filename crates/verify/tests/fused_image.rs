@@ -22,7 +22,11 @@ use bddmin_fsm::{generators, ImageMethod, SymbolicFsm};
 
 /// Builds a pseudo-random function over `n` vars.
 fn random_fn(bdd: &mut Bdd, n: usize, rng: &mut XorShift64) -> Edge {
-    let mut f = if rng.gen_bool(0.5) { Edge::ZERO } else { Edge::ONE };
+    let mut f = if rng.gen_bool(0.5) {
+        Edge::ZERO
+    } else {
+        Edge::ONE
+    };
     for _ in 0..rng.gen_range_inclusive(2, 7) {
         let v = bdd.var(Var(rng.gen_range(0..n) as u32));
         let v = if rng.gen_bool(0.5) { bdd.not(v) } else { v };
@@ -103,7 +107,10 @@ fn budgeted_and_exists_errors_or_agrees_never_lies() {
             }
         }
     }
-    assert!(aborts > 0, "the starved budgets never tripped — test is vacuous");
+    assert!(
+        aborts > 0,
+        "the starved budgets never tripped — test is vacuous"
+    );
 }
 
 #[test]

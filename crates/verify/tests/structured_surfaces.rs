@@ -50,7 +50,10 @@ fn every_parsed_blif_netlist_survives_the_round_trip() {
         passes >= 100,
         "generator should mostly emit parseable netlists: passes={passes} skips={skips}"
     );
-    assert!(skips > 0, "anomalous rounds should exercise the reject path");
+    assert!(
+        skips > 0,
+        "anomalous rounds should exercise the reject path"
+    );
 }
 
 #[test]
