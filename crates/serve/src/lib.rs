@@ -7,13 +7,14 @@
 //!
 //! The `bddmin-serve` binary reads one JSON job per stdin line (an ISF
 //! leaf-spec or a BLIF network, a heuristic filter, optional step/node/
-//! time budgets), dispatches across N worker threads each owning its own
-//! `Bdd` managers, runs every request under the degradation ladder (a
-//! blown budget degrades to a reported [`bddmin_core::MinReport`], it
-//! never fails the stream), and answers one JSON result line per job in
-//! input order. Results are content-addressed in a cross-request cache
-//! keyed by the 64-lane semantic signature with exact-ISF confirmation
-//! on every hit.
+//! time budgets), dispatches each to the least-loaded of N worker threads
+//! each owning its own `Bdd` managers, runs every request under the
+//! degradation ladder (a blown budget degrades to a reported
+//! [`bddmin_core::MinReport`], it never fails the stream), and answers
+//! one JSON result line per job in input order, as soon as that result
+//! and every earlier one are ready. Results are content-addressed in a
+//! cross-request cache keyed by the 64-lane semantic signature with
+//! exact-ISF confirmation on every hit.
 //!
 //! The request path is panic-free by construction (checked
 //! `try_transfer`, the budget `try_*` ladder) and panic-contained by

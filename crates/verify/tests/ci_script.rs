@@ -31,6 +31,7 @@ fn unknown_stage_names_are_rejected_with_the_inventory() {
         "build",
         "test",
         "lint",
+        "fmt",
         "invariance",
         "determinism",
         "fuzz-smoke",
@@ -76,6 +77,7 @@ fn list_stages_prints_the_full_inventory_and_exits_zero() {
         "build",
         "test",
         "lint",
+        "fmt",
         "invariance",
         "determinism",
         "fuzz-smoke",

@@ -6,6 +6,7 @@
 #   test         tier-1 cargo test -q (includes the corpus replay and
 #                mutation-gate suites via the verify crate)
 #   lint         zero-warning clippy pass over the whole workspace
+#   fmt          cargo fmt --all --check: the workspace stays rustfmt-clean
 #   invariance   cache-size invariance suites (bdd + core) + table3
 #                on the benchmark's 14 machines diffed against
 #                perfbench/expected/paper_table3.txt
@@ -55,7 +56,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # ---------------------------------------------------------------- staging
-ALL_STAGES=(build test lint invariance determinism fuzz-smoke degradation reorder image serve perf)
+ALL_STAGES=(build test lint fmt invariance determinism fuzz-smoke degradation reorder image serve perf)
 # Valid for --stage but never part of the default sweep.
 EXTRA_STAGES=(fuzz-deep)
 SELECTED=()
@@ -76,7 +77,7 @@ while [[ $# -gt 0 ]]; do
             exit 0
             ;;
         -h|--help)
-            sed -n '2,53p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,54p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
@@ -168,6 +169,11 @@ stage_test() {
 
 stage_lint() {
     cargo clippy --workspace --all-targets -- -D warnings
+}
+
+stage_fmt() {
+    # perfbench/ is a workspace of its own and is not checked here.
+    cargo fmt --all --check
 }
 
 stage_invariance() {
