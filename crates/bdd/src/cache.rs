@@ -125,7 +125,9 @@ fn key_hash(op: u32, a: u32, b: u32, c: u32) -> usize {
     mix64(k0 ^ k1.rotate_left(23).wrapping_mul(0x9E37_79B9_7F4A_7C15)) as usize
 }
 
-impl Slot for Entry {
+// SAFETY: every field is a `u32`, so all zero bits is a valid `Entry`,
+// and it is `DEAD`.
+unsafe impl Slot for Entry {
     const DEAD: Entry = Entry {
         op: 0,
         a: 0,
@@ -173,13 +175,30 @@ pub(crate) const MAX_LOG2_CAPACITY: u32 = 18;
 pub(crate) const FLOOR_LOG2_CAPACITY: u32 = 13;
 
 /// An entry of a [`LossyTable`].
-pub(crate) trait Slot: Copy {
-    /// The empty slot. Its generation, 0, is never current.
+///
+/// # Safety
+///
+/// The all-zero bit pattern must be a valid value of the type, equal to
+/// [`Slot::DEAD`]: a new table takes its dead slots from zeroed memory.
+pub(crate) unsafe trait Slot: Copy {
+    /// The empty slot, all zero bits. Its generation, 0, is never current.
     const DEAD: Self;
     /// The generation the entry was written in.
     fn generation(&self) -> u32;
     /// The hash whose low bits pick the entry's bucket.
     fn key_hash(&self) -> usize;
+}
+
+/// `n` dead slots in zeroed memory. Unlike writing `E::DEAD` to each
+/// slot, this leaves large allocations to the operating system's lazily
+/// mapped zero pages, so a slot costs resident memory only once a probe
+/// touches it: a table that a flush shrinks before its first insert, as
+/// the service's jobs do, stays at the floor's few pages.
+fn dead_slots<E: Slot>(n: usize) -> Vec<E> {
+    let zeroed = Box::<[E]>::new_zeroed_slice(n);
+    // SAFETY: `Slot` requires all zero bits to be a valid `E` (`E::DEAD`),
+    // and `new_zeroed_slice` zeroed every one of the `n` slots.
+    unsafe { zeroed.assume_init() }.into_vec()
 }
 
 /// The storage and sizing policy shared by the computed table and the
@@ -222,11 +241,40 @@ impl<E: Slot> LossyTable<E> {
     /// (or `log2` itself if that is larger) and shrink to the floor (or
     /// `log2` itself if that is smaller).
     pub(crate) fn new(log2: u32) -> Self {
+        LossyTable::on_storage(Vec::new(), 1, log2)
+    }
+
+    /// An empty table in the state of [`LossyTable::new`]`(log2)`, built
+    /// on this table's allocation, which it takes: `self` is left without
+    /// storage and must only be dropped. The generation moves past the
+    /// old one, so every entry the allocation holds is stale: lookups miss
+    /// it and inserts take its slot as empty, exactly as on a dead-filled
+    /// array. On a u32 wrap the allocation is scrubbed instead. Sizing and
+    /// counters are a fresh table's.
+    pub(crate) fn recycled(&mut self, log2: u32) -> Self {
+        let mut entries = std::mem::take(&mut self.entries);
+        let mut generation = self.generation.wrapping_add(1);
+        if generation == 0 {
+            entries.fill(E::DEAD);
+            generation = 1;
+        }
+        LossyTable::on_storage(entries, generation, log2)
+    }
+
+    /// A fresh table of `2^log2` slots (minimum 2) on `entries`, extended
+    /// with dead slots to that capacity; every entry of `entries` must be
+    /// older than `generation`.
+    fn on_storage(mut entries: Vec<E>, generation: u32, log2: u32) -> Self {
         let log2 = log2.max(1);
+        if entries.is_empty() {
+            entries = dead_slots(1 << log2);
+        } else if entries.len() < 1 << log2 {
+            entries.resize(1 << log2, E::DEAD);
+        }
         LossyTable {
-            entries: vec![E::DEAD; 1 << log2],
+            entries,
             bucket_mask: (1 << (log2 - 1)) - 1,
-            generation: 1,
+            generation,
             occupied: 0,
             hits: 0,
             misses: 0,
@@ -491,8 +539,18 @@ impl ComputedTable {
 
     /// A cache with `2^log2` entry slots (minimum 2); see [`LossyTable::new`].
     pub(crate) fn with_log2_capacity(log2: u32) -> Self {
+        ComputedTable::on_table(LossyTable::new(log2))
+    }
+
+    /// A table in the state of [`ComputedTable::new`] on this one's
+    /// allocation; see [`LossyTable::recycled`].
+    pub(crate) fn recycled(&mut self) -> Self {
+        ComputedTable::on_table(self.table.recycled(DEFAULT_LOG2_CAPACITY))
+    }
+
+    fn on_table(table: LossyTable<Entry>) -> Self {
         ComputedTable {
-            table: LossyTable::new(log2),
+            table,
             class_hits: [0; OP_CLASS_COUNT],
             class_misses: [0; OP_CLASS_COUNT],
         }
@@ -902,6 +960,130 @@ mod tests {
         for i in 0..1u32 << 16 {
             let a = Edge::from_bits(i);
             assert_eq!(t.get(Op::Exists, a, Edge::ONE, Edge::ZERO), None);
+        }
+    }
+
+    /// Every sizing field and counter of `t`: all but the allocation and
+    /// the generation.
+    fn sizing<E>(t: &LossyTable<E>) -> [u64; 13] {
+        [
+            t.bucket_mask as u64,
+            t.occupied as u64,
+            t.hits,
+            t.misses,
+            t.evictions,
+            t.log2 as u64,
+            t.floor_log2 as u64,
+            t.max_log2 as u64,
+            t.epoch_hits,
+            t.epoch_evictions,
+            t.inserts,
+            t.resizes,
+            t.shrinks,
+        ]
+    }
+
+    /// Drives `t` through seeded flush intervals of different working-set
+    /// sizes, with re-reads, growth checks and a flush after each,
+    /// returning every lookup's answer.
+    fn drive(t: &mut ComputedTable, seed: u64) -> Vec<Option<Edge>> {
+        let mut answers = Vec::new();
+        for interval in 0..6u64 {
+            let keys = [500, 150_000, 4_000, 60_000][(mix64(seed ^ interval) % 4) as usize];
+            for i in 0..40_000u64 {
+                let a = Edge::from_bits((mix64(seed << 32 ^ interval << 20 ^ i) % keys) as u32);
+                let found = t.get(Op::Ite, a, Edge::ONE, Edge::ZERO);
+                if found.is_none() {
+                    t.insert(Op::Ite, a, Edge::ONE, Edge::ZERO, a);
+                    answers.push(t.get(Op::Ite, a, Edge::ONE, Edge::ZERO));
+                }
+                answers.push(found);
+                if i % 256 == 255 {
+                    t.table.maybe_grow(1 << 20);
+                }
+            }
+            t.table.clear();
+        }
+        answers
+    }
+
+    /// Zeroed memory reads as `E::DEAD` in every slot.
+    fn all_dead<E: Slot + std::fmt::Debug>() -> bool {
+        let t = LossyTable::<E>::new(4);
+        let dead = format!("{:?}", E::DEAD);
+        t.allocated() == 16 && t.entries.iter().all(|e| format!("{e:?}") == dead)
+    }
+
+    #[test]
+    fn a_new_table_is_dead_slots() {
+        assert!(all_dead::<Entry>());
+        assert!(all_dead::<crate::memo::MemoEntry>());
+    }
+
+    #[test]
+    fn a_recycled_table_behaves_as_a_fresh_one() {
+        // An old table larger than a fresh one, holding entries of several
+        // generations, some in slots past the fresh capacity.
+        let mut old = ComputedTable::with_log2_capacity(DEFAULT_LOG2_CAPACITY + 1);
+        fill(&mut old, Op::Exists, 1 << 17);
+        old.table.clear();
+        fill(&mut old, Op::Ite, 1 << 12);
+        let allocated = old.table.allocated();
+        let old_generation = old.table.generation();
+        let mut recycled = old.recycled();
+        assert_eq!(
+            recycled.table.allocated(),
+            allocated,
+            "the allocation is kept"
+        );
+        assert!(recycled.table.generation() > old_generation);
+        let mut fresh = ComputedTable::new();
+        assert_eq!(sizing(&recycled.table), sizing(&fresh.table));
+        assert_eq!(recycled.class_hits(), [0; OP_CLASS_COUNT]);
+        assert_eq!(recycled.class_misses(), [0; OP_CLASS_COUNT]);
+        // Old entries are invisible, and the two tables answer, evict,
+        // grow and shrink alike from here on.
+        for seed in 1..4 {
+            assert_eq!(drive(&mut recycled, seed), drive(&mut fresh, seed));
+            assert_eq!(sizing(&recycled.table), sizing(&fresh.table));
+            assert_eq!(recycled.class_hits(), fresh.class_hits());
+        }
+        assert!(fresh.table.resizes() > 0 && fresh.table.shrinks() > 0);
+    }
+
+    #[test]
+    fn old_entries_stay_invisible_and_their_slots_count_as_empty() {
+        // One bucket, both ways live.
+        let mut old = ComputedTable::with_log2_capacity(1);
+        fill(&mut old, Op::Ite, 2);
+        assert_eq!(old.table.len(), 2);
+        let mut t = ComputedTable::on_table(old.table.recycled(1));
+        for i in 0..2 {
+            let a = Edge::from_bits(i);
+            assert_eq!(t.get(Op::Ite, a, Edge::ONE, Edge::ZERO), None);
+        }
+        // Two new keys take both ways without an eviction.
+        fill(&mut t, Op::Exists, 2);
+        assert_eq!((t.table.len(), t.table.evictions()), (2, 0));
+        // A pinned table recycles into a fresh table's sizing.
+        t.table.configure(1, 1);
+        let r = t.recycled();
+        assert_eq!(sizing(&r.table), sizing(&ComputedTable::new().table));
+    }
+
+    #[test]
+    fn recycling_at_the_last_generation_scrubs_on_wrap() {
+        let mut t = ComputedTable::with_log2_capacity(4);
+        t.table.generation = u32::MAX;
+        fill(&mut t, Op::Ite, 8);
+        assert!(t.table.len() > 0);
+        let mut r = t.recycled();
+        assert_eq!(r.table.generation(), 1);
+        assert!(r.table.entries.iter().all(|e| e.generation == 0));
+        assert_eq!(sizing(&r.table), sizing(&ComputedTable::new().table));
+        for i in 0..8 {
+            let a = Edge::from_bits(i);
+            assert_eq!(r.get(Op::Ite, a, Edge::ONE, Edge::ZERO), None);
         }
     }
 }

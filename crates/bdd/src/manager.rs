@@ -237,9 +237,41 @@ impl Bdd {
     /// assert_eq!(bdd.num_vars(), 5);
     /// ```
     pub fn new(num_vars: usize) -> Bdd {
+        Bdd::with_default_names(num_vars, ComputedTable::new(), MinMemo::default())
+    }
+
+    /// Turns this manager into `Bdd::new(num_vars)`, keeping only the
+    /// allocations of the computed table and the minimization memo.
+    ///
+    /// The state is built by the same constructor as `Bdd::new`'s, so no
+    /// field survives: nodes, variables, roots, budget, step count and
+    /// statistics all start over. The recycled tables hold only stale
+    /// entries, which lookups miss and inserts overwrite as if empty, and
+    /// their sizing, counters and memo salt restart; every later
+    /// operation, step count and statistic therefore matches a fresh
+    /// manager's. Edges of the old manager must not be used again.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bddmin_bdd::{Bdd, Var};
+    /// let mut bdd = Bdd::new(4);
+    /// let a = bdd.var(Var(0));
+    /// let b = bdd.var(Var(3));
+    /// let _ = bdd.and(a, b);
+    /// bdd.reset(2);
+    /// assert_eq!(bdd.num_vars(), 2);
+    /// assert_eq!(bdd.stats(), Bdd::new(2).stats());
+    /// ```
+    pub fn reset(&mut self, num_vars: usize) {
+        let (cache, min_memo) = (self.cache.recycled(), self.min_memo.recycled());
+        *self = Bdd::with_default_names(num_vars, cache, min_memo);
+    }
+
+    fn with_default_names(num_vars: usize, cache: ComputedTable, min_memo: MinMemo) -> Bdd {
         let names: Vec<String> = (1..=num_vars).map(|i| format!("x{i}")).collect();
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        Bdd::with_names(&name_refs)
+        Bdd::with_tables(&name_refs, cache, min_memo)
     }
 
     /// Creates a manager whose variables carry the given names, topmost first.
@@ -256,13 +288,17 @@ impl Bdd {
     /// assert_eq!(bdd.var_name(Var(1)), "ack");
     /// ```
     pub fn with_names(names: &[&str]) -> Bdd {
+        Bdd::with_tables(names, ComputedTable::new(), MinMemo::default())
+    }
+
+    fn with_tables(names: &[&str], cache: ComputedTable, min_memo: MinMemo) -> Bdd {
         let mut bdd = Bdd {
             nodes: vec![Node::TERMINAL],
             free: Vec::new(),
             live: vec![true],
             unique: UniqueTable::new(),
-            cache: ComputedTable::new(),
-            min_memo: MinMemo::default(),
+            cache,
+            min_memo,
             var_names: Vec::new(),
             name_index: HashMap::new(),
             var2level: Vec::new(),
@@ -1129,5 +1165,54 @@ mod tests {
             bdd.deadline_poll_gap,
             ramped
         );
+    }
+
+    /// A fixed mix of kernel, memo and budgeted work on the first five
+    /// variables: every result, the step count, and the statistics.
+    fn workload(bdd: &mut Bdd) -> (Vec<Edge>, Vec<u32>, u64, BddStats) {
+        let v: Vec<Edge> = (0..5).map(|i| bdd.var(Var(i))).collect();
+        let mut out = Vec::new();
+        let mut salts = Vec::new();
+        for round in 0..3 {
+            bdd.clear_caches();
+            let f = bdd.xor(v[round], v[4]);
+            let g = bdd.or(f, v[round + 1]);
+            let c = bdd.and(v[2], v[3]);
+            out.push(bdd.constrain(g, c));
+            out.push(bdd.restrict(g, c));
+            salts.push(bdd.memo_salt());
+            bdd.memo_insert(u64::from(salts[round]), f, g, (c, c));
+            out.push(bdd.memo_get(u64::from(salts[round]), f, g).unwrap().0);
+        }
+        bdd.set_budget(Budget::UNLIMITED.steps(6));
+        let f = bdd.xor(v[0], v[1]);
+        let g = bdd.xor(v[2], v[3]);
+        out.push(bdd.try_and(f, g).unwrap_or(Edge::ZERO));
+        let steps = bdd.steps_used();
+        bdd.clear_budget();
+        (out, salts, steps, bdd.stats())
+    }
+
+    #[test]
+    fn a_reset_manager_is_a_fresh_one() {
+        let mut used = Bdd::with_names(&["p", "q", "r", "s", "t", "u", "w"]);
+        used.configure_cache(4, 4);
+        used.configure_min_memo(20, 20);
+        used.set_auto_gc(true);
+        used.set_var_group(&[Var(0), Var(1)]);
+        let _ = workload(&mut used);
+        let kept = used.xor(Edge::ONE, Edge::ZERO);
+        used.pin(kept);
+        used.swap_levels(0);
+        used.set_budget(Budget::UNLIMITED.steps(1));
+        let _ = used.try_ite(kept, Edge::ONE, Edge::ZERO);
+        used.collect_garbage(&[]);
+        used.reset(6);
+        let mut fresh = Bdd::new(6);
+        assert_eq!(used.stats(), fresh.stats());
+        assert_eq!(used.current_order(), fresh.current_order());
+        assert_eq!(used.var_name(Var(0)), "x1");
+        assert_eq!(used.budget(), Budget::UNLIMITED);
+        assert_eq!(workload(&mut used), workload(&mut fresh));
     }
 }

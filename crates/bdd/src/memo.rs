@@ -50,7 +50,9 @@ fn key_hash(tag: u64, a: u32, b: u32) -> usize {
     mix64(tag ^ ab.rotate_left(17).wrapping_mul(0x9E37_79B9_7F4A_7C15)) as usize
 }
 
-impl Slot for MemoEntry {
+// SAFETY: every field is an integer, so all zero bits is a valid
+// `MemoEntry`, and it is `DEAD`.
+unsafe impl Slot for MemoEntry {
     const DEAD: MemoEntry = MemoEntry {
         tag: 0,
         a: 0,
@@ -98,6 +100,15 @@ impl MinMemo {
     pub(crate) fn with_log2_capacity(log2: u32) -> Self {
         MinMemo {
             table: LossyTable::new(log2),
+            salt: 0,
+        }
+    }
+
+    /// A memo in the state of [`MinMemo::default`] on this one's
+    /// allocation, its salt restarted; see [`LossyTable::recycled`].
+    pub(crate) fn recycled(&mut self) -> Self {
+        MinMemo {
+            table: self.table.recycled(DEFAULT_LOG2_CAPACITY),
             salt: 0,
         }
     }
@@ -312,5 +323,31 @@ mod tests {
         for i in 0..1u32 << 15 {
             assert_eq!(m.get(3, e(i), e(i)), None);
         }
+    }
+
+    #[test]
+    fn a_recycled_memo_restarts_its_salt_and_sizing() {
+        let mut old = MinMemo::default();
+        fill(&mut old, 5, 1 << 16);
+        old.table.clear();
+        let _ = (old.next_salt(), old.next_salt());
+        let mut m = old.recycled();
+        let mut fresh = MinMemo::default();
+        assert_eq!(m.next_salt(), fresh.next_salt());
+        assert_eq!(m.table.capacity(), fresh.table.capacity());
+        assert_eq!(m.table.allocated(), 1 << DEFAULT_LOG2_CAPACITY);
+        assert_eq!(
+            (m.table.hits(), m.table.misses(), m.table.shrinks()),
+            (0, 0, 0)
+        );
+        for i in 0..1u32 << 16 {
+            assert_eq!(m.get(5, e(i), e(i)), None);
+        }
+        fill(&mut m, 5, 5_000);
+        fill(&mut fresh, 5, 5_000);
+        assert_eq!(
+            (m.table.len(), m.table.evictions()),
+            (fresh.table.len(), fresh.table.evictions())
+        );
     }
 }

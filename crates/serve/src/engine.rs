@@ -21,12 +21,17 @@
 //!    requested (`--emit-shard`), because which shard runs a job depends
 //!    on the shard count and on timing.
 //!
-//! Workers process each job in a fresh manager (history independence:
-//! warm caches would make deterministic step budgets depend on which
-//! jobs a shard saw before) and wrap the job in `catch_unwind`, so a
-//! request that trips a latent panic produces a structured error line
-//! and the worker keeps serving — the long-lived-manager discipline of
-//! CUDD/Sylvan: a bad request degrades, it never kills the process.
+//! Each worker keeps its managers across jobs, and every job starts them
+//! over with [`Bdd::reset`]: fresh manager state on recycled table
+//! storage. The state is history-independent (warm caches would make
+//! deterministic step budgets depend on which jobs a shard saw before),
+//! while the computed table and memo keep their allocations, so a job
+//! pays only for the entries it touches. Workers wrap each job in
+//! `catch_unwind`, so a request that trips a latent panic produces a
+//! structured error line and the worker keeps serving — the
+//! long-lived-manager discipline of CUDD/Sylvan: a bad request degrades,
+//! it never kills the process. The next job's reset discards whatever
+//! state the panic left behind.
 //!
 //! # Event loop
 //!
@@ -212,9 +217,26 @@ impl Default for SigCache {
     }
 }
 
-/// Runs one job to a `(ok, body)` pair; never panics outward.
+/// Runs one job to a `(ok, body)` pair in fresh managers; never panics
+/// outward.
 pub fn process_job(job: &Job) -> (bool, String) {
-    match catch_unwind(AssertUnwindSafe(|| run_job(job))) {
+    process_job_on(job, &mut Managers::default())
+}
+
+/// The managers a worker keeps across jobs: a spec job builds in
+/// `builder` and, under a `var_map`, transfers into `target`. A job resets
+/// each one it uses to `Bdd::new`'s state, so its body is the same as on
+/// new managers.
+#[derive(Debug, Default)]
+struct Managers {
+    builder: Bdd,
+    target: Bdd,
+}
+
+/// Runs one job to a `(ok, body)` pair on a worker's managers; never
+/// panics outward.
+fn process_job_on(job: &Job, managers: &mut Managers) -> (bool, String) {
+    match catch_unwind(AssertUnwindSafe(|| run_job(job, managers))) {
         Ok(Ok(body)) => (true, body),
         Ok(Err(msg)) => (false, error_body(&msg)),
         Err(panic) => {
@@ -228,9 +250,9 @@ pub fn process_job(job: &Job) -> (bool, String) {
     }
 }
 
-fn run_job(job: &Job) -> Result<String, String> {
+fn run_job(job: &Job, managers: &mut Managers) -> Result<String, String> {
     match &job.kind {
-        JobKind::Spec { spec, var_map } => run_spec_job(job, spec, var_map.as_deref()),
+        JobKind::Spec { spec, var_map } => run_spec_job(job, spec, var_map.as_deref(), managers),
         JobKind::Blif { source } => run_blif_job(job, source),
     }
 }
@@ -239,20 +261,21 @@ fn run_spec_job(
     job: &Job,
     spec: &bddmin_bdd::LeafSpec,
     var_map: Option<&[u32]>,
+    managers: &mut Managers,
 ) -> Result<String, String> {
     let n = spec.num_vars().max(1);
-    let mut builder = Bdd::new(n);
-    let (f, c) = spec.build(&mut builder);
+    let builder = &mut managers.builder;
+    builder.reset(n);
+    let (f, c) = spec.build(builder);
     // The variable map crosses a manager boundary through the checked
     // transfer: a non-injective or out-of-range map is a per-job error.
-    let (mut bdd, isf) = match var_map {
+    let (bdd, isf) = match var_map {
         None => (builder, Isf::new(f, c)),
         Some(map) => {
-            let mut target = Bdd::new(n);
-            let isf = shard::transfer_isf(&mut builder, Isf::new(f, c), &mut target, |v| {
-                Var(map[v.index()])
-            })
-            .map_err(|e| format!("transfer rejected: {e}"))?;
+            let target = &mut managers.target;
+            target.reset(n);
+            let isf = shard::transfer_isf(builder, Isf::new(f, c), target, |v| Var(map[v.index()]))
+                .map_err(|e| format!("transfer rejected: {e}"))?;
             (target, isf)
         }
     };
@@ -267,10 +290,10 @@ fn run_spec_job(
         // recursion every run.
         bdd.clear_caches();
         let (g, report) = if job.budget.armed() {
-            let (g, report) = h.minimize_budgeted(&mut bdd, isf, job.budget.to_budget());
+            let (g, report) = h.minimize_budgeted(bdd, isf, job.budget.to_budget());
             (g, Some(report))
         } else {
-            (h.minimize(&mut bdd, isf), None)
+            (h.minimize(bdd, isf), None)
         };
         let size = bdd.size(g);
         if i > 0 {
@@ -288,7 +311,7 @@ fn run_spec_job(
     }
     let (min_size, best_edge, best_h) =
         best.ok_or_else(|| format!("no heuristic selected by filter {:?}", job.filter.raw))?;
-    let cover = bdd.isop(best_edge, best_edge).to_sop_string(&bdd);
+    let cover = bdd.isop(best_edge, best_edge).to_sop_string(bdd);
     Ok(format!(
         "\"kind\":\"spec\",\"f_size\":{f_size},\"c_size\":{c_size},\
          \"heuristics\":[{rows}],\"min_size\":{min_size},\"best\":\"{}\",\
@@ -449,8 +472,9 @@ pub fn process_stream(
             let (tx, rx) = mpsc::channel::<WorkItem>();
             let done = events_tx.clone();
             s.spawn(move || {
+                let mut managers = Managers::default();
                 for WorkItem { index, job } in rx {
-                    let (ok, body) = process_job(&job);
+                    let (ok, body) = process_job_on(&job, &mut managers);
                     let event = Event::Done(WorkDone {
                         index,
                         shard,
@@ -826,5 +850,90 @@ not json\n";
         let (ok, body) = process_job(&job);
         assert!(!ok);
         assert!(body.contains("not injective"), "{body}");
+    }
+
+    /// A seeded mix of jobs: spec widths 1 to 10 under every filter kind,
+    /// step- and node-limited ones, permuting `var_map`s, a non-injective
+    /// one, a blif job and an all-don't-care spec, which panics in the
+    /// sibling heuristics.
+    fn mixed_jobs(seed: u64) -> Vec<Job> {
+        const FILTERS: [&str; 5] = ["all", "osm_*", "sched", "opt_lv,tsm_td", "restr"];
+        let mut rng = bddmin_core::rng::XorShift64::seed_from_u64(seed);
+        let mut lines = Vec::new();
+        for i in 0..40 {
+            let width = 1 + i % 10;
+            let spec: String = (0..1usize << width)
+                .map(|_| ['0', '1', 'd'][rng.gen_range(0..3)])
+                .collect();
+            let filter = FILTERS[rng.gen_range(0..FILTERS.len())];
+            let mut line = format!("{{\"spec\":\"{spec}\",\"heuristic\":\"{filter}\"");
+            match rng.gen_range(0..5) {
+                0 => {
+                    let _ = write!(line, ",\"step_limit\":{}", [3, 40, 400][i % 3]);
+                }
+                1 => {
+                    let _ = write!(line, ",\"node_limit\":{}", [8, 30, 90][i % 3]);
+                }
+                _ => {}
+            }
+            if i % 4 == 3 {
+                let mut map: Vec<usize> = (0..width).rev().collect();
+                if i == 23 {
+                    map[0] = map[width - 1];
+                }
+                let _ = write!(line, ",\"var_map\":{map:?}");
+            }
+            line.push('}');
+            lines.push(line);
+        }
+        lines.push("{\"spec\":\"dd dd\",\"heuristic\":\"all\"}".to_owned());
+        lines.push(format!(
+            "{{\"blif\":\"{}\"}}",
+            ".model m\\n.inputs a b\\n.outputs y\\n.names a b y\\n11 1\\n.end\\n"
+        ));
+        lines.iter().map(|l| parse_job(l).unwrap()).collect()
+    }
+
+    /// A job that panics inside the kernel on the worker's managers, and
+    /// leaves an armed budget, an unfinished operation and
+    /// current-generation table entries behind.
+    fn forced_panic(managers: &mut Managers) {
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            let bdd = &mut managers.builder;
+            bdd.reset(10);
+            let (f, c) = bdd.from_leaf_spec(&"01d1d0".repeat(171)[..1024]).unwrap();
+            bdd.set_budget(bddmin_bdd::Budget::UNLIMITED.steps(40));
+            bdd.xor(f, c)
+        }));
+        let payload = panicked.expect_err("the budget must trip");
+        let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.starts_with(bddmin_bdd::BUDGET_PANIC), "{msg}");
+    }
+
+    #[test]
+    fn recycled_managers_answer_as_fresh_ones() {
+        let jobs = mixed_jobs(0x5eed);
+        let expected: Vec<(bool, String)> = jobs.iter().map(process_job).collect();
+        for needle in ["not injective", "internal panic", "\"kind\":\"blif\""] {
+            assert!(expected.iter().any(|(_, b)| b.contains(needle)), "{needle}");
+        }
+        assert!(expected
+            .iter()
+            .any(|(_, b)| b.contains("\"degraded\":true")));
+        let forward: Vec<usize> = (0..jobs.len()).collect();
+        let reversed: Vec<usize> = forward.iter().rev().copied().collect();
+        for order in [forward, reversed] {
+            let mut managers = Managers::default();
+            for (k, &i) in order.iter().enumerate() {
+                if k == 17 {
+                    forced_panic(&mut managers);
+                }
+                assert_eq!(
+                    process_job_on(&jobs[i], &mut managers),
+                    expected[i],
+                    "job {i}"
+                );
+            }
+        }
     }
 }

@@ -22,8 +22,9 @@
 #                gate + reorder-off and sifted-run determinism diffs
 #   image        image-equivalence oracle fuzz + break-and-exists mutant
 #                gate + mono-vs-range stdout determinism diff
-#   serve        service-layer gate: the 50-job demo stream through 1 and
-#                4 shards must be byte-identical, malformed and
+#   serve        service-layer gate: the 50-job and 300-job demo streams
+#                through 1, 2 and 4 shards must be byte-identical (workers
+#                recycle their managers across jobs), malformed and
 #                non-injective jobs must come back as structured error
 #                lines with exit 0, and the signature cache must score
 #                nonzero hits
@@ -309,33 +310,39 @@ stage_image() {
 
 stage_serve() {
     cargo build --release -q -p bddmin-serve
-    echo "    shard invariance: 50-job demo stream through 1 and 4 shards"
-    local tmpdir
+    echo "    shard invariance: 50- and 300-job demo streams through 1, 2 and 4 shards"
+    local tmpdir n shards
     tmpdir="$(mktemp -d)"
-    ./target/release/bddmin-job --demo 50 >"$tmpdir/jobs.jsonl"
-    # `set -e` makes the exit-0 requirement an assertion: any nonzero
-    # status here (a panic escaping a worker, an I/O failure) kills the
-    # stage. Per-job failures must stay in-band as error lines.
-    ./target/release/bddmin-serve --shards 1 <"$tmpdir/jobs.jsonl" \
-        >"$tmpdir/s1.jsonl" 2>"$tmpdir/s1.summary"
-    ./target/release/bddmin-serve --shards 4 <"$tmpdir/jobs.jsonl" \
-        >"$tmpdir/s4.jsonl" 2>"$tmpdir/s4.summary"
-    diff -u "$tmpdir/s1.jsonl" "$tmpdir/s4.jsonl"
-    echo "    result stream byte-identical at shards 1 and 4"
+    # Every worker keeps its managers across jobs of different widths, so
+    # a shard count that moves a job to another worker must not change
+    # its line. `set -e` makes the exit-0 requirement an assertion: any
+    # nonzero status here (a panic escaping a worker, an I/O failure)
+    # kills the stage. Per-job failures must stay in-band as error lines.
+    for n in 50 300; do
+        ./target/release/bddmin-job --demo "$n" >"$tmpdir/jobs$n.jsonl"
+        for shards in 1 2 4; do
+            ./target/release/bddmin-serve --shards "$shards" <"$tmpdir/jobs$n.jsonl" \
+                >"$tmpdir/d$n-s$shards.jsonl" 2>"$tmpdir/d$n-s$shards.summary"
+        done
+        for shards in 2 4; do
+            diff -u "$tmpdir/d$n-s1.jsonl" "$tmpdir/d$n-s$shards.jsonl"
+        done
+        echo "    $n-job result stream byte-identical at shards 1, 2 and 4"
+    done
     for needle in 'malformed job' 'not injective' '"status":"error"' \
                   '"degraded":true' '"cache":"hit"'; do
-        grep -q -- "$needle" "$tmpdir/s1.jsonl" || {
+        grep -q -- "$needle" "$tmpdir/d50-s1.jsonl" || {
             echo "demo stream lost its '$needle' result" >&2
             exit 1
         }
     done
     echo "    malformed + non-injective jobs answered as structured errors"
-    grep -Eq '[1-9][0-9]* cache hits' "$tmpdir/s1.summary" || {
+    grep -Eq '[1-9][0-9]* cache hits' "$tmpdir/d50-s1.summary" || {
         echo "expected nonzero signature-cache hits in the summary:" >&2
-        cat "$tmpdir/s1.summary" >&2
+        cat "$tmpdir/d50-s1.summary" >&2
         exit 1
     }
-    sed 's/^/    /' "$tmpdir/s1.summary"
+    sed 's/^/    /' "$tmpdir/d50-s1.summary"
     rm -rf "$tmpdir"
 }
 
