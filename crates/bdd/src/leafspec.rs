@@ -9,8 +9,9 @@
 
 use std::fmt;
 
-use crate::edge::{Edge, Var};
+use crate::edge::Edge;
 use crate::manager::Bdd;
+use crate::table::ToBdd;
 
 /// A parsed leaf specification: an incompletely specified function as
 /// `(f, c)` where `c` is the care function.
@@ -32,9 +33,12 @@ use crate::manager::Bdd;
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LeafSpec {
-    /// One entry per leaf, left to right: `Some(v)` = specified value,
-    /// `None` = don't care.
-    leaves: Vec<Option<bool>>,
+    /// The values as a packed truth table over levels `0..num_vars`
+    /// (`crate::table`): bit `m` is leaf `m`, don't cares completed to 1.
+    value: Vec<u64>,
+    /// The care set in the same layout: bit `m` is set iff leaf `m` is
+    /// specified.
+    care: Vec<u64>,
     num_vars: usize,
 }
 
@@ -61,32 +65,54 @@ impl LeafSpec {
     /// Returns an error on foreign characters, an empty string or a
     /// non-power-of-two length.
     pub fn parse(input: &str) -> Result<LeafSpec, ParseLeafSpecError> {
-        let mut leaves = Vec::new();
-        for ch in input.chars() {
-            match ch {
-                '0' => leaves.push(Some(false)),
-                '1' => leaves.push(Some(true)),
-                'd' | 'D' | '-' => leaves.push(None),
-                ' ' | '\t' | '\n' | ',' | '(' | ')' => {}
-                other => {
+        let (mut value, mut care) = (Vec::new(), Vec::new());
+        let mut len = 0usize;
+        for (at, byte) in input.bytes().enumerate() {
+            let (v, c) = match byte {
+                b'0' => (0, 1),
+                b'1' => (1, 1),
+                b'd' | b'D' | b'-' => (1, 0),
+                b' ' | b'\t' | b'\n' | b',' | b'(' | b')' => continue,
+                _ => {
+                    // Every byte before `at` was ASCII, so `at` starts a
+                    // character.
+                    let other = input[at..].chars().next().expect("at < input.len()");
                     return Err(ParseLeafSpecError {
                         message: format!("unexpected character '{other}' in leaf spec"),
-                    })
+                    });
                 }
+            };
+            if len.is_multiple_of(64) {
+                value.push(0);
+                care.push(0);
             }
+            value[len / 64] |= v << (len % 64);
+            care[len / 64] |= c << (len % 64);
+            len += 1;
         }
-        if leaves.is_empty() {
+        if len == 0 {
             return Err(ParseLeafSpecError {
                 message: "empty leaf spec".to_owned(),
             });
         }
-        if !leaves.len().is_power_of_two() {
+        if !len.is_power_of_two() {
             return Err(ParseLeafSpecError {
-                message: format!("leaf count {} is not a power of two", leaves.len()),
+                message: format!("leaf count {len} is not a power of two"),
             });
         }
-        let num_vars = leaves.len().trailing_zeros() as usize;
-        Ok(LeafSpec { leaves, num_vars })
+        // A table of fewer than 64 leaves fills its word by repetition.
+        let mut width = len;
+        while width < 64 {
+            value[0] |= value[0] << width;
+            care[0] |= care[0] << width;
+            width *= 2;
+        }
+        let num_vars = len.trailing_zeros() as usize;
+        Ok(LeafSpec {
+            value,
+            care,
+            num_vars,
+        })
     }
 
     /// Number of variables (log2 of the leaf count).
@@ -94,9 +120,15 @@ impl LeafSpec {
         self.num_vars
     }
 
-    /// The leaves, leftmost (all-variables-zero) first.
-    pub fn leaves(&self) -> &[Option<bool>] {
-        &self.leaves
+    /// The leaves, leftmost (all-variables-zero) first: `Some(v)` for a
+    /// specified value, `None` for a don't care.
+    pub fn leaves(&self) -> Vec<Option<bool>> {
+        (0..1usize << self.num_vars)
+            .map(|m| {
+                let bit = |words: &[u64]| words[m / 64] >> (m % 64) & 1 == 1;
+                bit(&self.care).then(|| bit(&self.value))
+            })
+            .collect()
     }
 
     /// Builds `(f, c)` over variables `Var(0) … Var(num_vars-1)` of `bdd`.
@@ -115,8 +147,13 @@ impl LeafSpec {
             bdd.num_vars(),
             self.num_vars
         );
-        let f = self.build_rec(bdd, 0, 0, true);
-        let c = self.build_rec(bdd, 0, 0, false);
+        // The tables are walked low half first, skipping what the
+        // per-leaf Shannon recursion would rebuild without a new node, so
+        // the nodes (and with them every later step-limited result) are
+        // that recursion's.
+        let mut to_bdd = ToBdd::new(self.num_vars as u32);
+        let f = to_bdd.build(bdd, &self.value, 0);
+        let c = to_bdd.build(bdd, &self.care, 0);
         (f, c)
     }
 
@@ -127,30 +164,11 @@ impl LeafSpec {
     /// Panics if the spec contains don't cares or the manager is too small.
     pub fn build_function(&self, bdd: &mut Bdd) -> Edge {
         assert!(
-            self.leaves.iter().all(Option::is_some),
+            self.care.iter().all(|&w| w == !0),
             "spec contains don't cares; use build()"
         );
         let (f, _) = self.build(bdd);
         f
-    }
-
-    fn build_rec(&self, bdd: &mut Bdd, depth: usize, offset: usize, value_of_f: bool) -> Edge {
-        if depth == self.num_vars {
-            let leaf = self.leaves[offset];
-            let bit = if value_of_f {
-                // f: don't cares completed to 1 (arbitrary).
-                leaf.unwrap_or(true)
-            } else {
-                // c: true iff specified.
-                leaf.is_some()
-            };
-            return bdd.constant(bit);
-        }
-        let half = 1usize << (self.num_vars - depth - 1);
-        // Left half is var = 0 (else branch), right half var = 1 (then).
-        let lo = self.build_rec(bdd, depth + 1, offset, value_of_f);
-        let hi = self.build_rec(bdd, depth + 1, offset + half, value_of_f);
-        bdd.mk(Var(depth as u32), hi, lo)
     }
 }
 
@@ -181,6 +199,94 @@ impl Bdd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edge::Var;
+    use crate::util::mix64;
+
+    /// The per-leaf Shannon recursion `LeafSpec::build` replaced: one
+    /// `mk` per node of the full decision tree, low subtree first. Kept
+    /// to pin the nodes the packed build creates and their order.
+    fn per_leaf(bdd: &mut Bdd, leaves: &[Option<bool>], depth: u32, value_of_f: bool) -> Edge {
+        if let [leaf] = *leaves {
+            return bdd.constant(if value_of_f {
+                leaf.unwrap_or(true)
+            } else {
+                leaf.is_some()
+            });
+        }
+        let (lo, hi) = leaves.split_at(leaves.len() / 2);
+        let lo = per_leaf(bdd, lo, depth + 1, value_of_f);
+        let hi = per_leaf(bdd, hi, depth + 1, value_of_f);
+        bdd.mk(Var(depth), hi, lo)
+    }
+
+    /// A seeded spec of `n` variables: random leaves with a seed-dependent
+    /// don't-care share, some made independent of a random subset of the
+    /// variables so that tables repeat and have equal halves.
+    fn seeded_spec(n: u32, seed: u64) -> String {
+        let word = |m: u64, salt: u64| mix64(seed << 40 ^ salt << 32 ^ m);
+        let mask = if seed % 2 == 1 { word(0, 3) } else { !0 };
+        (0..1u64 << n)
+            .map(|m| {
+                let r = word(m & mask, 1);
+                match r % 8 {
+                    x if x < seed % 6 => 'd',
+                    _ if r >> 32 & 1 == 1 => '1',
+                    _ => '0',
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn packed_build_creates_the_per_leaf_nodes() {
+        let mut shared_packed = Bdd::new(16);
+        let mut shared_leaf = Bdd::new(16);
+        for n in 1..=16u32 {
+            for seed in 0..if n <= 12 { 6 } else { 2 } {
+                let spec = LeafSpec::parse(&seeded_spec(n, seed)).unwrap();
+                let leaves = spec.leaves();
+                let mut fresh_packed = Bdd::new(n as usize);
+                let mut fresh_leaf = Bdd::new(n as usize);
+                for (packed, leaf) in [
+                    (&mut fresh_packed, &mut fresh_leaf),
+                    (&mut shared_packed, &mut shared_leaf),
+                ] {
+                    let got = spec.build(packed);
+                    let want = (
+                        per_leaf(leaf, &leaves, 0, true),
+                        per_leaf(leaf, &leaves, 0, false),
+                    );
+                    assert_eq!(got, want, "n {n} seed {seed}");
+                    // The same nodes in the same slots: the same order.
+                    assert_eq!(packed.nodes, leaf.nodes, "n {n} seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn leaves_round_trip() {
+        for n in 0..=8u32 {
+            for seed in 0..4 {
+                let text = if n == 0 {
+                    ["0", "1", "d", "1"][seed as usize].to_owned()
+                } else {
+                    seeded_spec(n, seed)
+                };
+                let spec = LeafSpec::parse(&text).unwrap();
+                let rendered: String = spec
+                    .leaves()
+                    .iter()
+                    .map(|l| match l {
+                        None => 'd',
+                        Some(true) => '1',
+                        Some(false) => '0',
+                    })
+                    .collect();
+                assert_eq!(rendered, text);
+            }
+        }
+    }
 
     #[test]
     fn parse_shapes() {
@@ -190,6 +296,10 @@ mod tests {
         let s3 = LeafSpec::parse("1d d1 d0 0d").unwrap();
         assert_eq!(s3.num_vars(), 3);
         assert!(LeafSpec::parse("01x").is_err());
+        assert_eq!(
+            LeafSpec::parse("01é").unwrap_err().to_string(),
+            "unexpected character 'é' in leaf spec"
+        );
         assert!(LeafSpec::parse("011").is_err());
         assert!(LeafSpec::parse("").is_err());
     }

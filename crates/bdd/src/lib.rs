@@ -64,6 +64,7 @@ mod node;
 mod ops;
 mod reorder;
 mod sig;
+mod table;
 mod transfer;
 mod unique;
 mod util;

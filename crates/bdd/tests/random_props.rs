@@ -315,12 +315,11 @@ fn isop_interval_soundness_and_irredundancy() {
         let extra = from_table(&mut bdd, t_extra);
         let upper = bdd.or(lower, extra);
         let isop = bdd.isop(lower, upper);
-        assert!(bdd.implies_holds(lower, isop.function));
-        assert!(bdd.implies_holds(isop.function, upper));
-        // Cube list and function agree.
+        // The union of the cubes lies in the interval.
         let parts: Vec<Edge> = isop.cubes.iter().map(|c| c.to_edge(&mut bdd)).collect();
         let union = bdd.or_many(parts);
-        assert_eq!(union, isop.function);
+        assert!(bdd.implies_holds(lower, union));
+        assert!(bdd.implies_holds(union, upper));
         // Irredundancy: dropping any one cube uncovers part of lower.
         for skip in 0..isop.cubes.len() {
             let parts: Vec<Edge> = isop
@@ -338,7 +337,8 @@ fn isop_interval_soundness_and_irredundancy() {
         }
         // No freedom ⟹ exact.
         let exact = bdd.isop(lower, lower);
-        assert_eq!(exact.function, lower);
+        let parts: Vec<Edge> = exact.cubes.iter().map(|c| c.to_edge(&mut bdd)).collect();
+        assert_eq!(bdd.or_many(parts), lower);
     }
 }
 

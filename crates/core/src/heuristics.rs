@@ -139,12 +139,9 @@ impl Heuristic {
     /// applies, so the cover may be larger than `f`. A step that trips
     /// the kernel's recursion-depth guard (a BDD deeper than
     /// [`bddmin_bdd::MAX_REC_DEPTH`] levels) is skipped as it would be
-    /// under a budget, so the call returns rather than panics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `isf.c` is the zero function (except for the trivial
-    /// heuristics, which are total).
+    /// under a budget, so the call returns rather than panics. On an
+    /// empty care set every function is a cover: the matchers, `opt_lv`
+    /// and the schedule return the constant 0.
     pub fn minimize(self, bdd: &mut Bdd, isf: Isf) -> Edge {
         self.run(bdd, isf, &mut MinReport::new())
     }
@@ -164,11 +161,6 @@ impl Heuristic {
     /// [`Heuristic::minimize`]'s, unless that is larger than `f`: then
     /// the clamp returns `f` and sets `fell_back_to_f` (the practical
     /// guard discussed after paper Proposition 6).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `isf.c` is the zero function (except for the trivial
-    /// heuristics, which are total).
     pub fn minimize_budgeted(self, bdd: &mut Bdd, isf: Isf, budget: Budget) -> (Edge, MinReport) {
         run_budgeted(bdd, isf, budget, |bdd, report| self.run(bdd, isf, report))
     }

@@ -457,11 +457,8 @@ pub(crate) fn minimize_at_level_budgeted(
 }
 
 /// The paper's `opt_lv` heuristic: visit the levels in increasing order and
-/// match functions with tsm at each. Returns a cover of `[f, c]`.
-///
-/// # Panics
-///
-/// Panics if `isf.c` is the zero function.
+/// match functions with tsm at each. Returns a cover of `[f, c]`; an
+/// empty care set gives the constant 0.
 ///
 /// # Example
 ///
@@ -489,7 +486,9 @@ pub(crate) fn opt_lv_steps(
     options: CliqueOptions,
     report: &mut MinReport,
 ) -> Edge {
-    assert!(!isf.c.is_zero(), "opt_lv: care set must be non-empty");
+    if isf.c.is_zero() {
+        return Edge::ZERO;
+    }
     let mut cur = isf;
     let n = bdd.num_vars() as u32;
     for lvl in 0..n {
@@ -738,6 +737,14 @@ mod tests {
             let g = opt_lv(&mut bdd, isf, CliqueOptions::default());
             assert!(isf.is_cover(&mut bdd, g), "opt_lv broke cover on {spec}");
         }
+    }
+
+    #[test]
+    fn opt_lv_on_an_empty_care_set_gives_zero() {
+        let mut bdd = Bdd::new(2);
+        let (f, c) = bdd.from_leaf_spec("dd dd").unwrap();
+        let g = opt_lv(&mut bdd, Isf::new(f, c), CliqueOptions::default());
+        assert_eq!(g, Edge::ZERO);
     }
 
     #[test]

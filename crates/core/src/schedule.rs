@@ -72,11 +72,8 @@ impl Schedule {
         self
     }
 
-    /// Runs the schedule and returns a cover of `[f, c]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `isf.c` is the zero function.
+    /// Runs the schedule and returns a cover of `[f, c]`; an empty care
+    /// set gives the constant 0.
     ///
     /// # Example
     ///
@@ -107,10 +104,6 @@ impl Schedule {
     /// [`Budget::UNLIMITED`] every step completes and the cover equals
     /// [`Schedule::apply`]'s (modulo the final size clamp).
     ///
-    /// # Panics
-    ///
-    /// Panics if `isf.c` is the zero function.
-    ///
     /// # Example
     ///
     /// ```
@@ -139,7 +132,9 @@ impl Schedule {
     /// current representative is itself a cover of the current ISF (and
     /// hence of the original, which it i-covers).
     pub(crate) fn run(&self, bdd: &mut Bdd, isf: Isf, report: &mut MinReport) -> Edge {
-        assert!(!isf.c.is_zero(), "schedule: care set must be non-empty");
+        if isf.c.is_zero() {
+            return Edge::ZERO;
+        }
         let n = bdd.num_vars() as u32;
         let mut cur = isf;
         let mut level = 0u32;
@@ -268,10 +263,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-empty")]
-    fn zero_care_panics() {
+    fn zero_care_gives_zero() {
         let mut bdd = Bdd::new(2);
         let a = bdd.var(Var(0));
-        Schedule::default().apply(&mut bdd, Isf::new(a, Edge::ZERO));
+        let isf = Isf::new(a, Edge::ZERO);
+        assert_eq!(Schedule::default().apply(&mut bdd, isf), Edge::ZERO);
+        let (g, report) =
+            Schedule::default().apply_with_report(&mut bdd, isf, Budget::default().steps(1));
+        assert_eq!(g, Edge::ZERO);
+        assert!(!report.degraded());
     }
 }

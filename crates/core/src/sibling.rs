@@ -88,11 +88,8 @@ impl SiblingConfig {
 }
 
 /// Runs the generic top-down sibling matcher and returns a cover of
-/// `[f, c]` (paper Figure 2).
-///
-/// # Panics
-///
-/// Panics if `isf.c` is the zero function (empty care set).
+/// `[f, c]` (paper Figure 2). An empty care set gives the constant 0:
+/// every function covers it.
 ///
 /// # Example
 ///
@@ -114,16 +111,14 @@ pub fn generic_td(bdd: &mut Bdd, isf: Isf, config: SiblingConfig) -> Edge {
 /// past an armed budget. On error the traversal's partial work is
 /// discarded (the memo keeps only completed sub-results, which remain
 /// correct).
-///
-/// # Panics
-///
-/// Panics if `isf.c` is the zero function (empty care set).
 pub(crate) fn generic_td_budgeted(
     bdd: &mut Bdd,
     isf: Isf,
     config: SiblingConfig,
 ) -> Result<Edge, BudgetExceeded> {
-    assert!(!isf.c.is_zero(), "generic_td: care set must be non-empty");
+    if isf.c.is_zero() {
+        return Ok(Edge::ZERO);
+    }
     // Sibling results are pure in (f, c, config): the unsalted tag shares
     // the manager-resident memo across invocations, so repeated calls on
     // overlapping instances cost nothing until the next cache flush.
@@ -429,15 +424,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-empty")]
-    fn zero_care_panics() {
+    fn zero_care_gives_zero() {
         let mut bdd = Bdd::new(1);
         let a = bdd.var(Var(0));
-        generic_td(
-            &mut bdd,
-            Isf::new(a, Edge::ZERO),
-            SiblingConfig::new(MatchCriterion::Osm),
-        );
+        for cfg in all_configs() {
+            assert_eq!(
+                generic_td(&mut bdd, Isf::new(a, Edge::ZERO), cfg),
+                Edge::ZERO
+            );
+        }
     }
 
     #[test]

@@ -33,6 +33,15 @@
 //! it never kills the process. The next job's reset discards whatever
 //! state the panic left behind.
 //!
+//! A job's small functions live on machine words. A leaf spec holds its
+//! values and care set as packed truth tables, and both the
+//! dispatcher's probe and the worker build from them, creating the
+//! nodes the per-leaf recursion created, in its order. The cover line
+//! is [`Bdd::isop`] of the best result, which solves frames of at most
+//! 12 levels on tables: a job of up to 12 variables renders its cover
+//! without creating a node. An all-don't-care spec is an ordinary job:
+//! the heuristics return the constant 0 on an empty care set.
+//!
 //! # Event loop
 //!
 //! [`process_stream`] is a dispatcher on the calling thread with scoped
@@ -854,8 +863,7 @@ not json\n";
 
     /// A seeded mix of jobs: spec widths 1 to 10 under every filter kind,
     /// step- and node-limited ones, permuting `var_map`s, a non-injective
-    /// one, a blif job and an all-don't-care spec, which panics in the
-    /// sibling heuristics.
+    /// one, an all-don't-care spec and a blif job.
     fn mixed_jobs(seed: u64) -> Vec<Job> {
         const FILTERS: [&str; 5] = ["all", "osm_*", "sched", "opt_lv,tsm_td", "restr"];
         let mut rng = bddmin_core::rng::XorShift64::seed_from_u64(seed);
@@ -914,9 +922,11 @@ not json\n";
     fn recycled_managers_answer_as_fresh_ones() {
         let jobs = mixed_jobs(0x5eed);
         let expected: Vec<(bool, String)> = jobs.iter().map(process_job).collect();
-        for needle in ["not injective", "internal panic", "\"kind\":\"blif\""] {
+        for needle in ["not injective", "\"kind\":\"blif\""] {
             assert!(expected.iter().any(|(_, b)| b.contains(needle)), "{needle}");
         }
+        let all_dont_care = &expected[jobs.len() - 2];
+        assert!(all_dont_care.0, "{}", all_dont_care.1);
         assert!(expected
             .iter()
             .any(|(_, b)| b.contains("\"degraded\":true")));

@@ -67,6 +67,45 @@ fn demo_stream_is_byte_identical_across_shard_counts() {
 }
 
 #[test]
+fn the_golden_stream_gives_its_recorded_results() {
+    // 61 seeded jobs of 8 to 14 variables (see tests/golden/README.md);
+    // the expected lines pin every cover, size and report byte for byte.
+    let input = include_str!("golden/stream.jsonl");
+    let expected = include_str!("golden/expected.jsonl");
+    for shards in [1, 2] {
+        let (out, summary) = run(input, shards);
+        assert_eq!((summary.jobs, summary.errors), (61, 0));
+        for (i, (got, want)) in out.lines().zip(expected.lines()).enumerate() {
+            assert_eq!(got, want, "line {i} at {shards} shards");
+        }
+        assert_eq!(out, expected, "at {shards} shards");
+    }
+}
+
+#[test]
+fn an_all_dont_care_job_is_answered() {
+    // Every function covers an empty care set; the matchers, opt_lv and
+    // the schedule answer with the constant 0 instead of panicking.
+    let input = concat!(
+        r#"{"spec":"dd","heuristic":"all"}"#,
+        "\n",
+        r#"{"spec":"dddd","heuristic":"osm_bt,opt_lv,sched","step_limit":5}"#,
+        "\n",
+    );
+    let (out, summary) = run(input, 1);
+    assert_eq!((summary.ok, summary.errors), (2, 0), "{out}");
+    let lines: Vec<json::Json> = out.lines().map(parsed).collect();
+    for line in &lines {
+        assert_eq!(field_str(line, "status"), "ok");
+        assert_eq!(field_u64(line, "min_size"), 1);
+    }
+    // `all` keeps the first of its equal-size results, f_orig's `1`.
+    assert_eq!(field_str(&lines[0], "cover"), "1");
+    assert_eq!(field_str(&lines[1], "cover"), "0");
+    assert!(out.contains(r#""cover":"0","degraded":false"#), "{out}");
+}
+
+#[test]
 fn cache_hits_pass_exact_confirmation_and_reuse_the_result() {
     // Same ISF + filter + budget twice, with a different ISF in between.
     let input = "\

@@ -128,7 +128,7 @@ pub fn parse(text: &str) -> Result<CorpusEntry, CorpusError> {
                 }
                 let spec = LeafSpec::parse(value)
                     .map_err(|e| CorpusError::new(format!("bad spec: {e}")))?;
-                leaves = Some(spec.leaves().to_vec());
+                leaves = Some(spec.leaves());
             }
             "chaos" => {
                 if chaos.is_some() {

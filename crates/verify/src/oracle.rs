@@ -782,7 +782,7 @@ mod tests {
         ]
         .iter()
         .map(|spec| {
-            let leaves = bddmin_bdd::LeafSpec::parse(spec).unwrap().leaves().to_vec();
+            let leaves = bddmin_bdd::LeafSpec::parse(spec).unwrap().leaves();
             Instance::new(leaves, ChaosPlan::NONE)
         })
         .collect()

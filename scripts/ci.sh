@@ -27,7 +27,9 @@
 #                recycle their managers across jobs), malformed and
 #                non-injective jobs must come back as structured error
 #                lines with exit 0, and the signature cache must score
-#                nonzero hits
+#                nonzero hits; the golden stream
+#                (crates/serve/tests/golden) must give its recorded
+#                results at 1, 2 and 4 shards
 #   perf         the perfbench test suite (explicit checker, percentiles,
 #                compare verdicts, traced-replay drift) + the
 #                ci_timings.json wall-clock artifact check
@@ -329,6 +331,12 @@ stage_serve() {
         done
         echo "    $n-job result stream byte-identical at shards 1, 2 and 4"
     done
+    local golden=crates/serve/tests/golden
+    for shards in 1 2 4; do
+        ./target/release/bddmin-serve --shards "$shards" <"$golden/stream.jsonl" \
+            2>/dev/null | diff -u "$golden/expected.jsonl" -
+    done
+    echo "    golden stream gives its recorded results at shards 1, 2 and 4"
     for needle in 'malformed job' 'not injective' '"status":"error"' \
                   '"degraded":true' '"cache":"hit"'; do
         grep -q -- "$needle" "$tmpdir/d50-s1.jsonl" || {
