@@ -80,5 +80,6 @@ pub use manager::{Bdd, BddStats, BUDGET_PANIC, MAX_REC_DEPTH};
 pub use node::Node;
 pub use reorder::{ReorderMethod, ReorderSettings, ReorderStats};
 pub use sig::{SigEvaluator, SIG_LANES, SIG_SEED};
+pub use table::TABLE_LEVELS;
 pub use transfer::TransferError;
 pub use util::{FastBuild, FastHasher};

@@ -10,7 +10,9 @@
 //!
 //! [`Bdd::isop`] solves small intervals on tables and
 //! [`LeafSpec`](crate::LeafSpec) stores its leaves as tables; both come
-//! back to diagrams through [`ToBdd`].
+//! back to diagrams through [`ToBdd`]. [`Bdd::table_below`] hands a table
+//! to callers outside the kernel, which decide questions about small
+//! functions with word operations instead of building diagrams.
 
 use std::collections::HashMap;
 
@@ -18,9 +20,10 @@ use crate::edge::{Edge, Var};
 use crate::manager::Bdd;
 use crate::util::FastBuild;
 
-/// Largest table a frame of [`Bdd::isop`] solves on words: 12 levels,
-/// 64 words.
-pub(crate) const TABLE_LEVELS: u32 = 12;
+/// Largest table the kernel reads a function into: 12 levels, 64 words.
+/// [`Bdd::isop`] solves frames of at most this many levels on words, and
+/// [`Bdd::table_below`] declines wider functions.
+pub const TABLE_LEVELS: u32 = 12;
 
 /// Words of a table over [`TABLE_LEVELS`] levels.
 pub(crate) const TABLE_WORDS: usize = 1 << (TABLE_LEVELS - 6);
@@ -79,6 +82,57 @@ pub(crate) fn from_bdd(bdd: &Bdd, f: Edge, top: u32, end: u32, out: &mut [u64]) 
             from_bdd(bdd, f, top + 1, end, out0);
             out1.copy_from_slice(out0);
         }
+    }
+}
+
+impl Bdd {
+    /// Appends the packed truth table of `f` over the levels below
+    /// `level` (from `level + 1` to the bottom of the order) to `out` and
+    /// returns `true`. For `k` such levels that is `max(1, 2^(k-6))`
+    /// words; the top one is the most significant index bit, bit `i` of a
+    /// word's index is level `num_vars - 1 - i`, and a table of fewer
+    /// than six levels repeats through its word. Levels are positions in
+    /// the current order, not variable identities.
+    ///
+    /// Declines, appending nothing and returning `false`, when more than
+    /// [`TABLE_LEVELS`] levels lie below `level`. Creates no node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` is rooted at `level` or above it.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bddmin_bdd::{Bdd, Edge, Var, TABLE_LEVELS};
+    /// let mut bdd = Bdd::new(3);
+    /// let b = bdd.var(Var(1));
+    /// let c = bdd.var(Var(2));
+    /// let f = bdd.and(b, c);
+    /// let mut t = Vec::new();
+    /// assert!(bdd.table_below(f, Var(0), &mut t));
+    /// // Index bit 1 is `b`, bit 0 is `c`: `f` holds at indices 3, 7, 11, …
+    /// assert_eq!(t, [0x8888_8888_8888_8888]);
+    ///
+    /// let wide = Bdd::new(TABLE_LEVELS as usize + 2);
+    /// assert!(!wide.table_below(Edge::ONE, Var(0), &mut t));
+    /// assert!(wide.table_below(Edge::ONE, Var(1), &mut t));
+    /// assert_eq!(t.len(), 1 + 64);
+    /// ```
+    pub fn table_below(&self, f: Edge, level: Var, out: &mut Vec<u64>) -> bool {
+        assert!(
+            self.level(f) > level,
+            "table_below: the function must be rooted below level {level}"
+        );
+        let (top, end) = (level.0 + 1, self.num_vars() as u32);
+        let levels = end.saturating_sub(top);
+        if levels > TABLE_LEVELS {
+            return false;
+        }
+        let start = out.len();
+        out.resize(start + words(levels), 0);
+        from_bdd(self, f, top, end, &mut out[start..]);
+        true
     }
 }
 
@@ -205,6 +259,68 @@ mod tests {
                     let bit = t[(m >> 6) as usize] >> (m & 63) & 1 == 1;
                     assert_eq!(bdd.eval(f, &assignment), bit);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn table_below_matches_evaluation_in_a_reordered_manager() {
+        let n = 10;
+        let mut bdd = Bdd::new(n);
+        for i in [0, 3, 7, 2, 5, 8, 1] {
+            bdd.swap_levels(i);
+        }
+        for level in 0..n as u32 {
+            let below: Vec<Var> = (level + 1..n as u32)
+                .map(|l| bdd.var_at_level(Var(l)))
+                .collect();
+            for seed in 0..8u64 {
+                // A random sum of cubes over the variables below `level`.
+                let mut f = Edge::ZERO;
+                for j in 0..6u64 {
+                    let bits = mix64(seed << 16 | u64::from(level) << 8 | j);
+                    let mut cube = Edge::ONE;
+                    for (k, &v) in below.iter().enumerate() {
+                        let lit = bdd.var(v);
+                        match bits >> (2 * k) & 3 {
+                            0 => cube = bdd.and(cube, lit),
+                            1 => cube = bdd.and(cube, lit.complement()),
+                            _ => {}
+                        }
+                    }
+                    f = bdd.or(f, cube);
+                }
+                let before = bdd.stats().allocated_nodes;
+                let mut t = vec![7];
+                assert!(bdd.table_below(f, Var(level), &mut t));
+                assert_eq!(bdd.stats().allocated_nodes, before);
+                assert_eq!(t[0], 7, "appends after what `out` holds");
+                let t = &t[1..];
+                let k = below.len() as u32;
+                assert_eq!(t.len(), words(k));
+                for m in 0..1u32 << 6.max(k) {
+                    let mut assignment = vec![false; n];
+                    for (i, &v) in below.iter().enumerate() {
+                        assignment[v.index()] = m >> (k - 1 - i as u32) & 1 == 1;
+                    }
+                    let bit = t[(m >> 6) as usize] >> (m & 63) & 1 == 1;
+                    assert_eq!(bit, bdd.eval(f, &assignment), "level {level} index {m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_below_declines_above_the_cutoff() {
+        let n = TABLE_LEVELS as usize + 4;
+        let mut bdd = Bdd::new(n);
+        let x = bdd.var(Var(n as u32 - 1));
+        let mut t = Vec::new();
+        for level in 0..n as u32 - 1 {
+            let fits = n as u32 - level - 1 <= TABLE_LEVELS;
+            assert_eq!(bdd.table_below(x, Var(level), &mut t), fits);
+            if !fits {
+                assert!(t.is_empty(), "a declined call appends nothing");
             }
         }
     }

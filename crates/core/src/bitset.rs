@@ -46,7 +46,7 @@ impl Bitset {
 
 /// A dense `n × n` boolean matrix of `u64` blocks — the adjacency matrix
 /// of a matching graph.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct BitMatrix {
     words_per_row: usize,
     blocks: Vec<u64>,

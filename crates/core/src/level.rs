@@ -20,10 +20,17 @@
 //! heuristic evaluated in the paper's experiments.
 //!
 //! Building the matching graph is the schedule's most expensive step:
-//! Θ(n²) exact pair checks over the gathered set. Each check is the
-//! node-free, cached `agree` predicate, cheap enough that every pair runs
-//! it directly. The graph is a dense bitset whose clique-cover operations
-//! are word-parallel.
+//! Θ(n²) exact pair checks over the gathered set. When at most
+//! [`TABLE_LEVELS`](bddmin_bdd::TABLE_LEVELS) levels lie below `i` and no
+//! budget is armed, the pass reads every gathered function once into a
+//! packed truth table ([`Bdd::table_below`]) and decides each pair, and
+//! the osm vertex grouping, with word operations: no node is built and no
+//! cache is touched. Otherwise each check is the cached `agree` predicate,
+//! and a tsm check builds the care product `c_j·c_k` first. Both paths
+//! decide the same semantic questions, so the graph, and every result, is
+//! the same; a budgeted pass keeps the diagram path because its step
+//! count depends on computed-table hits. The graph is a dense bitset whose
+//! clique-cover operations are word-parallel.
 
 use std::collections::{HashMap, HashSet};
 
@@ -137,16 +144,110 @@ fn gather_rec(
     Ok(())
 }
 
+/// The gathered functions as packed truth tables over the levels below
+/// the pass's level: function `j`'s `f` and `c` are the `j`-th
+/// `words`-word slices of `f` and `c`.
+struct FrontierTables {
+    words: usize,
+    f: Vec<u64>,
+    c: Vec<u64>,
+}
+
+impl FrontierTables {
+    /// Reads each function once, or `None` when more than
+    /// [`TABLE_LEVELS`](bddmin_bdd::TABLE_LEVELS) levels lie below `level`
+    /// or a budget is armed (a budgeted pass charges the diagram path's
+    /// steps, which depend on computed-table hits).
+    fn read(bdd: &Bdd, functions: &[Isf], level: Var) -> Option<FrontierTables> {
+        if functions.is_empty() || !bdd.budget().is_unlimited() {
+            return None;
+        }
+        let (mut f, mut c) = (Vec::new(), Vec::new());
+        for isf in functions {
+            if !(bdd.table_below(isf.f, level, &mut f) && bdd.table_below(isf.c, level, &mut c)) {
+                return None;
+            }
+        }
+        Some(FrontierTables {
+            words: f.len() / functions.len(),
+            f,
+            c,
+        })
+    }
+
+    fn f(&self, j: usize) -> &[u64] {
+        &self.f[j * self.words..][..self.words]
+    }
+
+    fn c(&self, j: usize) -> &[u64] {
+        &self.c[j * self.words..][..self.words]
+    }
+
+    /// The tsm criterion: `(f_j ⊕ f_k)·c_j·c_k = 0`.
+    fn tsm(&self, j: usize, k: usize) -> bool {
+        let (fj, cj, fk, ck) = (self.f(j), self.c(j), self.f(k), self.c(k));
+        (0..self.words).all(|w| (fj[w] ^ fk[w]) & cj[w] & ck[w] == 0)
+    }
+
+    /// The osm criterion, `j` onto `k`: `c_j ≤ c_k` and
+    /// `(f_j ⊕ f_k)·c_j = 0`.
+    fn osm(&self, j: usize, k: usize) -> bool {
+        let (fj, cj, fk, ck) = (self.f(j), self.c(j), self.f(k), self.c(k));
+        (0..self.words).all(|w| cj[w] & (!ck[w] | (fj[w] ^ fk[w])) == 0)
+    }
+
+    /// [`dedup_by_canonical_key`] on the words of the key `(f·c, c)`.
+    fn dedup(&self) -> Dedup {
+        let n = self.f.len() / self.words;
+        let keys: Vec<u64> = (0..n)
+            .flat_map(|j| {
+                let (f, c) = (self.f(j), self.c(j));
+                (0..self.words)
+                    .map(move |w| f[w] & c[w])
+                    .chain(c.iter().copied())
+            })
+            .collect();
+        group_first_seen(keys.chunks(2 * self.words))
+    }
+}
+
+/// The osm vertices: the index of each vertex's first function, and the
+/// vertex of each function.
+type Dedup = (Vec<usize>, Vec<usize>);
+
+/// Groups equal keys, numbering the groups in order of first occurrence.
+fn group_first_seen<K: std::hash::Hash + Eq>(keys: impl Iterator<Item = K>) -> Dedup {
+    let mut vertex_of: HashMap<K, usize, FastBuild> = HashMap::default();
+    let mut firsts: Vec<usize> = Vec::new();
+    let vertex_idx = keys
+        .enumerate()
+        .map(|(j, key)| {
+            *vertex_of.entry(key).or_insert_with(|| {
+                firsts.push(j);
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    (firsts, vertex_idx)
+}
+
 /// Solves FMM on the gathered set with the **osm** criterion via the DMG
 /// sink construction (paper Proposition 10). Returns, for each input
 /// index, the i-cover that replaces it.
-fn solve_fmm_osm(bdd: &mut Bdd, functions: &[Isf]) -> Result<Vec<Isf>, BudgetExceeded> {
+fn solve_fmm_osm(
+    bdd: &mut Bdd,
+    functions: &[Isf],
+    tables: Option<&FrontierTables>,
+) -> Result<Vec<Isf>, BudgetExceeded> {
     // Collapse equal ISFs (different representatives) to one vertex, so
     // mutually-osm-matching pairs cannot form a 2-cycle and the graph
     // stays acyclic as in the paper's Proposition 10.
-    let (vertices, vertex_idx) = dedup_by_canonical_key(bdd, functions)?;
-    let adj = build_osm_graph(bdd, &vertices)?;
-    let m = vertices.len();
+    let (firsts, vertex_idx) = match tables {
+        Some(t) => t.dedup(),
+        None => dedup_by_canonical_key(bdd, functions)?,
+    };
+    let adj = build_osm_graph(bdd, functions, &firsts, tables)?;
+    let m = firsts.len();
     let is_sink: Vec<bool> = (0..m).map(|j| adj.row_is_empty(j)).collect();
     // Map every vertex to a sink it can reach; by transitivity a direct
     // edge to some sink exists for every non-sink vertex.
@@ -178,33 +279,18 @@ fn solve_fmm_osm(bdd: &mut Bdd, functions: &[Isf]) -> Result<Vec<Isf>, BudgetExc
     }
     Ok(vertex_idx
         .into_iter()
-        .map(|v| vertices[target[v]])
+        .map(|v| functions[firsts[target[v]]])
         .collect())
 }
 
 /// The osm vertex dedup: compute every canonical key `(f·c, c)` with
-/// BDD operations and group through a hash map, keeping first-occurrence
-/// order.
-fn dedup_by_canonical_key(
-    bdd: &mut Bdd,
-    functions: &[Isf],
-) -> Result<(Vec<Isf>, Vec<usize>), BudgetExceeded> {
-    let n = functions.len();
-    let mut canon: Vec<(Edge, Edge)> = Vec::with_capacity(n);
-    for isf in functions {
-        canon.push(isf.try_canonical_key(bdd)?);
-    }
-    let mut vertex_of: HashMap<(Edge, Edge), usize, FastBuild> = HashMap::default();
-    let mut vertices: Vec<Isf> = Vec::new();
-    let mut vertex_idx: Vec<usize> = Vec::with_capacity(n);
-    for (i, key) in canon.iter().enumerate() {
-        let v = *vertex_of.entry(*key).or_insert_with(|| {
-            vertices.push(functions[i]);
-            vertices.len() - 1
-        });
-        vertex_idx.push(v);
-    }
-    Ok((vertices, vertex_idx))
+/// BDD operations and group equal keys, keeping first-occurrence order.
+fn dedup_by_canonical_key(bdd: &mut Bdd, functions: &[Isf]) -> Result<Dedup, BudgetExceeded> {
+    let keys = functions
+        .iter()
+        .map(|isf| isf.try_canonical_key(bdd))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(group_first_seen(keys.into_iter()))
 }
 
 /// The number of unordered pairs of `n` vertices, `n·(n−1)/2`: the pair
@@ -214,19 +300,33 @@ fn pair_count(n: usize) -> u64 {
     n.saturating_mul(n.saturating_sub(1)) / 2
 }
 
-/// Builds the directed osm matching graph over deduplicated vertices:
-/// edge j → k iff vertex j osm-matches vertex k.
-fn build_osm_graph(bdd: &mut Bdd, vertices: &[Isf]) -> Result<BitMatrix, BudgetExceeded> {
-    let m = vertices.len();
+/// Builds the directed osm matching graph over the deduplicated vertices,
+/// vertex `j` being `functions[firsts[j]]`: edge j → k iff vertex j
+/// osm-matches vertex k.
+fn build_osm_graph(
+    bdd: &mut Bdd,
+    functions: &[Isf],
+    firsts: &[usize],
+    tables: Option<&FrontierTables>,
+) -> Result<BitMatrix, BudgetExceeded> {
+    let m = firsts.len();
     // Charge the m·(m−1) ordered pair examinations up front, before the
     // m² adjacency bits are allocated.
     bdd.charge_steps(pair_count(m).saturating_mul(2))?;
     let mut adj = BitMatrix::new(m);
-    for j in 0..m {
-        for k in 0..m {
-            if j != k
-                && matches_directed_budgeted(bdd, MatchCriterion::Osm, vertices[j], vertices[k])?
-            {
+    for (j, &a) in firsts.iter().enumerate() {
+        for (k, &b) in firsts.iter().enumerate() {
+            if j == k {
+                continue;
+            }
+            let matched = match tables {
+                Some(t) => t.osm(a, b),
+                None => {
+                    let (a, b) = (functions[a], functions[b]);
+                    matches_directed_budgeted(bdd, MatchCriterion::Osm, a, b)?
+                }
+            };
+            if matched {
                 adj.set(j, k);
             }
         }
@@ -259,6 +359,7 @@ impl Default for CliqueOptions {
 fn build_tsm_graph(
     bdd: &mut Bdd,
     functions: &[GatheredFunction],
+    tables: Option<&FrontierTables>,
 ) -> Result<BitMatrix, BudgetExceeded> {
     let n = functions.len();
     // Charge the n·(n−1)/2 pair examinations up front, before the n²
@@ -267,8 +368,14 @@ fn build_tsm_graph(
     let mut adj = BitMatrix::new(n);
     for j in 0..n {
         for k in (j + 1)..n {
-            let (a, b) = (functions[j].isf, functions[k].isf);
-            if matches_directed_budgeted(bdd, MatchCriterion::Tsm, a, b)? {
+            let matched = match tables {
+                Some(t) => t.tsm(j, k),
+                None => {
+                    let (a, b) = (functions[j].isf, functions[k].isf);
+                    matches_directed_budgeted(bdd, MatchCriterion::Tsm, a, b)?
+                }
+            };
+            if matched {
                 adj.set(j, k);
                 adj.set(k, j);
             }
@@ -285,10 +392,11 @@ fn build_tsm_graph(
 fn solve_fmm_tsm(
     bdd: &mut Bdd,
     functions: &[GatheredFunction],
+    tables: Option<&FrontierTables>,
     options: CliqueOptions,
 ) -> Result<Vec<Isf>, BudgetExceeded> {
     let n = functions.len();
-    let adj = build_tsm_graph(bdd, functions)?;
+    let adj = build_tsm_graph(bdd, functions, tables)?;
     let mut order: Vec<usize> = (0..n).collect();
     if options.order_by_degree {
         order.sort_by_key(|&v| std::cmp::Reverse(adj.row_len(v)));
@@ -446,12 +554,11 @@ pub(crate) fn minimize_at_level_budgeted(
     if gathered.len() < 2 {
         return Ok(isf);
     }
+    let isfs: Vec<Isf> = gathered.iter().map(|g| g.isf).collect();
+    let tables = FrontierTables::read(bdd, &isfs, level);
     let replacements = match criterion {
-        MatchCriterion::Tsm => solve_fmm_tsm(bdd, &gathered, options)?,
-        MatchCriterion::Osm | MatchCriterion::Osdm => {
-            let isfs: Vec<Isf> = gathered.iter().map(|g| g.isf).collect();
-            solve_fmm_osm(bdd, &isfs)?
-        }
+        MatchCriterion::Tsm => solve_fmm_tsm(bdd, &gathered, tables.as_ref(), options)?,
+        MatchCriterion::Osm | MatchCriterion::Osdm => solve_fmm_osm(bdd, &isfs, tables.as_ref())?,
     };
     substitute_below_level(bdd, isf, level, &gathered, &replacements)
 }
@@ -618,6 +725,98 @@ mod tests {
         assert_eq!(pass, Err(BudgetExceeded::STEPS));
     }
 
+    /// A random sum of `cubes` cubes, each variable a positive or a
+    /// negative literal with probability 1/4 each.
+    fn random_sop(bdd: &mut Bdd, rng: &mut crate::rng::XorShift64, cubes: usize) -> Edge {
+        let mut f = Edge::ZERO;
+        for _ in 0..cubes {
+            let mut cube = Edge::ONE;
+            for v in 0..bdd.num_vars() as u32 {
+                let x = bdd.var(Var(v));
+                match rng.gen_range(0..4) {
+                    0 => cube = bdd.and(cube, x),
+                    1 => cube = bdd.and(cube, x.complement()),
+                    _ => {}
+                }
+            }
+            f = bdd.or(f, cube);
+        }
+        f
+    }
+
+    #[test]
+    fn table_graphs_equal_the_diagram_graphs() {
+        use bddmin_bdd::{Budget, ReorderSettings, TABLE_LEVELS};
+        let mut rng = crate::rng::XorShift64::seed_from_u64(0x7AB1E);
+        let (mut on_tables, mut on_diagrams, mut products_built) = (0, 0, false);
+        for n in [10usize, 14, 16] {
+            for sifted in [false, true] {
+                for _ in 0..3 {
+                    let mut bdd = Bdd::new(n);
+                    let f = random_sop(&mut bdd, &mut rng, 10);
+                    let c = random_sop(&mut bdd, &mut rng, 8);
+                    let c = if rng.gen_bool(0.5) { c.complement() } else { c };
+                    if sifted {
+                        bdd.pin(f);
+                        bdd.pin(c);
+                        for i in (0..n - 1).step_by(3) {
+                            bdd.swap_levels(i);
+                        }
+                        bdd.reorder(&ReorderSettings::default());
+                        assert_ne!(
+                            bdd.current_order(),
+                            (0..n as u32).map(Var).collect::<Vec<_>>()
+                        );
+                    }
+                    let isf = Isf::new(f, c);
+                    for lvl in 0..n as u32 {
+                        let level = Var(lvl);
+                        let gathered = gather_below_level(&mut bdd, isf, level);
+                        let isfs: Vec<Isf> = gathered.iter().map(|g| g.isf).collect();
+                        let tables = FrontierTables::read(&bdd, &isfs, level);
+                        let fits = n as u32 - lvl - 1 <= TABLE_LEVELS;
+                        assert_eq!(tables.is_some(), fits && !isfs.is_empty());
+                        if let Some(t) = &tables {
+                            on_tables += 1;
+                            let before = bdd.stats().allocated_nodes;
+                            let tsm = build_tsm_graph(&mut bdd, &gathered, Some(t)).unwrap();
+                            let dedup = t.dedup();
+                            let osm = build_osm_graph(&mut bdd, &isfs, &dedup.0, Some(t)).unwrap();
+                            assert_eq!(bdd.stats().allocated_nodes, before, "tables build no node");
+                            let want_tsm = build_tsm_graph(&mut bdd, &gathered, None).unwrap();
+                            products_built |= bdd.stats().allocated_nodes > before;
+                            assert_eq!(tsm, want_tsm, "tsm graph, n {n} level {lvl}");
+                            let want_dedup = dedup_by_canonical_key(&mut bdd, &isfs).unwrap();
+                            assert_eq!(dedup, want_dedup, "osm grouping, n {n} level {lvl}");
+                            let want_osm =
+                                build_osm_graph(&mut bdd, &isfs, &dedup.0, None).unwrap();
+                            assert_eq!(osm, want_osm, "osm graph, n {n} level {lvl}");
+                        } else {
+                            on_diagrams += 1;
+                        }
+                        for criterion in [MatchCriterion::Tsm, MatchCriterion::Osm] {
+                            let opts = CliqueOptions::default();
+                            let free = minimize_at_level(&mut bdd, isf, level, criterion, opts);
+                            bdd.set_budget(Budget::default().steps(u64::MAX));
+                            let limited =
+                                minimize_at_level_budgeted(&mut bdd, isf, level, criterion, opts);
+                            bdd.clear_budget();
+                            assert_eq!(limited, Ok(free), "{criterion:?}, n {n} level {lvl}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            on_tables > 0 && on_diagrams > 0,
+            "{on_tables} / {on_diagrams}"
+        );
+        assert!(
+            products_built,
+            "the diagram tsm graph builds its care products"
+        );
+    }
+
     #[test]
     fn fmm_osm_maps_to_sinks() {
         let mut bdd = Bdd::new(3);
@@ -626,7 +825,7 @@ mod tests {
         let bc = bdd.and(b, c);
         // [b·c, b] osm-matches [c, 1] (a sink); [c,1] matches nothing else.
         let fns = [Isf::new(bc, b), Isf::new(c, Edge::ONE)];
-        let solved = solve_fmm_osm(&mut bdd, &fns).unwrap();
+        let solved = solve_fmm_osm(&mut bdd, &fns, None).unwrap();
         assert_eq!(solved[1], fns[1], "sink keeps itself");
         assert_eq!(solved[0], fns[1], "non-sink maps to sink");
         for (orig, repl) in fns.iter().zip(&solved) {
@@ -647,7 +846,7 @@ mod tests {
             Isf::new(c, Edge::ONE),  // sink
             Isf::new(nb, Edge::ONE), // sink (disagrees with c where b... )
         ];
-        let solved = solve_fmm_osm(&mut bdd, &fns).unwrap();
+        let solved = solve_fmm_osm(&mut bdd, &fns, None).unwrap();
         let mut uniq: Vec<Isf> = solved.clone();
         uniq.sort_by_key(|i| (i.f.to_bits(), i.c.to_bits()));
         uniq.dedup();
@@ -662,7 +861,7 @@ mod tests {
         let c = bdd.var(Var(2));
         let bc = bdd.and(b, c);
         let fns = [Isf::new(bc, b), Isf::new(c, b)]; // equal on care b
-        let solved = solve_fmm_osm(&mut bdd, &fns).unwrap();
+        let solved = solve_fmm_osm(&mut bdd, &fns, None).unwrap();
         assert_eq!(solved[0], solved[1]);
     }
 
@@ -679,7 +878,7 @@ mod tests {
         .into_iter()
         .map(|(isf, path)| GatheredFunction { isf, path })
         .collect();
-        let solved = solve_fmm_tsm(&mut bdd, &gathered, CliqueOptions::default()).unwrap();
+        let solved = solve_fmm_tsm(&mut bdd, &gathered, None, CliqueOptions::default()).unwrap();
         // All three are pairwise tsm-compatible → single clique.
         assert_eq!(solved[0], solved[1]);
         assert_eq!(solved[1], solved[2]);
@@ -699,7 +898,7 @@ mod tests {
         .into_iter()
         .map(|(isf, path)| GatheredFunction { isf, path })
         .collect();
-        let solved = solve_fmm_tsm(&mut bdd, &gathered, CliqueOptions::default()).unwrap();
+        let solved = solve_fmm_tsm(&mut bdd, &gathered, None, CliqueOptions::default()).unwrap();
         assert_ne!(solved[0], solved[1]);
         assert_eq!(solved[0], gathered[0].isf);
         assert_eq!(solved[1], gathered[1].isf);

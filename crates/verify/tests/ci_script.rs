@@ -108,3 +108,27 @@ fn unknown_arguments_are_rejected() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown argument"), "{stderr}");
 }
+
+#[test]
+fn help_prints_the_whole_comment_header() {
+    let out = Command::new("bash")
+        .arg(ci_script())
+        .arg("-h")
+        .output()
+        .expect("bash must be runnable");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("Offline CI gate for the bddmin workspace"),
+        "{stdout}"
+    );
+    // The usage paragraph closes the header; a fixed line range lost it
+    // when the header grew.
+    assert!(
+        stdout
+            .trim_end()
+            .ends_with("summary is printed at the end either way."),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("set -euo pipefail"), "{stdout}");
+}

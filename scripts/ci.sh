@@ -80,7 +80,8 @@ while [[ $# -gt 0 ]]; do
             exit 0
             ;;
         -h|--help)
-            sed -n '2,54p' "$0" | sed 's/^# \{0,1\}//'
+            # The comment header, up to the first line that is not one.
+            sed -n '2,${/^#/!q;p}' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
