@@ -63,7 +63,6 @@ mod memo;
 mod node;
 mod ops;
 mod reorder;
-mod sig;
 mod table;
 mod transfer;
 mod unique;
@@ -79,7 +78,6 @@ pub use leafspec::{LeafSpec, ParseLeafSpecError};
 pub use manager::{Bdd, BddStats, BUDGET_PANIC, MAX_REC_DEPTH};
 pub use node::Node;
 pub use reorder::{ReorderMethod, ReorderSettings, ReorderStats};
-pub use sig::{SigEvaluator, SIG_LANES, SIG_SEED};
 pub use table::TABLE_LEVELS;
 pub use transfer::TransferError;
 pub use util::{FastBuild, FastHasher};

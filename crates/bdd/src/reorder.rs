@@ -53,9 +53,7 @@
 //! by the two levels being swapped.
 //!
 //! The computed table and the minimization memo are cleared once at
-//! reorder start (freed nodes would otherwise leave dangling entries);
-//! transient signature memos (`crate::sig`) must likewise be dropped by
-//! their owners after any reorder.
+//! reorder start (freed nodes would otherwise leave dangling entries).
 
 use crate::budget::BudgetExceeded;
 use crate::edge::{Edge, NodeId, Var};

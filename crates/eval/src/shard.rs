@@ -1,10 +1,9 @@
 //! Shared shard/merge primitives for multi-manager pipelines.
 //!
-//! Two consumers split work across private `Bdd` managers: the parallel
-//! experiment harness ([`crate::par`]) and the `bddmin-serve` daemon.
-//! Both must honor the same determinism contract — *the merged output is
-//! byte-identical for every shard count at a fixed input order* — so the
-//! three primitives that carry that contract live here once:
+//! The parallel experiment harness ([`crate::par`]) splits work across
+//! private `Bdd` managers and must honor the determinism contract — *the
+//! merged output is byte-identical for every shard count at a fixed
+//! input order* — through three primitives:
 //!
 //! 1. [`round_robin`] — the shard assignment is a pure function of the
 //!    input index and the shard count, never of timing;
@@ -16,6 +15,10 @@
 //!    worker;
 //! 3. [`merge_indexed`] — results reassemble in input order, erasing the
 //!    completion order of the shards.
+//!
+//! The `bddmin-serve` daemon uses only [`transfer_isf`], for a job's
+//! variable map: it sends each job to its least-loaded worker and keeps
+//! input order with an ordered buffer of its own.
 
 use bddmin_bdd::{Bdd, TransferError, Var};
 use bddmin_core::Isf;
@@ -72,7 +75,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_managers_inherit_mode_and_width() {
+    fn worker_managers_inherit_width() {
         let workers = worker_managers(3, 4);
         assert_eq!(workers.len(), 3);
         assert!(workers.iter().all(|b| b.num_vars() == 4));

@@ -14,7 +14,7 @@ bddmin-job — build JSON job lines for bddmin-serve
 USAGE:
   bddmin-job --demo N
       Emit the deterministic N-job demo stream (spec jobs cycling over a
-      fixed pool so repeats hit the signature cache, plus one malformed
+      fixed pool so repeats hit the result cache, plus one malformed
       line, one non-injective var_map job, one budget-starved job and
       one BLIF job).
 

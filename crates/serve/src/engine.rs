@@ -1,4 +1,4 @@
-//! The service engine: signature cache, sharded workers, ordered merge.
+//! The service engine: result cache, sharded workers, ordered merge.
 //!
 //! # Determinism contract
 //!
@@ -7,9 +7,9 @@
 //!
 //! 1. **Cache provenance is decided at dispatch time, on the dispatcher
 //!    thread, in input order.** A job is a `hit` iff an identical job
-//!    (same exact ISF after signature confirmation, same filter, budget
-//!    and variable map) appeared *earlier in the input* — even if that
-//!    earlier job is still in flight on a worker. Had provenance been
+//!    (same exact ISF and width, same filter, budget and variable map)
+//!    appeared *earlier in the input* — even if that earlier job is
+//!    still in flight on a worker. Had provenance been
 //!    decided at completion time, a fast shard could turn a hit into a
 //!    miss and change the output.
 //! 2. **Results are emitted in input order** through an ordered buffer,
@@ -61,16 +61,17 @@
 //! returns it when the line's job settles, or at once for a blank,
 //! malformed or cache-hit line.
 //!
-//! # Signature cache
+//! # Result cache
 //!
-//! Results are content-addressed by the 64-lane [`IsfSig`] semantic
-//! signature plus the request parameters. Signatures are refutation
-//! filters, not identities, so **every hit passes exact-ISF
-//! confirmation**: specs are rebuilt in one dispatcher-owned manager
-//! where hash-consing makes exact equality a pair of pointer compares.
-//! A signature match whose ISF differs is counted as a collision and
-//! served as a miss — a forged or colliding signature can never alias a
-//! wrong result.
+//! Results are keyed by the exact request: the spec's `(f, c)` edges in
+//! one dispatcher-owned manager, its width, and the filter, budget and
+//! variable map. That manager is never collected or reordered, and
+//! hash-consing makes equal functions equal edges, so the edge pair
+//! identifies the ISF exactly and a key can never alias a wrong result.
+//! A leaf spec fixes `f` (don't cares complete to 1), so equal ISFs of
+//! one width always arrive as equal edges. The width is in the key because the
+//! worker's manager declares that many variables: two specs of different
+//! widths can build the same edges and still give different bodies.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -78,7 +79,7 @@ use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 
-use bddmin_bdd::{Bdd, Edge, SigEvaluator, Var, SIG_SEED};
+use bddmin_bdd::{Bdd, Edge, Var};
 use bddmin_core::{Heuristic, Isf};
 use bddmin_eval::shard;
 use bddmin_fsm::{parse_blif, simplify_report};
@@ -88,32 +89,15 @@ use crate::protocol::{
     error_body, parse_job, render_result, CacheLabel, Job, JobKind, SERVE_MAX_VARS,
 };
 
-/// The signature pair of an ISF `[f, c]`: its values on the 64 lanes of
-/// a [`SigEvaluator`]. On lanes where `c`'s bit is set, `on`'s bit is the
-/// function's cared-about value; on don't-care lanes `on` is forced to 0,
-/// so equal ISFs (equal onset and care) always produce equal pairs,
-/// whatever their representatives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct IsfSig {
-    /// `sig(f) & sig(c)`: the function's value on the cared lanes.
-    pub on: u64,
-    /// `sig(c)`: which lanes the ISF cares about.
-    pub c: u64,
-}
-
-/// Computes the signature pair of `isf` through a shared evaluator (so a
-/// batch of ISFs over one DAG costs one traversal of the union).
-pub(crate) fn isf_sig(ev: &mut SigEvaluator, bdd: &Bdd, isf: Isf) -> IsfSig {
-    let sc = ev.signature(bdd, isf.c);
-    let sf = ev.signature(bdd, isf.f);
-    IsfSig { on: sf & sc, c: sc }
-}
-
-/// Everything that identifies a cacheable request besides the exact ISF.
+/// Everything that identifies a cacheable request.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Semantic signature of the ISF (refutation-only; see module docs).
-    pub sig: IsfSig,
+    /// The spec's onset, built in the dispatcher's manager.
+    pub f: Edge,
+    /// The spec's care set, built in the dispatcher's manager.
+    pub c: Edge,
+    /// The spec's variable count: the worker's manager declares this many.
+    pub num_vars: usize,
     /// Canonical selection: heuristic names in run order.
     pub filter: String,
     /// `(step_limit, node_limit, time_limit_ms)`.
@@ -127,30 +111,25 @@ pub struct CacheKey {
 pub enum CacheDecision {
     /// Serve from the entry seeded by an earlier identical job.
     Hit(usize),
-    /// Run the job; its result will seed this entry. Carries the
-    /// signature the entry is filed under.
-    Miss(usize, IsfSig),
+    /// Run the job; its result will seed this entry. The unit field is a
+    /// placeholder kept for existing matches (ROADMAP item 12 drops it).
+    Miss(usize, ()),
     /// Not cacheable (blif jobs).
     Bypass,
 }
 
-struct CacheEntry {
-    f: Edge,
-    c: Edge,
-    /// `(ok, body)` once the seeding job completed.
-    result: Option<(bool, String)>,
-}
-
-/// The cross-request signature cache with exact-ISF confirmation.
+/// The cross-request result cache, keyed by the exact request. The name
+/// predates the exact key; ROADMAP item 12 renames it.
 pub struct SigCache {
-    /// Dispatcher-owned manager: every cached spec is rebuilt here, so
+    /// Dispatcher-owned manager: every cached spec is built here, so
     /// hash-consing turns exact-ISF comparison into edge equality. Never
-    /// garbage collected (stable node ids keep the evaluator memo valid).
+    /// collected or reordered, so its edges stay valid keys.
     bdd: Bdd,
-    ev: SigEvaluator,
-    entries: Vec<CacheEntry>,
-    buckets: HashMap<CacheKey, Vec<usize>>,
-    /// Signature matches rejected by exact confirmation.
+    /// Each entry's `(ok, body)`, once the seeding job completed.
+    results: Vec<Option<(bool, String)>>,
+    entries: HashMap<CacheKey, usize>,
+    /// Always 0: exact keys cannot collide. Kept for existing readers
+    /// (ROADMAP item 12 drops it).
     pub collisions: usize,
 }
 
@@ -159,9 +138,8 @@ impl SigCache {
     pub fn new() -> SigCache {
         SigCache {
             bdd: Bdd::new(SERVE_MAX_VARS),
-            ev: SigEvaluator::new(SERVE_MAX_VARS, SIG_SEED),
-            entries: Vec::new(),
-            buckets: HashMap::new(),
+            results: Vec::new(),
+            entries: HashMap::new(),
             collisions: 0,
         }
     }
@@ -172,10 +150,11 @@ impl SigCache {
             return CacheDecision::Bypass;
         };
         let (f, c) = spec.build(&mut self.bdd);
-        let sig = isf_sig(&mut self.ev, &self.bdd, Isf::new(f, c));
         let filter: Vec<&str> = job.filter.selected.iter().map(|h| h.name()).collect();
         let key = CacheKey {
-            sig,
+            f,
+            c,
+            num_vars: spec.num_vars(),
             filter: filter.join(","),
             budget: (
                 job.budget.step_limit,
@@ -184,39 +163,23 @@ impl SigCache {
             ),
             var_map: var_map.clone(),
         };
-        self.lookup(key, f, c)
-    }
-
-    /// The confirmation step, separated from [`SigCache::probe`] so the
-    /// forged-signature path is directly testable: a `key` whose `sig`
-    /// matches an existing entry but whose exact ISF `(f, c)` differs is
-    /// REJECTED (counted as a collision) and becomes a fresh miss.
-    pub fn lookup(&mut self, key: CacheKey, f: Edge, c: Edge) -> CacheDecision {
-        let sig = key.sig;
-        let bucket = self.buckets.entry(key).or_default();
-        for &id in bucket.iter() {
-            let entry = &self.entries[id];
-            if entry.f == f && entry.c == c {
-                return CacheDecision::Hit(id);
-            }
+        let next = self.results.len();
+        let id = *self.entries.entry(key).or_insert(next);
+        if id < next {
+            return CacheDecision::Hit(id);
         }
-        if !bucket.is_empty() {
-            self.collisions += 1;
-        }
-        let id = self.entries.len();
-        bucket.push(id);
-        self.entries.push(CacheEntry { f, c, result: None });
-        CacheDecision::Miss(id, sig)
+        self.results.push(None);
+        CacheDecision::Miss(id, ())
     }
 
     /// Records the result of the job that seeded `entry`.
     pub fn fill(&mut self, entry: usize, ok: bool, body: String) {
-        self.entries[entry].result = Some((ok, body));
+        self.results[entry] = Some((ok, body));
     }
 
     /// The recorded result of `entry`, once filled.
     pub fn result(&self, entry: usize) -> Option<&(bool, String)> {
-        self.entries[entry].result.as_ref()
+        self.results[entry].as_ref()
     }
 }
 
@@ -392,10 +355,8 @@ pub struct ServeSummary {
     pub ok: usize,
     /// `status:"error"` results.
     pub errors: usize,
-    /// Results served from the signature cache.
+    /// Results served from the result cache.
     pub cache_hits: usize,
-    /// Signature matches rejected by exact-ISF confirmation.
-    pub sig_collisions: usize,
     /// Worker count used.
     pub shards: usize,
 }
@@ -404,8 +365,8 @@ impl std::fmt::Display for ServeSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "bddmin-serve: {} jobs, {} ok, {} errors, {} cache hits, {} sig collisions, {} shards",
-            self.jobs, self.ok, self.errors, self.cache_hits, self.sig_collisions, self.shards
+            "bddmin-serve: {} jobs, {} ok, {} errors, {} cache hits, {} shards",
+            self.jobs, self.ok, self.errors, self.cache_hits, self.shards
         )
     }
 }
@@ -580,7 +541,6 @@ impl Dispatcher {
         }
         debug_assert!(self.slots.is_empty(), "unemitted results left behind");
         self.summary.jobs = self.next_emit;
-        self.summary.sig_collisions = self.cache.collisions;
         Ok(self.summary)
     }
 
@@ -717,7 +677,7 @@ impl Dispatcher {
 
 /// A deterministic mixed demo/CI stream of `n` jobs: spec jobs cycling
 /// over a pool of instances and filters (so streams past 30 jobs repeat
-/// combinations and exercise the signature cache), one malformed line,
+/// combinations and exercise the result cache), one malformed line,
 /// one non-injective `var_map` job, one budget-starved job, and one BLIF
 /// job. A pure function of `n` — the CI stage and the tests rely on
 /// byte-identical streams.
@@ -763,20 +723,6 @@ pub fn demo_stream(n: usize) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn equal_isfs_have_equal_sig_pairs_despite_representatives() {
-        let mut bdd = Bdd::new(3);
-        let a = bdd.var(Var(0));
-        let b = bdd.var(Var(1));
-        let ab = bdd.and(a, b);
-        // [a·b, a] and [b, a] are the same ISF with different
-        // representatives; don't-care lanes must not leak into `on`.
-        let mut ev = SigEvaluator::for_bdd(&bdd);
-        let s1 = isf_sig(&mut ev, &bdd, Isf::new(ab, a));
-        let s2 = isf_sig(&mut ev, &bdd, Isf::new(b, a));
-        assert_eq!(s1, s2);
-    }
-
     fn run(input: &str, shards: usize) -> (String, ServeSummary) {
         let mut out = Vec::new();
         let summary = process_stream(
@@ -811,37 +757,6 @@ not json\n";
         assert_eq!(summary.jobs, 3);
         assert_eq!(summary.ok, 2);
         assert_eq!(summary.errors, 1);
-    }
-
-    #[test]
-    fn forged_signature_is_rejected_by_exact_confirmation() {
-        let mut cache = SigCache::new();
-        let mut bdd = Bdd::new(2);
-        let a = bdd.var(Var(0));
-        let b = bdd.var(Var(1));
-        let key = |sig| CacheKey {
-            sig,
-            filter: "osm_bt".to_owned(),
-            budget: (None, None, None),
-            var_map: None,
-        };
-        let sig_a = IsfSig { on: 7, c: 0xFF };
-        // Seed the cache with ISF A under signature sig_a.
-        let seeded = cache.lookup(key(sig_a), a, b);
-        let CacheDecision::Miss(entry, _) = seeded else {
-            panic!("first lookup must miss: {seeded:?}");
-        };
-        cache.fill(entry, true, "\"x\":1".to_owned());
-        // An identical repeat is a confirmed hit.
-        assert_eq!(cache.lookup(key(sig_a), a, b), CacheDecision::Hit(entry));
-        // The forgery: same signature, different exact ISF. Must be
-        // rejected (fresh miss) and counted as a collision.
-        let ab = bdd.and(a, b);
-        match cache.lookup(key(sig_a), ab, b) {
-            CacheDecision::Miss(forged_entry, _) => assert_ne!(forged_entry, entry),
-            other => panic!("forged signature must not hit: {other:?}"),
-        }
-        assert_eq!(cache.collisions, 1);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! degradation ladder (a blown budget degrades to a reported
 //! [`bddmin_core::MinReport`], it never fails the stream), and answers
 //! one JSON result line per job in input order, as soon as that result
-//! and every earlier one are ready. Results are content-addressed in a
-//! cross-request cache keyed by the 64-lane semantic signature with
-//! exact-ISF confirmation on every hit.
+//! and every earlier one are ready. Results are reused through a
+//! cross-request cache keyed by the exact request: the spec's `(f, c)`
+//! edges in one hash-consed dispatcher manager, its width, and the
+//! filter, budget and variable map.
 //!
 //! The request path is panic-free by construction (checked
 //! `try_transfer`, the budget `try_*` ladder) and panic-contained by

@@ -29,9 +29,9 @@ use bddmin_core::{BudgetLimits, Heuristic};
 
 use crate::json;
 
-/// Hard ceiling on leaf-spec variables per request: the dispatcher
-/// confirms cache hits by rebuilding specs in one shared manager, so a
-/// request may not force that manager beyond 2^16-leaf specs.
+/// Hard ceiling on leaf-spec variables per request: the dispatcher keys
+/// its cache on specs built in one shared manager, so a request may not
+/// force that manager beyond 2^16-leaf specs.
 pub const SERVE_MAX_VARS: usize = 16;
 
 /// The work payload of a parsed job.
@@ -204,7 +204,8 @@ pub fn parse_job(line: &str) -> Result<Job, String> {
 pub enum CacheLabel {
     /// Served by running the job; the result seeded the cache.
     Miss,
-    /// Served from the signature cache after exact-ISF confirmation.
+    /// Served from the result cache: an earlier job made the same exact
+    /// request.
     Hit,
     /// Not cacheable (blif jobs, malformed jobs).
     Bypass,

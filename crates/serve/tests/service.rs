@@ -9,7 +9,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use bddmin_serve::{demo_stream, json, process_stream, ServeOpts, ServeSummary};
+use bddmin_serve::{
+    demo_stream, json, parse_job, process_job, process_stream, render_result, CacheLabel,
+    ServeOpts, ServeSummary,
+};
 
 fn run(input: &str, shards: usize) -> (String, ServeSummary) {
     let mut out = Vec::new();
@@ -107,13 +110,17 @@ fn an_all_dont_care_job_is_answered() {
 
 #[test]
 fn cache_hits_pass_exact_confirmation_and_reuse_the_result() {
-    // Same ISF + filter + budget twice, with a different ISF in between.
-    let input = "\
+    // Same ISF + filter + budget twice, with a different ISF in between;
+    // then two specs of different widths that build the same edges.
+    let narrow = r#"{"id":"a","spec":"01 d1","heuristic":"all","step_limit":3}"#;
+    let wide = r#"{"id":"b","spec":"0011 dd11","heuristic":"all","step_limit":3}"#;
+    let repeats = "\
 {\"id\":\"first\",\"spec\":\"d1 01 1d 01\",\"heuristic\":\"osm_bt\"}\n\
 {\"id\":\"other\",\"spec\":\"dd 01 10 11\",\"heuristic\":\"osm_bt\"}\n\
 {\"id\":\"again\",\"spec\":\"d1 01 1d 01\",\"heuristic\":\"osm_bt\"}\n\
 {\"id\":\"budgeted\",\"spec\":\"d1 01 1d 01\",\"heuristic\":\"osm_bt\",\"step_limit\":99}\n";
-    let (out, summary) = run(input, 2);
+    let input = format!("{repeats}{narrow}\n{wide}\n");
+    let (out, summary) = run(&input, 2);
     let lines: Vec<json::Json> = out.lines().map(parsed).collect();
     assert_eq!(field_str(&lines[0], "cache"), "miss");
     assert_eq!(field_str(&lines[1], "cache"), "miss");
@@ -121,7 +128,6 @@ fn cache_hits_pass_exact_confirmation_and_reuse_the_result() {
     // A different budget is a different request: no hit.
     assert_eq!(field_str(&lines[3], "cache"), "miss");
     assert_eq!(summary.cache_hits, 1);
-    assert_eq!(summary.sig_collisions, 0);
     // The hit reuses the seeding job's body verbatim.
     for key in ["f_size", "min_size"] {
         assert_eq!(field_u64(&lines[0], key), field_u64(&lines[2], key));
@@ -130,6 +136,14 @@ fn cache_hits_pass_exact_confirmation_and_reuse_the_result() {
     // But echoes its own id and index.
     assert_eq!(field_str(&lines[2], "id"), "again");
     assert_eq!(field_u64(&lines[2], "index"), 2);
+    // A different width is a different request, even on equal edges: the
+    // level passes run over the wider manager's levels.
+    assert_eq!(field_str(&lines[4], "cache"), "miss");
+    assert_eq!(field_str(&lines[5], "cache"), "miss");
+    let (ok, body) = process_job(&parse_job(wide).expect("a valid job"));
+    assert!(ok, "{body}");
+    let alone = render_result(5, Some("b"), ok, CacheLabel::Miss, None, &body);
+    assert_eq!(out.lines().nth(5), Some(alone.as_str()));
 }
 
 #[test]

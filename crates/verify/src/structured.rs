@@ -61,7 +61,7 @@ impl Generate for Instance {
 
 /// Draws a *dense* instance: more variables than the classic sweep
 /// (up to 7) and a nearly fully specified leaf table, the regime where
-/// the level passes and signature filters do real work.
+/// the level passes do real work.
 pub fn dense_instance(rng: &mut XorShift64, round: u64) -> Instance {
     const NVARS_SWEEP: [usize; 5] = [4, 5, 6, 7, 5];
     let num_vars = NVARS_SWEEP[(round % NVARS_SWEEP.len() as u64) as usize];

@@ -26,7 +26,7 @@
 #                through 1, 2 and 4 shards must be byte-identical (workers
 #                recycle their managers across jobs), malformed and
 #                non-injective jobs must come back as structured error
-#                lines with exit 0, and the signature cache must score
+#                lines with exit 0, and the result cache must score
 #                nonzero hits; the golden stream
 #                (crates/serve/tests/golden) must give its recorded
 #                results at 1, 2 and 4 shards
@@ -347,7 +347,7 @@ stage_serve() {
     done
     echo "    malformed + non-injective jobs answered as structured errors"
     grep -Eq '[1-9][0-9]* cache hits' "$tmpdir/d50-s1.summary" || {
-        echo "expected nonzero signature-cache hits in the summary:" >&2
+        echo "expected nonzero result-cache hits in the summary:" >&2
         cat "$tmpdir/d50-s1.summary" >&2
         exit 1
     }
