@@ -318,7 +318,7 @@ impl<E: Slot> LossyTable<E> {
 
     /// Finds the current-generation entry in `hash`'s bucket for which
     /// `is_key` holds, counting the hit or miss.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn find(&mut self, hash: usize, is_key: impl Fn(&E) -> bool) -> Option<E> {
         let i = (hash & self.bucket_mask) << 1;
         for way in 0..2 {
@@ -340,7 +340,7 @@ impl<E: Slot> LossyTable<E> {
 
     /// Stores `fresh`, stamped with the current generation, in `hash`'s
     /// bucket; `is_key` recognises an entry with the same key.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn insert(&mut self, hash: usize, fresh: E, is_key: impl Fn(&E) -> bool) {
         let i = (hash & self.bucket_mask) << 1;
         self.inserts += 1;

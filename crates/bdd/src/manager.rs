@@ -559,11 +559,6 @@ impl Bdd {
         }
     }
 
-    /// Clears all declared variable groups.
-    pub fn clear_var_groups(&mut self) {
-        self.var_groups.clear();
-    }
-
     /// Count of live (allocated and not freed) nodes.
     #[inline]
     pub(crate) fn live_count(&self) -> usize {
@@ -879,16 +874,6 @@ impl Bdd {
     #[inline]
     pub fn memo_salt(&mut self) -> u32 {
         self.min_memo.next_salt()
-    }
-
-    /// Resets the peak-live-node watermark to the current live count.
-    ///
-    /// Benchmarks use this to attribute peak-memory numbers to a specific
-    /// phase (an image-computation sweep, say) rather than to setup work
-    /// such as transition-relation compilation that every compared
-    /// configuration shares.
-    pub fn reset_peak_stats(&mut self) {
-        self.peak_live = self.live_count();
     }
 
     /// Current manager statistics.

@@ -613,6 +613,26 @@ pub(crate) fn opt_lv_steps(
     cur.f
 }
 
+/// A random sum of `cubes` cubes, each variable a positive or a negative
+/// literal with probability 1/4 each, for tests.
+#[cfg(test)]
+pub(crate) fn random_sop(bdd: &mut Bdd, rng: &mut crate::rng::XorShift64, cubes: usize) -> Edge {
+    let mut f = Edge::ZERO;
+    for _ in 0..cubes {
+        let mut cube = Edge::ONE;
+        for v in 0..bdd.num_vars() as u32 {
+            let x = bdd.var(Var(v));
+            match rng.gen_range(0..4) {
+                0 => cube = bdd.and(cube, x),
+                1 => cube = bdd.and(cube, x.complement()),
+                _ => {}
+            }
+        }
+        f = bdd.or(f, cube);
+    }
+    f
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -723,25 +743,6 @@ mod tests {
         );
         bdd.clear_budget();
         assert_eq!(pass, Err(BudgetExceeded::STEPS));
-    }
-
-    /// A random sum of `cubes` cubes, each variable a positive or a
-    /// negative literal with probability 1/4 each.
-    fn random_sop(bdd: &mut Bdd, rng: &mut crate::rng::XorShift64, cubes: usize) -> Edge {
-        let mut f = Edge::ZERO;
-        for _ in 0..cubes {
-            let mut cube = Edge::ONE;
-            for v in 0..bdd.num_vars() as u32 {
-                let x = bdd.var(Var(v));
-                match rng.gen_range(0..4) {
-                    0 => cube = bdd.and(cube, x),
-                    1 => cube = bdd.and(cube, x.complement()),
-                    _ => {}
-                }
-            }
-            f = bdd.or(f, cube);
-        }
-        f
     }
 
     #[test]

@@ -59,7 +59,6 @@ mod report;
 pub mod rng;
 mod schedule;
 mod sibling;
-mod vector;
 mod windowed;
 
 pub use exact::{exact_minimum, ExactConfig, ExactLimit, ExactResult};
@@ -73,5 +72,4 @@ pub use matching::{matches_directed, try_match, MatchCriterion};
 pub use report::{MinReport, StepKind, StepReport, StepStatus};
 pub use schedule::Schedule;
 pub use sibling::{generic_td, SiblingConfig};
-pub use vector::{minimize_vector, VectorMinimization};
 pub use windowed::{windowed_sibling_pass, LevelWindow};

@@ -15,6 +15,11 @@
 //! * windowed pass (`windowed_sibling_pass`): class 2, config in bits
 //!   56..=59, window `top` in bits 28..=55 and `bottom` in bits 0..=27
 //!   (both must fit 28 bits — far beyond any realistic variable count).
+//!
+//!   Both run the one sibling recursion (`sibling::sibling_rec`), but they
+//!   store different results: `generic_td` a cover `(g, g)`, the pass a
+//!   rewritten ISF `(f', c')`. A full-window pass therefore keeps class 2
+//!   rather than sharing class 1's entries.
 //! * below-level substitution (`substitute_below_level`): class 3, salt in
 //!   bits 0..=31. Always salted: the result depends on the invocation's
 //!   substitution map, which is not part of the `(f, c)` key.
@@ -63,23 +68,8 @@ pub(crate) fn subst_tag(salt: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sibling::all_configs;
     use bddmin_bdd::Var;
-
-    fn all_configs() -> Vec<SiblingConfig> {
-        let mut v = Vec::new();
-        for crit in MatchCriterion::ALL {
-            for compl in [false, true] {
-                for nnv in [false, true] {
-                    v.push(SiblingConfig {
-                        criterion: crit,
-                        match_complement: compl,
-                        no_new_vars: nnv,
-                    });
-                }
-            }
-        }
-        v
-    }
 
     #[test]
     fn tags_are_injective_across_classes_configs_and_windows() {

@@ -56,12 +56,6 @@ impl XorShift64 {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// Next 32-bit value (the high half, which has the best quality).
-    #[inline]
-    pub fn gen_u32(&mut self) -> u32 {
-        (self.gen_u64() >> 32) as u32
-    }
-
     /// Next 16-bit value.
     #[inline]
     pub fn gen_u16(&mut self) -> u16 {

@@ -65,13 +65,6 @@ impl Schedule {
         self
     }
 
-    /// Overrides the clique-cover options.
-    #[must_use]
-    pub fn with_clique_options(mut self, options: CliqueOptions) -> Schedule {
-        self.clique_options = options;
-        self
-    }
-
     /// Runs the schedule and returns a cover of `[f, c]`; an empty care
     /// set gives the constant 0.
     ///

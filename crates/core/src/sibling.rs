@@ -20,6 +20,7 @@ use bddmin_bdd::{Bdd, BudgetExceeded, Edge, BUDGET_PANIC, MAX_REC_DEPTH};
 use crate::isf::Isf;
 use crate::matching::{try_match_budgeted, MatchCriterion};
 use crate::memo_tags::sibling_tag;
+use crate::windowed::LevelWindow;
 
 /// Parameters of the generic sibling matcher (paper Table 2 columns).
 ///
@@ -123,99 +124,109 @@ pub(crate) fn generic_td_budgeted(
     // the manager-resident memo across invocations, so repeated calls on
     // overlapping instances cost nothing until the next cache flush.
     let tag = sibling_tag(config);
-    td_rec(bdd, isf, config, tag, 0)
+    let window = LevelWindow::all(bdd);
+    Ok(sibling_rec::<false>(bdd, isf, config, window, tag, 0)?.f)
 }
 
-fn td_rec(
+/// The sibling recursion of paper Figure 2, matching only at levels inside
+/// `window` (Section 3.4's windowed pass; [`generic_td`] passes every
+/// level). Above the window it splits without matching; at or below
+/// `window.bottom` it returns the ISF untouched.
+///
+/// With `CARE` the result is the rewritten ISF, whose care set contains the
+/// input's, and a split rebuilds the care set too. Without it only `.f` is
+/// meaningful (a cover under a full window), a split builds one `ite`, and
+/// the memo stores the single-edge result `(g, g)`.
+pub(crate) fn sibling_rec<const CARE: bool>(
     bdd: &mut Bdd,
     isf: Isf,
     config: SiblingConfig,
+    window: LevelWindow,
     tag: u64,
     depth: u32,
-) -> Result<Edge, BudgetExceeded> {
+) -> Result<Isf, BudgetExceeded> {
     let Isf { f, c } = isf;
-    debug_assert!(!c.is_zero());
     if depth > MAX_REC_DEPTH {
         return Err(BudgetExceeded::DEPTH);
     }
-    if c.is_one() || f.is_constant() {
-        return Ok(f);
+    // All-DC and total ISFs have nothing to match; constants likewise.
+    if c.is_zero() || c.is_one() || f.is_constant() {
+        return Ok(isf);
     }
-    if let Some((r, _)) = bdd.memo_get(tag, f, c) {
-        return Ok(r);
+    if let Some((rf, rc)) = bdd.memo_get(tag, f, c) {
+        return Ok(Isf { f: rf, c: rc });
     }
     let f_level = bdd.level(f);
     let c_level = bdd.level(c);
     let top = f_level.min(c_level);
+    if top >= window.bottom {
+        return Ok(isf);
+    }
     let (f_t, f_e) = bdd.branches_at(f, top);
     let (c_t, c_e) = bdd.branches_at(c, top);
     let then_isf = Isf::new(f_t, c_t);
     let else_isf = Isf::new(f_e, c_e);
 
-    let ret = if config.no_new_vars && c_level < f_level {
-        // f is independent of the top care variable: keep it that way by
-        // quantifying the variable out of the care function.
-        let c_next = bdd.try_or(c_t, c_e)?;
-        td_rec(bdd, Isf::new(f, c_next), config, tag, depth + 1)?
-    } else if let Some(m) = try_match_budgeted(bdd, config.criterion, then_isf, else_isf)? {
-        // Parent and one child eliminated.
-        td_rec(bdd, m, config, tag, depth + 1)?
-    } else if config.match_complement {
-        if let Some(m) = try_match_budgeted(bdd, config.criterion, then_isf, else_isf.complement())?
-        {
-            // Parent kept, but only one recursion: then-branch is covered by
-            // the i-cover's cover, else-branch by its complement.
-            let temp = td_rec(bdd, m, config, tag, depth + 1)?;
-            let top_var = bdd.try_var_at_level(top)?;
-            bdd.try_ite(top_var, temp, temp.complement())?
-        } else {
-            td_split(bdd, top, then_isf, else_isf, config, tag, depth)?
+    let ret = 'step: {
+        if window.contains(top) {
+            if config.no_new_vars && c_level < f_level {
+                // f is independent of the top care variable: keep it that
+                // way by quantifying the variable out of the care function.
+                let next = Isf::new(f, bdd.try_or(c_t, c_e)?);
+                break 'step sibling_rec::<CARE>(bdd, next, config, window, tag, depth + 1)?;
+            }
+            if let Some(m) = try_match_budgeted(bdd, config.criterion, then_isf, else_isf)? {
+                // Parent and one child eliminated.
+                break 'step sibling_rec::<CARE>(bdd, m, config, window, tag, depth + 1)?;
+            }
+            if config.match_complement {
+                let else_compl = else_isf.complement();
+                if let Some(m) = try_match_budgeted(bdd, config.criterion, then_isf, else_compl)? {
+                    // Parent kept, but only one recursion: then-branch is
+                    // covered by the i-cover's cover, else-branch by its
+                    // complement.
+                    let t = sibling_rec::<CARE>(bdd, m, config, window, tag, depth + 1)?;
+                    let v = bdd.try_var_at_level(top)?;
+                    let g = bdd.try_ite(v, t.f, t.f.complement())?;
+                    break 'step Isf { f: g, c: t.c };
+                }
+            }
         }
-    } else {
-        td_split(bdd, top, then_isf, else_isf, config, tag, depth)?
+        // No match, or above the window: recurse on both branches.
+        let t = sibling_rec::<CARE>(bdd, then_isf, config, window, tag, depth + 1)?;
+        let e = sibling_rec::<CARE>(bdd, else_isf, config, window, tag, depth + 1)?;
+        let v = bdd.try_var_at_level(top)?;
+        let g = bdd.try_ite(v, t.f, e.f)?;
+        let c = if CARE { bdd.try_ite(v, t.c, e.c)? } else { g };
+        Isf { f: g, c }
     };
-    bdd.memo_insert(tag, f, c, (ret, ret));
+    let memo_c = if CARE { ret.c } else { ret.f };
+    bdd.memo_insert(tag, f, c, (ret.f, memo_c));
     Ok(ret)
 }
 
-fn td_split(
-    bdd: &mut Bdd,
-    top: bddmin_bdd::Var,
-    then_isf: Isf,
-    else_isf: Isf,
-    config: SiblingConfig,
-    tag: u64,
-    depth: u32,
-) -> Result<Edge, BudgetExceeded> {
-    // No match was possible, so neither branch care is zero (a zero care on
-    // either side always matches, for every criterion).
-    debug_assert!(!then_isf.c.is_zero() && !else_isf.c.is_zero());
-    let t = td_rec(bdd, then_isf, config, tag, depth + 1)?;
-    let e = td_rec(bdd, else_isf, config, tag, depth + 1)?;
-    let top_var = bdd.try_var_at_level(top)?;
-    bdd.try_ite(top_var, t, e)
+/// The 12 configurations of paper Table 2, for tests.
+#[cfg(test)]
+pub(crate) fn all_configs() -> Vec<SiblingConfig> {
+    let mut v = Vec::new();
+    for crit in MatchCriterion::ALL {
+        for compl in [false, true] {
+            for nnv in [false, true] {
+                v.push(SiblingConfig {
+                    criterion: crit,
+                    match_complement: compl,
+                    no_new_vars: nnv,
+                });
+            }
+        }
+    }
+    v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bddmin_bdd::Var;
-
-    fn all_configs() -> Vec<SiblingConfig> {
-        let mut v = Vec::new();
-        for crit in MatchCriterion::ALL {
-            for compl in [false, true] {
-                for nnv in [false, true] {
-                    v.push(SiblingConfig {
-                        criterion: crit,
-                        match_complement: compl,
-                        no_new_vars: nnv,
-                    });
-                }
-            }
-        }
-        v
-    }
 
     #[test]
     fn every_config_produces_a_cover_on_paper_instances() {

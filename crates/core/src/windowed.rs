@@ -1,19 +1,19 @@
 //! Windowed sibling matching: a partial-consumption variant of the generic
 //! top-down matcher used by the scheduler (paper Section 3.4).
 //!
-//! Unlike [`generic_td`](crate::generic_td), which drives the don't cares to
+//! Both run the one sibling recursion (`sibling::sibling_rec`). Unlike
+//! [`generic_td`](crate::generic_td), which drives the don't cares to
 //! exhaustion and returns a *cover*, a windowed pass only attempts matches
 //! at levels inside `[window.top, window.bottom)` and leaves everything
 //! below untouched, returning a **new incompletely specified function**
 //! whose care set contains the original's. Passes therefore compose: the
 //! scheduler chains osm and tsm windows before finishing with `constrain`.
 
-use bddmin_bdd::{Bdd, BudgetExceeded, Var, BUDGET_PANIC, MAX_REC_DEPTH};
+use bddmin_bdd::{Bdd, BudgetExceeded, Var, BUDGET_PANIC};
 
 use crate::isf::Isf;
-use crate::matching::try_match_budgeted;
 use crate::memo_tags::window_tag;
-use crate::sibling::SiblingConfig;
+use crate::sibling::{sibling_rec, SiblingConfig};
 
 /// A half-open band of levels `[top, bottom)` in which matching is allowed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,122 +91,67 @@ pub(crate) fn windowed_sibling_pass_budgeted(
     // are folded into the manager-resident memo tag, so the scheduler's
     // repeated passes over shifting windows never cross-contaminate.
     let tag = window_tag(config, window);
-    pass_rec(bdd, isf, config, window, tag, 0)
-}
-
-fn pass_rec(
-    bdd: &mut Bdd,
-    isf: Isf,
-    config: SiblingConfig,
-    window: LevelWindow,
-    tag: u64,
-    depth: u32,
-) -> Result<Isf, BudgetExceeded> {
-    let Isf { f, c } = isf;
-    if depth > MAX_REC_DEPTH {
-        return Err(BudgetExceeded::DEPTH);
-    }
-    // All-DC and total ISFs have nothing to match; constants likewise.
-    if c.is_zero() || c.is_one() || f.is_constant() {
-        return Ok(isf);
-    }
-    if let Some((rf, rc)) = bdd.memo_get(tag, f, c) {
-        return Ok(Isf { f: rf, c: rc });
-    }
-    let f_level = bdd.level(f);
-    let c_level = bdd.level(c);
-    let top = f_level.min(c_level);
-    if top >= window.bottom {
-        return Ok(isf);
-    }
-    let (f_t, f_e) = bdd.branches_at(f, top);
-    let (c_t, c_e) = bdd.branches_at(c, top);
-    let then_isf = Isf::new(f_t, c_t);
-    let else_isf = Isf::new(f_e, c_e);
-    let in_window = window.contains(top);
-
-    let ret = if in_window && config.no_new_vars && c_level < f_level {
-        let c_next = bdd.try_or(c_t, c_e)?;
-        pass_rec(bdd, Isf::new(f, c_next), config, window, tag, depth + 1)?
-    } else if in_window {
-        if let Some(m) = try_match_budgeted(bdd, config.criterion, then_isf, else_isf)? {
-            pass_rec(bdd, m, config, window, tag, depth + 1)?
-        } else if config.match_complement {
-            if let Some(m) =
-                try_match_budgeted(bdd, config.criterion, then_isf, else_isf.complement())?
-            {
-                let t = pass_rec(bdd, m, config, window, tag, depth + 1)?;
-                rebuild_complement(bdd, top, t)?
-            } else {
-                rebuild_split(bdd, top, then_isf, else_isf, config, window, tag, depth)?
-            }
-        } else {
-            rebuild_split(bdd, top, then_isf, else_isf, config, window, tag, depth)?
-        }
-    } else {
-        // Above the window: descend without matching.
-        rebuild_split(bdd, top, then_isf, else_isf, config, window, tag, depth)?
-    };
-    bdd.memo_insert(tag, f, c, (ret.f, ret.c));
-    Ok(ret)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rebuild_split(
-    bdd: &mut Bdd,
-    top: Var,
-    then_isf: Isf,
-    else_isf: Isf,
-    config: SiblingConfig,
-    window: LevelWindow,
-    tag: u64,
-    depth: u32,
-) -> Result<Isf, BudgetExceeded> {
-    let t = pass_rec(bdd, then_isf, config, window, tag, depth + 1)?;
-    let e = pass_rec(bdd, else_isf, config, window, tag, depth + 1)?;
-    let v = bdd.try_var_at_level(top)?;
-    Ok(Isf {
-        f: bdd.try_ite(v, t.f, e.f)?,
-        c: bdd.try_ite(v, t.c, e.c)?,
-    })
-}
-
-fn rebuild_complement(bdd: &mut Bdd, top: Var, t: Isf) -> Result<Isf, BudgetExceeded> {
-    let v = bdd.try_var_at_level(top)?;
-    Ok(Isf {
-        f: bdd.try_ite(v, t.f, t.f.complement())?,
-        c: t.c,
-    })
+    sibling_rec::<true>(bdd, isf, config, window, tag, 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::level::random_sop;
     use crate::matching::MatchCriterion;
-    use crate::sibling::generic_td;
-    use bddmin_bdd::Edge;
+    use crate::rng::XorShift64;
+    use crate::sibling::{all_configs, generic_td, generic_td_budgeted};
+    use bddmin_bdd::{Budget, Edge, ReorderSettings};
 
     fn osm() -> SiblingConfig {
         SiblingConfig::new(MatchCriterion::Osm)
     }
 
     #[test]
-    fn full_window_matches_generic_td_semantics() {
-        // A full-window pass followed by reading off the representative is
-        // a cover; moreover for instances where the full matcher consumes
-        // all DCs the two agree on the care set.
-        for spec in ["d1 01", "d1 01 1d 01", "1d d1 d0 0d"] {
-            let mut bdd = Bdd::new(3);
-            let (f, c) = bdd.from_leaf_spec(spec).unwrap();
-            let isf = Isf::new(f, c);
-            let w = LevelWindow::all(&bdd);
-            let out = windowed_sibling_pass(&mut bdd, isf, osm(), w);
-            assert!(out.i_covers(&mut bdd, isf), "{spec}");
-            let full = generic_td(&mut bdd, isf, osm());
-            // Both are covers of the original.
-            assert!(isf.is_cover(&mut bdd, full));
-            assert!(out.is_cover(&mut bdd, full) || isf.is_cover(&mut bdd, out.f));
+    fn full_window_pass_is_generic_td() {
+        // Both entry points run one recursion; under a full window the
+        // pass's representative is exactly generic_td's cover, and an armed
+        // budget that never trips changes no edge.
+        let mut rng = XorShift64::seed_from_u64(0x51B1);
+        let mut compared = 0;
+        for n in [4usize, 7, 10] {
+            for sifted in [false, true] {
+                for _ in 0..4 {
+                    let mut bdd = Bdd::new(n);
+                    let f = random_sop(&mut bdd, &mut rng, n);
+                    let c = random_sop(&mut bdd, &mut rng, n / 2 + 1);
+                    let c = if rng.gen_bool(0.5) { c.complement() } else { c };
+                    if sifted {
+                        bdd.pin(f);
+                        bdd.pin(c);
+                        for i in (0..n - 1).step_by(3) {
+                            bdd.swap_levels(i);
+                        }
+                        bdd.reorder(&ReorderSettings::default());
+                    }
+                    let isf = Isf::new(f, c);
+                    for cfg in all_configs() {
+                        let w = LevelWindow::all(&bdd);
+                        let pass = windowed_sibling_pass(&mut bdd, isf, cfg, w);
+                        let g = generic_td(&mut bdd, isf, cfg);
+                        if c.is_zero() {
+                            // The one exception: an all-don't-care root is
+                            // passed through, while generic_td covers it by 0
+                            // (`all_dc_passthrough`, `zero_care_gives_zero`).
+                            assert_eq!((pass, g), (isf, Edge::ZERO));
+                            continue;
+                        }
+                        assert_eq!(pass.f, g, "{cfg:?}, n {n}, sifted {sifted}");
+                        bdd.set_budget(Budget::default().steps(u64::MAX));
+                        let budgeted = generic_td_budgeted(&mut bdd, isf, cfg);
+                        bdd.clear_budget();
+                        assert_eq!(budgeted, Ok(g), "{cfg:?}, n {n}, sifted {sifted}");
+                        compared += 1;
+                    }
+                }
+            }
         }
+        assert!(compared > 200, "{compared} comparisons");
     }
 
     #[test]

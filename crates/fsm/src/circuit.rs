@@ -419,11 +419,6 @@ impl CircuitBuilder {
         });
     }
 
-    /// Looks up a net by name.
-    pub fn net_by_name(&self, name: &str) -> Option<NetId> {
-        self.name_index.get(name).copied()
-    }
-
     /// Finalizes the circuit.
     ///
     /// # Panics

@@ -17,7 +17,10 @@
 #   degradation  budget-oracle fuzz gate + tiny-budget smoke suite
 #                (every heuristic at a 1-step budget still covers) +
 #                step-limited cbp.32.4 table3 run (level passes stay
-#                bounded and every result is still a valid cover)
+#                bounded and every result is still a valid cover) +
+#                two budgeted table3 renders diffed against
+#                scripts/golden (a step limit and a node limit, so a
+#                change that moves kernel call counts shows up)
 #   reorder      reorder-invariance oracle fuzz + break-reorder mutant
 #                gate + reorder-off and sifted-run determinism diffs
 #   image        image-equivalence oracle fuzz + break-and-exists mutant
@@ -264,6 +267,13 @@ stage_degradation() {
     out="$(./target/release/table3 --quick --no-times --only cbp.32.4 --step-limit 200)"
     grep -q "all results remain valid covers" <<<"$out"
     echo "    cbp.32.4 under a 200-step limit: every result a valid cover"
+    # Which steps a budget cuts depends on every kernel call the
+    # heuristics make, so these renders pin the call sequence.
+    ./target/release/table3 --quick --no-times --only tlc,s386,scf \
+        --step-limit 500 2>/dev/null | diff -u scripts/golden/table3_step_limit_500.txt -
+    ./target/release/table3 --quick --no-times --only tlc,s386,scf,s820 \
+        --node-limit 3000 2>/dev/null | diff -u scripts/golden/table3_node_limit_3000.txt -
+    echo "    step- and node-limited table3 renders match scripts/golden"
 }
 
 stage_reorder() {
