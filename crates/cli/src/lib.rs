@@ -17,7 +17,8 @@ use std::fmt::Write as _;
 use bddmin_bdd::{Bdd, Edge, ReorderMethod, ReorderSettings};
 use bddmin_core::{exact_minimum, lower_bound, BudgetLimits, ExactConfig, Heuristic, Isf};
 use bddmin_fsm::{
-    generators, parse_blif, simplify_report, verify_fsm_equivalence_with, ImageMethod, SymbolicFsm,
+    generators, parse_blif, simplify_report, verify_fsm_equivalence_with, ImageMethod,
+    Reachability, SymbolicFsm,
 };
 
 /// A parsed `--heuristic` selection: a comma-separated list of registry
@@ -689,10 +690,7 @@ fn run_bench() -> String {
     );
     for bench in generators::benchmark_suite() {
         let mut fsm = SymbolicFsm::new(&bench.circuit);
-        let reached = {
-            let init = fsm.initial_states();
-            fsm.reachable_from(init)
-        };
+        let reached = Reachability::new().run(&mut fsm).reached;
         let states = fsm.count_states(reached);
         let _ = writeln!(
             out,

@@ -8,8 +8,9 @@
 //! call as an EBM instance, apply all heuristics with cache flushes between
 //! them, filter trivial calls, bucket by `c_onset_size`, and aggregate:
 //!
-//! * [`runner`] — the one SIS traversal ([`runner::traverse`]), instance
-//!   filtering and measurement,
+//! * [`runner`] — the SIS traversal ([`runner::traverse`], the
+//!   evaluation's configuration of `bddmin_fsm::frontier_fixpoint`),
+//!   instance filtering and measurement,
 //! * [`par`] — the same pipeline with measurement sharded across worker
 //!   threads (`--jobs N`), deterministically merged,
 //! * [`shard`] — the shard/transfer/merge primitives behind that

@@ -8,17 +8,22 @@
 //! runtimes. The traversal itself continues with the `constrain` result,
 //! exactly as SIS did.
 //!
-//! [`traverse`] is the only implementation of that traversal. Its callers
-//! differ only in what they do with each intercepted call: measure it on
-//! the spot ([`run_benchmark`]), pin it for sharded measurement
-//! ([`crate::par`]), or feed it to a variant (the `ablation` binary).
+//! [`traverse`] is that traversal: a configuration of the one frontier
+//! loop, [`bddmin_fsm::frontier_fixpoint`], that also intercepts the
+//! image's per-latch `constrain` calls and collects garbage (and
+//! optionally reorders) after every step. Its callers differ only in what
+//! they do with each intercepted call: measure it on the spot
+//! ([`run_benchmark`]), pin it for sharded measurement ([`crate::par`]),
+//! or feed it to a variant (the `ablation` binary).
 
 use std::time::{Duration, Instant};
 
-use bddmin_bdd::{Bdd, ReorderMethod, ReorderSettings};
+use bddmin_bdd::{Bdd, Edge, ReorderMethod, ReorderSettings};
 use bddmin_core::{lower_bound, BudgetLimits, Heuristic, Isf};
 use bddmin_fsm::generators::{self, Benchmark};
-use bddmin_fsm::{product_circuit, Circuit, ImageMethod, SymbolicFsm};
+use bddmin_fsm::{
+    frontier_fixpoint, product_circuit, Circuit, FrontierSteps, ImageMethod, SymbolicFsm,
+};
 
 /// Why a call was excluded from the statistics (paper §4.1.2 filters).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -426,13 +431,14 @@ pub fn run_benchmark(
     });
 }
 
-/// The one SIS traversal: product-machine BFS of `circuit` against a copy
-/// of itself, handing every intercepted `[f, c]` call and its BFS
-/// iteration to `sink`, which gets the traversal manager and `results`.
+/// The SIS traversal: product-machine BFS of `circuit` against a copy of
+/// itself, handing every intercepted `[f, c]` call and its BFS iteration
+/// to `sink`, which gets the traversal manager and `results`.
 ///
-/// The traversal reproduces SIS `verify_fsm -m product`'s use of
-/// minimization: each BFS iteration makes **two kinds** of `constrain`
-/// calls, both intercepted as EBM instances —
+/// This is a configuration of the one frontier loop,
+/// [`bddmin_fsm::frontier_fixpoint`]. It reproduces SIS
+/// `verify_fsm -m product`'s use of minimization: each BFS iteration makes
+/// **two kinds** of `constrain` calls, both intercepted as EBM instances —
 ///
 /// 1. the frontier-set choice `[U, U + ¬R]` (large care onsets: the
 ///    don't-care set is only the already-reached non-frontier states), and
@@ -455,69 +461,80 @@ pub fn traverse(
 ) -> SymbolicFsm {
     let product = product_circuit(circuit, &circuit.clone());
     let mut fsm = SymbolicFsm::new(&product);
-    let mut iteration = 0usize;
-    let init = fsm.initial_states();
-    let mut reached = init;
-    let mut frontier = init;
-    while !frontier.is_zero() && config.max_iterations.is_none_or(|cap| iteration < cap) {
-        // Instance class 1: frontier-set choice.
-        let care = {
-            let bdd = fsm.bdd_mut();
-            let not_reached = bdd.not(reached);
-            bdd.or(frontier, not_reached)
-        };
-        let frontier_isf = Isf::new(frontier, care);
-        sink(fsm.bdd_mut(), frontier_isf, iteration, results);
-        let minimized = {
-            let bdd = fsm.bdd_mut();
-            bdd.clear_caches();
-            bdd.constrain(frontier_isf.f, frontier_isf.c)
-        };
-        // Instance class 2: the per-latch image constrains.
+    let mut steps = Intercepted {
+        config,
+        results,
+        sink: &mut sink,
+    };
+    frontier_fixpoint(&mut fsm, config.image, config.max_iterations, &mut steps);
+    steps.results.fold_peak(&fsm.bdd().stats());
+    fsm
+}
+
+/// [`traverse`]'s steps of the frontier loop. Node ids reach step-limited
+/// results through the lossy computed table, so the kernel calls keep
+/// their order: each call goes to the sink, then the caches are flushed
+/// and `constrain` answers it.
+struct Intercepted<'r> {
+    config: &'r ExperimentConfig,
+    results: &'r mut ExperimentResults,
+    sink: &'r mut dyn FnMut(&mut Bdd, Isf, usize, &mut ExperimentResults),
+}
+
+impl Intercepted<'_> {
+    fn intercept(&mut self, bdd: &mut Bdd, isf: Isf, iteration: usize) -> Edge {
+        (self.sink)(bdd, isf, iteration, self.results);
+        bdd.clear_caches();
+        bdd.constrain(isf.f, isf.c)
+    }
+}
+
+impl FrontierSteps for Intercepted<'_> {
+    /// Instance class 1: the frontier-set choice.
+    fn minimize(&mut self, fsm: &mut SymbolicFsm, isf: Isf, iteration: usize) -> Edge {
+        self.intercept(fsm.bdd_mut(), isf, iteration)
+    }
+
+    /// Instance class 2: the per-latch image constrains. They are
+    /// recorded whatever the method, so the instance stream (and thus
+    /// every rendered table) is identical across image methods; only the
+    /// image computation itself differs.
+    fn image(
+        &mut self,
+        fsm: &mut SymbolicFsm,
+        method: ImageMethod,
+        states: Edge,
+        iteration: usize,
+    ) -> Edge {
         let next_fns = fsm.next_fns().to_vec();
-        let mut constrained = Vec::with_capacity(next_fns.len());
-        for &delta in &next_fns {
-            let isf = Isf::new(delta, minimized);
-            sink(fsm.bdd_mut(), isf, iteration, results);
-            let bdd = fsm.bdd_mut();
-            bdd.clear_caches();
-            constrained.push(bdd.constrain(delta, minimized));
-        }
-        // The class-2 constrains above are recorded unconditionally so the
-        // instance stream (and thus every rendered table) is identical
-        // across image methods; only the image computation itself differs.
-        let image = match config.image {
+        let constrained: Vec<Edge> = next_fns
+            .iter()
+            .map(|&delta| self.intercept(fsm.bdd_mut(), Isf::new(delta, states), iteration))
+            .collect();
+        match method {
             ImageMethod::Range => fsm.image_of_constrained(&constrained),
-            ImageMethod::Mono => fsm.image(minimized),
-        };
-        let new_reached = fsm.bdd_mut().or(reached, image);
-        frontier = {
-            let bdd = fsm.bdd_mut();
-            let not_reached = bdd.not(reached);
-            bdd.and(image, not_reached)
-        };
-        reached = new_reached;
-        iteration += 1;
-        // Keep the node table bounded: the measured covers are dead now
-        // (pinned calls survive and keep their edges across a reorder).
-        fsm.collect_garbage(&[reached, frontier]);
-        // Quiescent point: nothing but the traversal state is live, so
-        // this is where a reorder pays off for the next iteration.
-        if config.reorder.method != ReorderMethod::None {
-            let stats = fsm.reorder(&config.reorder, &[reached, frontier]);
-            results.reorder_swaps += stats.swaps;
-            results.reorder_nodes_before += stats.nodes_before;
-            results.reorder_nodes_after += stats.nodes_after;
+            ImageMethod::Mono => fsm.image(states),
         }
     }
-    results.fold_peak(&fsm.bdd().stats());
-    fsm
+
+    /// Keeps the node table bounded: the measured covers are dead now
+    /// (pinned calls survive and keep their edges across a reorder).
+    /// Nothing but the traversal state is live, so this is also where a
+    /// reorder pays off for the next iteration.
+    fn quiescent(&mut self, fsm: &mut SymbolicFsm, reached: Edge, frontier: Edge) {
+        fsm.collect_garbage(&[reached, frontier]);
+        if self.config.reorder.method != ReorderMethod::None {
+            let stats = fsm.reorder(&self.config.reorder, &[reached, frontier]);
+            self.results.reorder_swaps += stats.swaps;
+            self.results.reorder_nodes_before += stats.nodes_before;
+            self.results.reorder_nodes_after += stats.nodes_after;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bddmin_bdd::Edge;
 
     #[test]
     fn bucket_edges() {

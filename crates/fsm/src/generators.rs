@@ -443,8 +443,7 @@ mod tests {
     fn traffic_light_reaches_all_states() {
         let c = traffic_light();
         let mut fsm = SymbolicFsm::new(&c);
-        let init = fsm.initial_states();
-        let reached = fsm.reachable_from(init);
+        let reached = crate::Reachability::new().run(&mut fsm).reached;
         assert_eq!(fsm.count_states(reached), 4.0);
     }
 

@@ -7,9 +7,14 @@
 //! equivalence checking (the analogue of SIS `verify_fsm -m product`).
 //!
 //! The paper's evaluation intercepts every frontier-minimization call made
-//! during FSM equivalence checks; [`Reachability::with_hook`] exposes the
-//! same interception point: each BFS step yields the EBM instance
-//! `[f = frontier, c = frontier + ¬reached]`.
+//! during FSM equivalence checks. One loop, [`frontier_fixpoint`], makes
+//! those calls: each BFS step yields the EBM instance
+//! `[f = frontier, c = frontier + ¬reached]`, minimizes it and images the
+//! cover. Its callers configure it through [`FrontierSteps`]:
+//! [`Reachability`] installs a minimize hook
+//! ([`Reachability::with_hook`]), [`verify_fsm_equivalence_with`] adds a
+//! stop on the miter, and the evaluation crate's traversal intercepts the
+//! image's `constrain` calls too and collects garbage between steps.
 //!
 //! # Quick example
 //!
@@ -47,7 +52,8 @@ pub use odc::{simplify_report, NetAnalysis, NetSimplification};
 pub use product::{is_from_machine_a, product_circuit, with_flipped_latch};
 pub use range::range_of_vector;
 pub use reach::{
-    verify_fsm_equivalence, verify_fsm_equivalence_with, MinimizeHook, ReachStats, Reachability,
+    frontier_fixpoint, verify_fsm_equivalence, verify_fsm_equivalence_with, Fixpoint,
+    FrontierSteps, MinimizeHook, ReachStats, Reachability,
 };
 pub use symbolic::{symbolic_matches_simulation, ImageMethod, SymbolicFsm};
 pub use tr_min::TrMinimization;

@@ -168,6 +168,7 @@ mod tests {
     use super::*;
     use crate::generators;
     use crate::symbolic::SymbolicFsm;
+    use crate::Reachability;
     use bddmin_core::rng::XorShift64;
 
     #[test]
@@ -183,8 +184,7 @@ mod tests {
             .chain(random);
         for (case, (a, b)) in pairs.enumerate() {
             let mut fsm = SymbolicFsm::new(&product_circuit(&a, &b));
-            let init = fsm.initial_states();
-            let reached = fsm.reachable_from(init);
+            let reached = Reachability::new().run(&mut fsm).reached;
             // On every reachable state and input, all miters are 0.
             for m in fsm.output_fns().to_vec() {
                 let bad = fsm.bdd_mut().and(reached, m);
@@ -199,8 +199,7 @@ mod tests {
         let b = with_flipped_latch(&a, 0);
         let prod = product_circuit(&a, &b);
         let mut fsm = SymbolicFsm::new(&prod);
-        let init = fsm.initial_states();
-        let reached = fsm.reachable_from(init);
+        let reached = Reachability::new().run(&mut fsm).reached;
         let miters: Vec<_> = fsm.output_fns().to_vec();
         let mut any_bad = false;
         for m in miters {

@@ -1,14 +1,35 @@
-//! Instrumented breadth-first reachability with frontier minimization —
-//! the instance generator of the paper's experiments (Section 4.1.1).
+//! The frontier fixpoint of the paper's application, and its three
+//! configurations (Sections 1 and 4.1.1).
 //!
 //! At each BFS step with frontier `U` and reached set `R`, any state set
 //! `S` with `U ≤ S ≤ U + R` may be used for the next image computation
 //! (re-exploring reached states is harmless). Choosing an `S` whose BDD is
-//! small is exactly the EBM instance `[f = U, c = U + ¬R]`. The paper
-//! intercepts each such call inside SIS `verify_fsm`; here the hook is
-//! explicit: every instance is handed to a [`MinimizeHook`], whose returned
-//! cover actually drives the traversal (the default hook is `constrain`,
-//! matching SIS).
+//! small is exactly the EBM instance `[f = U, c = U + ¬R]`; SIS
+//! `verify_fsm -m product` answers it with `constrain`.
+//!
+//! [`frontier_fixpoint`] is the one implementation of that loop. Each
+//! iteration runs, in order:
+//!
+//! 1. the care set `U + ¬R`;
+//! 2. minimize: [`FrontierSteps::minimize`] picks the `S` to image
+//!    (default `constrain`);
+//! 3. image: [`FrontierSteps::image`] (default
+//!    [`SymbolicFsm::image_with`]);
+//! 4. `R ← R + img`, `U ← img·¬R`, and the iteration count;
+//! 5. the quiescent point: [`FrontierSteps::quiescent`], where only `R`
+//!    and `U` are live (default nothing).
+//!
+//! [`FrontierSteps::stop`] sees every frontier before the emptiness test.
+//! The callers configure only what differs:
+//!
+//! - [`Reachability`]: an optional minimize hook, whose covers it sizes;
+//! - [`verify_fsm_equivalence_with`]: an optional hook and a stop on the
+//!   miter;
+//! - the evaluation crate's `runner::traverse`: minimize and image steps
+//!   that hand every `constrain` call to its sink, and garbage collection
+//!   plus optional reordering at the quiescent point.
+//!
+//! Only the evaluation traversal collects garbage.
 
 use bddmin_bdd::{Bdd, Edge};
 use bddmin_core::Isf;
@@ -20,6 +41,83 @@ use crate::symbolic::{ImageMethod, SymbolicFsm};
 /// Receives the manager and the EBM instance `[f = U, c = U + ¬R]`; must
 /// return a cover of the instance (this is checked in debug builds).
 pub type MinimizeHook<'a> = dyn FnMut(&mut Bdd, Isf) -> Edge + 'a;
+
+/// The steps of [`frontier_fixpoint`] that differ between its callers.
+/// Each default is the plain SIS step.
+pub trait FrontierSteps {
+    /// Step 2: a cover of the frontier instance `[U, U + ¬R]` (the care
+    /// set is `isf.c`) to take the image of, at BFS `iteration`.
+    fn minimize(&mut self, fsm: &mut SymbolicFsm, isf: Isf, _iteration: usize) -> Edge {
+        fsm.bdd_mut().constrain(isf.f, isf.c)
+    }
+
+    /// Step 3: the image of the minimized frontier `states`.
+    fn image(
+        &mut self,
+        fsm: &mut SymbolicFsm,
+        method: ImageMethod,
+        states: Edge,
+        _iteration: usize,
+    ) -> Edge {
+        fsm.image_with(method, states)
+    }
+
+    /// Ends the traversal when true; tested on each frontier, the initial
+    /// one and the final empty one included, before the emptiness test.
+    fn stop(&mut self, _fsm: &mut SymbolicFsm, _frontier: Edge) -> bool {
+        false
+    }
+
+    /// Step 5, after the update: `reached` and `frontier` are the
+    /// traversal's only live state.
+    fn quiescent(&mut self, _fsm: &mut SymbolicFsm, _reached: Edge, _frontier: Edge) {}
+}
+
+/// Where [`frontier_fixpoint`] ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fixpoint {
+    /// The reached state set (over present variables).
+    pub reached: Edge,
+    /// BFS depth: the number of image computations.
+    pub iterations: usize,
+    /// True when [`FrontierSteps::stop`] ended the traversal.
+    pub stopped: bool,
+}
+
+/// Breadth-first traversal of `fsm` from its initial states until the
+/// frontier is empty, `steps` stops it, or `max_iterations` images have
+/// been computed. See the module docs for the order of the steps.
+pub fn frontier_fixpoint(
+    fsm: &mut SymbolicFsm,
+    method: ImageMethod,
+    max_iterations: Option<usize>,
+    steps: &mut impl FrontierSteps,
+) -> Fixpoint {
+    let mut reached = fsm.initial_states();
+    let mut frontier = reached;
+    let mut iterations = 0;
+    let stopped = loop {
+        if steps.stop(fsm, frontier) {
+            break true;
+        }
+        if frontier.is_zero() || max_iterations.is_some_and(|cap| iterations >= cap) {
+            break false;
+        }
+        let not_reached = fsm.bdd().not(reached);
+        let care = fsm.bdd_mut().or(frontier, not_reached);
+        let cover = steps.minimize(fsm, Isf::new(frontier, care), iterations);
+        let image = steps.image(fsm, method, cover, iterations);
+        reached = fsm.bdd_mut().or(reached, image);
+        frontier = fsm.bdd_mut().and(image, not_reached);
+        iterations += 1;
+        steps.quiescent(fsm, reached, frontier);
+    };
+    Fixpoint {
+        reached,
+        iterations,
+        stopped,
+    }
+}
 
 /// Result of a reachability run.
 #[derive(Clone, Debug, PartialEq)]
@@ -88,53 +186,50 @@ impl<'a> Reachability<'a> {
 
     /// Runs the traversal to a fixpoint (or the iteration cap).
     pub fn run(mut self, fsm: &mut SymbolicFsm) -> ReachStats {
-        let init = fsm.initial_states();
-        let mut reached = init;
-        let mut frontier = init;
-        let mut iterations = 0;
-        let mut peak = 0;
-        let mut total = 0;
-        while !frontier.is_zero() {
-            if let Some(cap) = self.max_iterations {
-                if iterations >= cap {
-                    break;
-                }
-            }
-            // EBM instance: f = frontier, c = frontier + ¬reached.
-            let care = {
-                let bdd = fsm.bdd_mut();
-                let not_reached = bdd.not(reached);
-                bdd.or(frontier, not_reached)
-            };
-            let isf = Isf::new(frontier, care);
-            let minimized = match self.hook.as_mut() {
-                Some(hook) => {
-                    let m = hook(fsm.bdd_mut(), isf);
-                    debug_assert!(isf.is_cover(fsm.bdd_mut(), m), "hook returned a non-cover");
-                    m
-                }
-                None => fsm.bdd_mut().constrain(isf.f, isf.c),
-            };
-            let msize = fsm.bdd().size(minimized);
-            peak = peak.max(msize);
-            total += msize;
-            let method = self.image_method.unwrap_or(ImageMethod::Mono);
-            let image = fsm.image_with(method, minimized);
-            let new_reached = fsm.bdd_mut().or(reached, image);
-            frontier = {
-                let bdd = fsm.bdd_mut();
-                let not_reached = bdd.not(reached);
-                bdd.and(image, not_reached)
-            };
-            reached = new_reached;
-            iterations += 1;
-        }
+        let mut steps = CoverSizes {
+            hook: self.hook.as_deref_mut(),
+            peak: 0,
+            total: 0,
+        };
+        let method = self.image_method.unwrap_or(ImageMethod::Mono);
+        let end = frontier_fixpoint(fsm, method, self.max_iterations, &mut steps);
         ReachStats {
-            reached,
-            iterations,
-            peak_frontier_size: peak,
-            total_frontier_size: total,
+            reached: end.reached,
+            iterations: end.iterations,
+            peak_frontier_size: steps.peak,
+            total_frontier_size: steps.total,
         }
+    }
+}
+
+/// The caller's hook, or `constrain` (the SIS choice) without one.
+fn hook_or_constrain(hook: &mut Option<&mut MinimizeHook<'_>>, bdd: &mut Bdd, isf: Isf) -> Edge {
+    match hook {
+        Some(hook) => hook(bdd, isf),
+        None => bdd.constrain(isf.f, isf.c),
+    }
+}
+
+/// [`Reachability`]'s configuration: the hook (or `constrain`), whose
+/// covers it sizes.
+struct CoverSizes<'h, 'a> {
+    hook: Option<&'h mut MinimizeHook<'a>>,
+    peak: usize,
+    total: usize,
+}
+
+impl FrontierSteps for CoverSizes<'_, '_> {
+    fn minimize(&mut self, fsm: &mut SymbolicFsm, isf: Isf, _iteration: usize) -> Edge {
+        let bdd = fsm.bdd_mut();
+        let cover = hook_or_constrain(&mut self.hook, bdd, isf);
+        debug_assert!(
+            self.hook.is_none() || isf.is_cover(bdd, cover),
+            "hook returned a non-cover"
+        );
+        let size = bdd.size(cover);
+        self.peak = self.peak.max(size);
+        self.total += size;
+        cover
     }
 }
 
@@ -181,40 +276,28 @@ pub fn verify_fsm_equivalence_with(
         let outs = fsm.output_fns().to_vec();
         fsm.bdd_mut().or_many(outs)
     };
-    let init = fsm.initial_states();
-    let mut reached = init;
-    let mut frontier = init;
-    let mut depth = 0;
-    let mut hook = hook;
-    loop {
-        // Check the frontier for miter violations (any input raising a
-        // miter from a reachable state).
-        let bad = fsm.bdd_mut().and(frontier, miter);
-        if !bad.is_zero() {
-            return Err(depth);
-        }
-        if frontier.is_zero() {
-            return Ok(depth);
-        }
-        let care = {
-            let bdd = fsm.bdd_mut();
-            let not_reached = bdd.not(reached);
-            bdd.or(frontier, not_reached)
-        };
-        let isf = Isf::new(frontier, care);
-        let minimized = match hook.as_mut() {
-            Some(h) => h(fsm.bdd_mut(), isf),
-            None => fsm.bdd_mut().constrain(isf.f, isf.c),
-        };
-        let image = fsm.image_with(method, minimized);
-        let new_reached = fsm.bdd_mut().or(reached, image);
-        frontier = {
-            let bdd = fsm.bdd_mut();
-            let not_reached = bdd.not(reached);
-            bdd.and(image, not_reached)
-        };
-        reached = new_reached;
-        depth += 1;
+    let end = frontier_fixpoint(&mut fsm, method, None, &mut Miter { hook, miter });
+    if end.stopped {
+        Err(end.iterations)
+    } else {
+        Ok(end.iterations)
+    }
+}
+
+/// The equivalence check's configuration: the hook (or `constrain`), and
+/// a stop at the first frontier from which some input raises the miter.
+struct Miter<'h, 'a> {
+    hook: Option<&'h mut MinimizeHook<'a>>,
+    miter: Edge,
+}
+
+impl FrontierSteps for Miter<'_, '_> {
+    fn minimize(&mut self, fsm: &mut SymbolicFsm, isf: Isf, _iteration: usize) -> Edge {
+        hook_or_constrain(&mut self.hook, fsm.bdd_mut(), isf)
+    }
+
+    fn stop(&mut self, fsm: &mut SymbolicFsm, frontier: Edge) -> bool {
+        !fsm.bdd_mut().and(frontier, self.miter).is_zero()
     }
 }
 
@@ -228,17 +311,57 @@ mod tests {
     #[test]
     fn reachability_matches_naive() {
         let c = generators::counter("c", 4);
+        // Reference: the frontier-free `reached ∨ image(reached)` loop.
         let mut fsm1 = SymbolicFsm::new(&c);
-        let naive = {
-            let init = fsm1.initial_states();
-            fsm1.reachable_from(init)
-        };
+        let mut naive = fsm1.initial_states();
+        loop {
+            let img = fsm1.image(naive);
+            let next = fsm1.bdd_mut().or(naive, img);
+            if next == naive {
+                break;
+            }
+            naive = next;
+        }
         let mut fsm2 = SymbolicFsm::new(&c);
         let stats = Reachability::new().run(&mut fsm2);
         // Same manager layout (fresh managers over the same circuit), so
         // the reached sets must be literally equal.
         assert_eq!(stats.reached, naive);
         assert_eq!(stats.iterations, 16);
+    }
+
+    #[test]
+    fn stop_sees_every_frontier_and_quiescent_every_step() {
+        /// Stops at the `stop_at`-th frontier it sees (never if 0).
+        struct Count {
+            stop_at: usize,
+            stops: usize,
+            quiescent: usize,
+        }
+        impl FrontierSteps for Count {
+            fn stop(&mut self, _fsm: &mut SymbolicFsm, _frontier: Edge) -> bool {
+                self.stops += 1;
+                self.stops == self.stop_at
+            }
+            fn quiescent(&mut self, _fsm: &mut SymbolicFsm, _reached: Edge, _frontier: Edge) {
+                self.quiescent += 1;
+            }
+        }
+        let c = generators::counter("c", 3);
+        for (stop_at, iterations, stops) in [(0, 8, 9), (3, 2, 3)] {
+            let mut fsm = SymbolicFsm::new(&c);
+            let mut steps = Count {
+                stop_at,
+                stops: 0,
+                quiescent: 0,
+            };
+            let end = frontier_fixpoint(&mut fsm, ImageMethod::Mono, None, &mut steps);
+            assert_eq!(end.iterations, iterations);
+            assert_eq!(end.stopped, stop_at > 0);
+            // The initial and the final empty frontier are tested too.
+            assert_eq!(steps.stops, stops);
+            assert_eq!(steps.quiescent, iterations);
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl std::fmt::Display for ImageMethod {
 /// # Example
 ///
 /// ```
-/// use bddmin_fsm::{CircuitBuilder, GateKind, SymbolicFsm};
+/// use bddmin_fsm::{CircuitBuilder, GateKind, Reachability, SymbolicFsm};
 ///
 /// let mut b = CircuitBuilder::new("toggle");
 /// let en = b.input("en");
@@ -72,10 +72,7 @@ impl std::fmt::Display for ImageMethod {
 /// let circuit = b.build();
 ///
 /// let mut fsm = SymbolicFsm::new(&circuit);
-/// let reached = {
-///     let init = fsm.initial_states();
-///     fsm.reachable_from(init)
-/// };
+/// let reached = Reachability::new().run(&mut fsm).reached;
 /// // Both states of the toggle are reachable.
 /// assert!(reached.is_one());
 /// ```
@@ -87,7 +84,6 @@ pub struct SymbolicFsm {
     next_vars: Vec<Var>,
     next_fns: Vec<Edge>,
     output_fns: Vec<Edge>,
-    output_names: Vec<String>,
     initial: Edge,
     transition: Edge,
     /// Cube of input ∪ present variables (quantified during image).
@@ -148,7 +144,6 @@ impl SymbolicFsm {
             .iter()
             .map(|o| net_fn[o.net.index()].expect("output defined"))
             .collect();
-        let output_names = circuit.outputs().iter().map(|o| o.name.clone()).collect();
         // Initial state cube.
         let mut initial = Edge::ONE;
         for (i, latch) in circuit.latches().iter().enumerate() {
@@ -175,7 +170,6 @@ impl SymbolicFsm {
             next_vars,
             next_fns,
             output_fns,
-            output_names,
             initial,
             transition,
             img_quant_cube,
@@ -224,11 +218,6 @@ impl SymbolicFsm {
         &self.output_fns
     }
 
-    /// Output port names.
-    pub fn output_names(&self) -> &[String] {
-        &self.output_names
-    }
-
     /// The characteristic function of the reset state (a cube over the
     /// present-state variables).
     pub fn initial_states(&self) -> Edge {
@@ -264,21 +253,6 @@ impl SymbolicFsm {
         match method {
             ImageMethod::Mono => self.image(states),
             ImageMethod::Range => self.image_by_range(states),
-        }
-    }
-
-    /// Full reachable state set from `from`, by naive BFS (no frontier
-    /// minimization). See [`Reachability`](crate::Reachability) for the
-    /// instrumented traversal used by the experiments.
-    pub fn reachable_from(&mut self, from: Edge) -> Edge {
-        let mut reached = from;
-        loop {
-            let img = self.image(reached);
-            let next = self.bdd.or(reached, img);
-            if next == reached {
-                return reached;
-            }
-            reached = next;
         }
     }
 
@@ -379,6 +353,7 @@ pub fn symbolic_matches_simulation(
 mod tests {
     use super::*;
     use crate::circuit::{CircuitBuilder, GateKind};
+    use crate::Reachability;
     use bddmin_core::rng::XorShift64;
 
     fn two_bit_counter() -> Circuit {
@@ -437,7 +412,7 @@ mod tests {
         for case in 0..48 {
             let mut fsm = SymbolicFsm::new(&small_random_machine(&mut rng));
             let init = fsm.initial_states();
-            let reached = fsm.reachable_from(init);
+            let reached = Reachability::new().run(&mut fsm).reached;
             // Closed under image, and contains the initial state.
             let img = fsm.image(reached);
             assert!(fsm.bdd_mut().implies_holds(img, reached), "case {case}");
@@ -460,8 +435,7 @@ mod tests {
     fn full_reachability() {
         let c = two_bit_counter();
         let mut fsm = SymbolicFsm::new(&c);
-        let init = fsm.initial_states();
-        let reached = fsm.reachable_from(init);
+        let reached = Reachability::new().run(&mut fsm).reached;
         assert_eq!(fsm.count_states(reached), 4.0);
     }
 
@@ -476,8 +450,7 @@ mod tests {
         b.output("o", q);
         let c = b.build();
         let mut fsm = SymbolicFsm::new(&c);
-        let init = fsm.initial_states();
-        let reached = fsm.reachable_from(init);
+        let reached = Reachability::new().run(&mut fsm).reached;
         assert_eq!(fsm.count_states(reached), 1.0);
     }
 
@@ -553,6 +526,5 @@ mod tests {
         assert_eq!(fsm.next_vars().len(), 2);
         assert_eq!(fsm.next_fns().len(), 2);
         assert_eq!(fsm.output_fns().len(), 2);
-        assert_eq!(fsm.output_names(), &["q0".to_owned(), "q1".to_owned()]);
     }
 }

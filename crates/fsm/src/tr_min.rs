@@ -38,14 +38,11 @@ impl SymbolicFsm {
     ///
     /// ```
     /// use bddmin_core::Heuristic;
-    /// use bddmin_fsm::{generators, SymbolicFsm};
+    /// use bddmin_fsm::{generators, Reachability, SymbolicFsm};
     ///
     /// let circuit = generators::traffic_light();
     /// let mut fsm = SymbolicFsm::new(&circuit);
-    /// let reached = {
-    ///     let init = fsm.initial_states();
-    ///     fsm.reachable_from(init)
-    /// };
+    /// let reached = Reachability::new().run(&mut fsm).reached;
     /// let m = fsm.minimize_transition_relation(reached, Heuristic::Restrict);
     /// assert!(m.minimized_size <= m.original_size);
     /// ```
@@ -84,8 +81,7 @@ mod tests {
     use crate::generators;
 
     fn reachable(fsm: &mut SymbolicFsm) -> Edge {
-        let init = fsm.initial_states();
-        fsm.reachable_from(init)
+        crate::Reachability::new().run(fsm).reached
     }
 
     #[test]

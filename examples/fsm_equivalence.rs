@@ -79,10 +79,7 @@ fn main() {
     // Use a machine with many unreachable states so the don't cares bite.
     let sparse = generators::random_fsm("sparse_ctrl", 6, 4, 386);
     let mut fsm = SymbolicFsm::new(&sparse);
-    let reached = {
-        let init = fsm.initial_states();
-        fsm.reachable_from(init)
-    };
+    let reached = Reachability::new().run(&mut fsm).reached;
     println!(
         "  machine {}: {} of {} states reachable",
         sparse.name(),

@@ -9,7 +9,10 @@
 #   fmt          cargo fmt --all --check: the workspace stays rustfmt-clean
 #   invariance   cache-size invariance suites (bdd + core) + table3
 #                on the benchmark's 14 machines diffed against
-#                perfbench/expected/paper_table3.txt
+#                perfbench/expected/paper_table3.txt + `suite list`
+#                (reachable states and BFS depth of all 15 machines,
+#                from Reachability) diffed against
+#                scripts/golden/suite_list.txt
 #   determinism  parallel evaluator vs sequential + table3 --quick jobs
 #                1 vs 4 diff over the whole quick suite
 #   fuzz-smoke   time-boxed differential fuzz (seeds 1..4) plus one
@@ -188,7 +191,7 @@ stage_invariance() {
     cargo test -q -p bddmin-core --test cache_invariance
     # The tables of the benchmark's paper_table3 workload, whose traversal
     # manager shrinks and regrows its caches at every flush.
-    cargo build --release -q -p bddmin-eval --bin table3
+    cargo build --release -q -p bddmin-eval --bin table3 --bin suite
     local tmpdir
     tmpdir="$(mktemp -d)"
     ./target/release/table3 --no-times \
@@ -197,6 +200,9 @@ stage_invariance() {
     diff -u perfbench/expected/paper_table3.txt "$tmpdir/table3.txt"
     rm -rf "$tmpdir"
     echo "    table3 on the 14 benchmark machines matches perfbench/expected/paper_table3.txt"
+    # Reachability's reached sets and depths, which no table pins.
+    ./target/release/suite list | diff -u scripts/golden/suite_list.txt -
+    echo "    suite list (states and BFS depth) matches scripts/golden/suite_list.txt"
 }
 
 stage_determinism() {

@@ -1,9 +1,13 @@
 //! End-to-end FSM equivalence checking (the paper's application) with
 //! minimization in the loop.
 
+use bddmin_core::rng::XorShift64;
 use bddmin_core::Heuristic;
+use bddmin_eval::runner::{traverse, ExperimentConfig, ExperimentResults};
 use bddmin_fsm::{
-    generators, parse_blif, print_blif, verify_fsm_equivalence, with_flipped_latch, MinimizeHook,
+    generators, parse_blif, print_blif, product_circuit, verify_fsm_equivalence,
+    verify_fsm_equivalence_with, with_flipped_latch, Circuit, ImageMethod, MinimizeHook,
+    Reachability, SymbolicFsm,
 };
 
 /// Every machine in the suite is equivalent to itself, whatever heuristic
@@ -106,4 +110,77 @@ fn equivalence_across_different_structures() {
     wrong = wrong.replace(".end", &format!(".names {data_net} inv1\n0 1\n.end"));
     let w = parse_blif(&wrong).expect("modified BLIF parses");
     assert!(verify_fsm_equivalence(&a, &w, None).is_err());
+}
+
+/// The three configurations of the one frontier loop count the same BFS
+/// depth: the equivalence check of a machine against itself, `Reachability`
+/// on the product machine, and the number of frontier-set calls (class 1)
+/// the evaluation traversal intercepts. Both image methods give the same
+/// verdict and depth on a machine with a flipped latch.
+#[test]
+fn frontier_loop_configurations_agree() {
+    let suite = generators::benchmark_suite()
+        .into_iter()
+        .filter(|b| b.paper_name != "cbp.32.4")
+        .map(|b| (b.circuit, true));
+    let mut rng = XorShift64::seed_from_u64(0xF00D);
+    let random: Vec<(Circuit, bool)> = (0..16)
+        .map(|i| {
+            let latches = rng.gen_range_inclusive(1, 5);
+            let inputs = rng.gen_range_inclusive(1, 3);
+            let seed = rng.gen_u64();
+            (
+                generators::random_fsm(&format!("r{i}"), latches, inputs, seed),
+                false,
+            )
+        })
+        .collect();
+    for (a, in_suite) in suite.chain(random) {
+        let bad = with_flipped_latch(&a, a.num_latches() - 1);
+        let mut flipped_depths = Vec::new();
+        for method in ImageMethod::ALL {
+            let depth = verify_fsm_equivalence_with(&a, &a, None, method)
+                .unwrap_or_else(|d| panic!("{} differs from itself at {d}", a.name()));
+
+            let mut fsm = SymbolicFsm::new(&product_circuit(&a, &a));
+            let stats = Reachability::new().image_method(method).run(&mut fsm);
+            assert_eq!(
+                stats.iterations,
+                depth,
+                "{} {method}: Reachability",
+                a.name()
+            );
+
+            let config = ExperimentConfig {
+                image: method,
+                ..ExperimentConfig::default()
+            };
+            let (mut calls, mut class1, mut last) = (0usize, 0usize, None);
+            traverse(
+                &a,
+                &config,
+                &mut ExperimentResults::default(),
+                |_, _, it, _| {
+                    calls += 1;
+                    if last != Some(it) {
+                        class1 += 1;
+                        last = Some(it);
+                    }
+                },
+            );
+            assert_eq!(class1, depth, "{} {method}: traverse", a.name());
+            // One frontier call and one call per product latch each step.
+            assert_eq!(calls, depth * (1 + 2 * a.num_latches()), "{}", a.name());
+
+            flipped_depths.push(verify_fsm_equivalence_with(&a, &bad, None, method));
+        }
+        assert_eq!(flipped_depths[0], flipped_depths[1], "{}", a.name());
+        // Some seeded machines cannot observe their last latch; every
+        // suite machine can.
+        assert!(
+            flipped_depths[0].is_err() || !in_suite,
+            "{}: flipped latch not found",
+            a.name()
+        );
+    }
 }
