@@ -13,9 +13,8 @@ use crate::util::{Bitmap, FastBuild};
 ///
 /// Plain `f64` counts overflow to infinity at 1024 variables and lose the
 /// low bits long before that; this representation stays finite and keeps
-/// f64 mantissa precision at any variable count. Convert with
-/// [`SatCount::to_f64`] (saturating) or compare magnitudes with
-/// [`SatCount::log2`].
+/// f64 mantissa precision at any variable count. [`Bdd::sat_count`]
+/// converts it with [`SatCount::to_f64`] (saturating).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SatCount {
     /// Significand in `[1, 2)`, or `0.0` when the count is zero.
@@ -103,7 +102,7 @@ impl SatCount {
 
     /// Converts to `f64`, saturating to `f64::INFINITY` above `~2^1024`
     /// and to `0.0` below the subnormal range (never `NaN`).
-    pub fn to_f64(self) -> f64 {
+    fn to_f64(self) -> f64 {
         if self.is_zero() {
             return 0.0;
         }
@@ -114,14 +113,6 @@ impl SatCount {
             return 0.0;
         }
         self.mantissa * 2f64.powi(self.exp2 as i32)
-    }
-
-    /// Base-2 logarithm of the count (`-inf` for zero).
-    pub fn log2(self) -> f64 {
-        if self.is_zero() {
-            return f64::NEG_INFINITY;
-        }
-        self.mantissa.log2() + self.exp2 as f64
     }
 }
 
@@ -235,8 +226,8 @@ impl Bdd {
     ///
     /// A documented approximation: exact for counts below `~2^53`,
     /// mantissa-rounded above, and **saturating to `f64::INFINITY`**
-    /// beyond `~2^1024`. It is computed through the exponent-carrying
-    /// [`Bdd::sat_count_scaled`], so — unlike the naive
+    /// beyond `~2^1024`. It is computed in an exponent-carrying form
+    /// that stays finite at any variable count, so — unlike the naive
     /// `fraction × 2^n` formula — small counts in huge spaces (e.g. the
     /// single assignment of a 1200-literal cube) come out exact instead
     /// of degenerating to `0 × inf = NaN`.
@@ -246,17 +237,7 @@ impl Bdd {
 
     /// Number of satisfying assignments over all `n` declared variables
     /// in exponent-carrying form, finite at any variable count.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use bddmin_bdd::{Bdd, Var};
-    /// let mut bdd = Bdd::new(2000);
-    /// let a = bdd.var(Var(0));
-    /// let count = bdd.sat_count_scaled(a); // 2^1999 assignments
-    /// assert_eq!((count.mantissa, count.exp2), (1.0, 1999));
-    /// ```
-    pub fn sat_count_scaled(&self, f: Edge) -> SatCount {
+    fn sat_count_scaled(&self, f: Edge) -> SatCount {
         let mut memo: HashMap<NodeId, SatCount, FastBuild> = HashMap::default();
         let p = self.prob_rec(f.regular(), &mut memo);
         let p = if f.is_complemented() {
@@ -414,7 +395,6 @@ mod tests {
         let a = bdd.var(Var(0));
         let half = bdd.sat_count_scaled(a);
         assert_eq!((half.mantissa, half.exp2), (1.0, 1199));
-        assert_eq!(half.log2(), 1199.0);
         // The f64 view saturates above ~2^1024 (documented), never NaN.
         assert!(bdd.sat_count(a).is_infinite());
         assert!(!bdd.sat_count(a).is_nan());

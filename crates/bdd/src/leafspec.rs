@@ -31,7 +31,7 @@ use crate::table::ToBdd;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct LeafSpec {
     /// The values as a packed truth table over levels `0..num_vars`
     /// (`crate::table`): bit `m` is leaf `m`, don't cares completed to 1.
@@ -156,20 +156,6 @@ impl LeafSpec {
         let c = to_bdd.build(bdd, &self.care, 0);
         (f, c)
     }
-
-    /// Builds a completely specified function from a spec with no `d`s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec contains don't cares or the manager is too small.
-    pub fn build_function(&self, bdd: &mut Bdd) -> Edge {
-        assert!(
-            self.care.iter().all(|&w| w == !0),
-            "spec contains don't cares; use build()"
-        );
-        let (f, _) = self.build(bdd);
-        f
-    }
 }
 
 impl Bdd {
@@ -264,6 +250,74 @@ mod tests {
         }
     }
 
+    /// Another spelling of `leaves` (a string of `0`, `1` and `d`) that
+    /// parses to the same table: `d`, `D` or `-` for a don't care, and
+    /// spaces, commas and parentheses between the leaves.
+    fn respell(leaves: &str, seed: u64) -> String {
+        let mut out = String::new();
+        for (i, leaf) in leaves.chars().enumerate() {
+            let r = mix64(seed << 32 ^ i as u64);
+            if let Some(sep) = [" ", ",", "(", ")", ", "].get(r as usize % 8) {
+                out.push_str(sep);
+            }
+            out.push(match (leaf, r >> 8 & 3) {
+                ('d', 0) => '-',
+                ('d', 1) => 'D',
+                (leaf, _) => leaf,
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn specs_are_equal_exactly_when_their_functions_are() {
+        use std::hash::{BuildHasher, RandomState};
+        let hasher = RandomState::new();
+        let mut bdd = Bdd::new(16);
+        // Each entry: the parsed spec and its `(f, c)` in the one manager.
+        let mut pool: Vec<(LeafSpec, (Edge, Edge))> = Vec::new();
+        for seed in 0..72u64 {
+            let n = seed % 9;
+            let leaves: String = (0..1u64 << n)
+                .map(|m| ['0', '1', 'd'][(mix64(seed << 40 ^ m) % 3) as usize])
+                .collect();
+            let spec = LeafSpec::parse(&leaves).unwrap();
+            // The doubled table ignores a new first variable: the words of
+            // a short table stay the same, but the width grows by one.
+            let doubled = LeafSpec::parse(&leaves.repeat(2)).unwrap();
+            assert_eq!(doubled.num_vars(), spec.num_vars() + 1);
+            assert_ne!(doubled, spec, "{leaves}");
+            for text in [respell(&leaves, seed), respell(&leaves, !seed)] {
+                let respelled = LeafSpec::parse(&text).unwrap();
+                assert_eq!(respelled, spec, "{text:?} vs {leaves}");
+                assert_eq!(hasher.hash_one(&respelled), hasher.hash_one(&spec));
+            }
+            for spec in [spec, doubled] {
+                let built = spec.build(&mut bdd);
+                pool.push((spec, built));
+            }
+        }
+        let mut equal_pairs = 0;
+        for (i, (a, built_a)) in pool.iter().enumerate() {
+            for (b, built_b) in &pool[..i] {
+                let same_function = a.num_vars() == b.num_vars() && built_a == built_b;
+                assert_eq!(a == b, same_function, "{a:?} vs {b:?}");
+                equal_pairs += usize::from(same_function);
+            }
+        }
+        // The narrow widths draw from few tables, so both sides occur.
+        assert!(equal_pairs > 0);
+        let (one, two) = (
+            LeafSpec::parse("01").unwrap(),
+            LeafSpec::parse("0101").unwrap(),
+        );
+        assert_eq!(
+            (one.value.clone(), one.care.clone()),
+            (two.value.clone(), two.care.clone())
+        );
+        assert_ne!(one, two);
+    }
+
     #[test]
     fn leaves_round_trip() {
         for n in 0..=8u32 {
@@ -346,18 +400,6 @@ mod tests {
         assert_eq!(bdd.sat_fraction(c), 0.75);
         let onset = bdd.and(f, c);
         assert!(bdd.sat_fraction(onset) > 0.0);
-    }
-
-    #[test]
-    fn build_function_rejects_dc() {
-        let mut bdd = Bdd::new(2);
-        let s = LeafSpec::parse("0101").unwrap();
-        let f = s.build_function(&mut bdd);
-        assert_eq!(f, bdd.var(Var(1)));
-        let sd = LeafSpec::parse("d101").unwrap();
-        let r =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sd.build_function(&mut bdd)));
-        assert!(r.is_err());
     }
 
     #[test]

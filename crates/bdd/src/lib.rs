@@ -69,7 +69,6 @@ mod unique;
 mod util;
 
 pub use budget::{Budget, BudgetExceeded, BudgetKind};
-pub use count::SatCount;
 pub use cubes::{Cube, CubeIter};
 pub use edge::{Edge, NodeId, Var};
 pub use expr::{ParseExprError, MAX_EXPR_DEPTH};

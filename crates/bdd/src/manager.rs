@@ -166,12 +166,11 @@ pub struct Bdd {
     pub(crate) op_depth: u32,
     pub(crate) gc_runs: u64,
     pub(crate) gc_reclaimed: u64,
-    /// Automatic reordering: when enabled, a sift (with
-    /// `reorder_settings`) runs at the next quiescent point after the
+    /// Automatic reordering: when enabled, a sift (with the default
+    /// [`ReorderSettings`]) runs at the next quiescent point after the
     /// live-node count crosses `reorder_threshold`. Off by default.
     pub(crate) auto_reorder: bool,
     pub(crate) reorder_threshold: usize,
-    pub(crate) reorder_settings: ReorderSettings,
     /// User-declared variable groups for group sifting: each group moves
     /// as one contiguous block. Identities, not levels.
     pub(crate) var_groups: Vec<Vec<Var>>,
@@ -313,7 +312,6 @@ impl Bdd {
             gc_reclaimed: 0,
             auto_reorder: false,
             reorder_threshold: MIN_AUTO_REORDER_THRESHOLD,
-            reorder_settings: ReorderSettings::default(),
             var_groups: Vec::new(),
             reorder_runs: 0,
             reorder_swaps: 0,
@@ -377,14 +375,6 @@ impl Bdd {
         } else {
             self.level2var[level.index()]
         }
-    }
-
-    /// The decision **variable identity** of the function's top node;
-    /// [`Var::TERMINAL`] for constants. Contrast with [`Bdd::level`],
-    /// which returns the position in the current order.
-    #[inline]
-    pub fn var_of(&self, edge: Edge) -> Var {
-        self.var_at_level(self.level(edge))
     }
 
     /// The single-variable function for the variable currently at
@@ -512,27 +502,15 @@ impl Bdd {
 
     /// Enables or disables automatic dynamic reordering.
     ///
-    /// When enabled, a sift (with the settings from
-    /// [`Bdd::set_reorder_settings`]) runs at the next quiescent point
-    /// after the live-node count crosses an adaptive threshold — the same
-    /// survival contract as automatic GC: **only pinned edges, the
-    /// single-variable functions, and the result of the triggering
-    /// operation survive.** A blown budget aborts the sift cleanly
-    /// between swaps, leaving the order and table consistent. Off by
-    /// default.
+    /// When enabled, a sift (with the default [`ReorderSettings`]) runs
+    /// at the next quiescent point after the live-node count crosses an
+    /// adaptive threshold — the same survival contract as automatic GC:
+    /// **only pinned edges, the single-variable functions, and the result
+    /// of the triggering operation survive.** A blown budget aborts the
+    /// sift cleanly between swaps, leaving the order and table
+    /// consistent. Off by default.
     pub fn set_auto_reorder(&mut self, enabled: bool) {
         self.auto_reorder = enabled;
-    }
-
-    /// Sets the sifting parameters used by both [`Bdd::reorder`] defaults
-    /// and automatic reordering.
-    pub fn set_reorder_settings(&mut self, settings: ReorderSettings) {
-        self.reorder_settings = settings;
-    }
-
-    /// The current sifting parameters.
-    pub fn reorder_settings(&self) -> ReorderSettings {
-        self.reorder_settings
     }
 
     /// Declares that `vars` form a group that moves as one contiguous
@@ -698,8 +676,7 @@ impl Bdd {
             // triggering result), and a blown budget aborts between
             // swaps, back to a consistent order.
             if self.auto_reorder && self.live_count() > self.reorder_threshold {
-                let settings = self.reorder_settings;
-                self.reorder_roots(&settings, &[result]);
+                self.reorder_roots(&ReorderSettings::default(), &[result]);
                 // Back off: require meaningful regrowth before the next
                 // one, or auto-reorder would thrash on irreducible BDDs.
                 self.reorder_threshold = (self.live_count() * 4).max(MIN_AUTO_REORDER_THRESHOLD);
@@ -790,8 +767,8 @@ impl Bdd {
     }
 
     /// The level (position in the current variable order) of the
-    /// function's top node; [`Var::TERMINAL`] for constants. Use
-    /// [`Bdd::var_of`] for the variable identity instead.
+    /// function's top node; [`Var::TERMINAL`] for constants.
+    /// [`Bdd::var_at_level`] maps it to the variable identity.
     #[inline]
     pub fn level(&self, edge: Edge) -> Var {
         self.nodes[edge.node().index()].var

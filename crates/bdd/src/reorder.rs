@@ -142,15 +142,6 @@ impl ReorderSettings {
             ..ReorderSettings::default()
         }
     }
-
-    /// Group sifting with the given growth factor.
-    pub fn group_sift(growth: f64) -> ReorderSettings {
-        ReorderSettings {
-            method: ReorderMethod::GroupSift,
-            growth,
-            ..ReorderSettings::default()
-        }
-    }
 }
 
 /// Outcome of one reordering pass.
@@ -786,7 +777,10 @@ mod tests {
         }
         let f = interleaving_victim(&mut bdd, pairs);
         bdd.pin(f);
-        let stats = bdd.reorder(&ReorderSettings::group_sift(2.0));
+        let stats = bdd.reorder(&ReorderSettings {
+            method: ReorderMethod::GroupSift,
+            ..ReorderSettings::sift(2.0)
+        });
         assert!(!stats.aborted);
         // Each declared pair occupies adjacent levels afterwards.
         for i in 0..pairs {

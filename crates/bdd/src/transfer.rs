@@ -5,8 +5,8 @@
 //! * **variable-order experiments**: rebuild the same functions under a
 //!   different fixed order and compare sizes (the paper fixes the order;
 //!   this quantifies how much that choice matters),
-//! * **manager compaction**: move the live functions into a fresh manager,
-//!   dropping all dead nodes and cache history.
+//! * **manager compaction**: move the live functions into a fresh manager
+//!   by an identity transfer, dropping all dead nodes and cache history.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -206,39 +206,6 @@ impl Bdd {
         memo.insert((f, depth), r);
         r
     }
-
-    /// Rebuilds several functions into a fresh manager with the same
-    /// variable names and order, dropping every dead node (compaction).
-    /// Returns the new manager and the transferred edges.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use bddmin_bdd::{Bdd, Var};
-    /// let mut bdd = Bdd::new(8);
-    /// let a = bdd.var(Var(0));
-    /// let b = bdd.var(Var(1));
-    /// let keep = bdd.xor(a, b);
-    /// for i in 2..8 {
-    ///     let v = bdd.var(Var(i)); // scratch work
-    ///     let _ = bdd.and(keep, v);
-    /// }
-    /// let (fresh, kept) = bdd.compacted(&[keep]);
-    /// assert_eq!(fresh.size(kept[0]), bdd.size(keep));
-    /// assert!(fresh.stats().live_nodes <= bdd.stats().live_nodes);
-    /// ```
-    pub fn compacted(&mut self, functions: &[Edge]) -> (Bdd, Vec<Edge>) {
-        let names: Vec<String> = (0..self.num_vars())
-            .map(|i| self.var_name(Var(i as u32)).to_owned())
-            .collect();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let mut fresh = Bdd::with_names(&name_refs);
-        let moved = functions
-            .iter()
-            .map(|&f| self.transfer(f, &mut fresh, |v| v))
-            .collect();
-        (fresh, moved)
-    }
 }
 
 #[cfg(test)]
@@ -402,9 +369,10 @@ mod tests {
             let _ = bdd.xor(v, w);
         }
         let before = bdd.stats().live_nodes;
-        let (fresh, moved) = bdd.compacted(&[keep]);
+        // An identity transfer into a fresh manager carries only `keep`.
+        let mut fresh = Bdd::new(bdd.num_vars());
+        let moved = bdd.transfer(keep, &mut fresh, |v| v);
         assert!(fresh.stats().live_nodes < before);
-        assert_eq!(fresh.size(moved[0]), bdd.size(keep));
-        assert_eq!(fresh.var_name(Var(3)), bdd.var_name(Var(3)));
+        assert_eq!(fresh.size(moved), bdd.size(keep));
     }
 }

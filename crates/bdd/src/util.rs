@@ -54,9 +54,9 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A `Hasher` that runs [`mix64`] over the written words — a SipHash
-/// replacement for interior memo tables whose keys are already
-/// well-distributed integers. Not DoS-resistant; never use for
+/// A `Hasher` that runs a splitmix64-style finalizer over the written
+/// words — a SipHash replacement for interior memo tables whose keys are
+/// already well-distributed integers. Not DoS-resistant; never use for
 /// attacker-controlled keys.
 #[derive(Default)]
 pub struct FastHasher {

@@ -9,17 +9,13 @@
 //! bddmin expr --vars a,b,c --function "(a&b)|c" --care "a|b" [--heuristic ...]
 //! bddmin verify left.blif right.blif [--heuristic NAME]
 //! bddmin simplify circuit.blif [--heuristic NAME]
-//! bddmin bench
 //! ```
 
 use std::fmt::Write as _;
 
 use bddmin_bdd::{Bdd, Edge, ReorderMethod, ReorderSettings};
 use bddmin_core::{exact_minimum, lower_bound, BudgetLimits, ExactConfig, Heuristic, Isf};
-use bddmin_fsm::{
-    generators, parse_blif, simplify_report, verify_fsm_equivalence_with, ImageMethod,
-    Reachability, SymbolicFsm,
-};
+use bddmin_fsm::{parse_blif, simplify_report, verify_fsm_equivalence_with, ImageMethod};
 
 /// A parsed `--heuristic` selection: a comma-separated list of registry
 /// names and single-`*` globs, kept together with the raw argument so an
@@ -47,7 +43,7 @@ impl HeuristicFilter {
     }
 
     /// The structured "no heuristic selected" error for this filter.
-    pub fn empty_error(&self) -> CliError {
+    fn empty_error(&self) -> CliError {
         let known: Vec<&str> = Self::registry().map(|h| h.name()).collect();
         CliError(format!(
             "no heuristic selected by filter {:?} (known: {})",
@@ -182,8 +178,6 @@ pub enum Command {
         /// Minimization heuristic (default osm_bt).
         heuristic: Option<Heuristic>,
     },
-    /// List the benchmark suite.
-    Bench,
 }
 
 /// Errors from argument parsing or execution.
@@ -207,7 +201,6 @@ USAGE:
   bddmin expr --vars a,b,c --function EXPR --care EXPR [--heuristic FILTER] [BUDGET]
   bddmin verify <LEFT.blif> <RIGHT.blif> [--heuristic NAME] [--image {mono,range}]
   bddmin simplify <CIRCUIT.blif> [--heuristic NAME]
-  bddmin bench
 
 BUDGET (spec/expr): [--step-limit N] [--node-limit N] [--time-limit MS]
   Bounds each heuristic run; blown steps degrade gracefully to a valid
@@ -397,7 +390,6 @@ pub fn parse_args(
                 heuristic: single(&rest)?,
             })
         }
-        "bench" => Ok(Command::Bench),
         "--help" | "-h" | "help" => Err(CliError(USAGE.to_owned())),
         other => Err(CliError(format!("unknown command {other:?}\n\n{USAGE}"))),
     }
@@ -430,7 +422,6 @@ pub fn run(command: Command) -> Result<String, CliError> {
             image,
         } => run_verify(&left, &right, heuristic, image),
         Command::Simplify { blif, heuristic } => run_simplify(&blif, heuristic),
-        Command::Bench => Ok(run_bench()),
     }
 }
 
@@ -508,16 +499,10 @@ fn report_instance(
     };
     let mut best: Option<(usize, Edge)> = None;
     for &h in selected {
-        let (g, note) = if budget.armed() {
-            let (g, report) = h.minimize_budgeted(bdd, isf, budget.to_budget());
-            let note = if report.skipped() > 0 {
-                format!("  (degraded: {report})")
-            } else {
-                String::new()
-            };
-            (g, note)
-        } else {
-            (h.minimize(bdd, isf), String::new())
+        let (g, report) = h.minimize_with(bdd, isf, budget);
+        let note = match report {
+            Some(report) if report.skipped() > 0 => format!("  (degraded: {report})"),
+            _ => String::new(),
         };
         let size = bdd.size(g);
         let _ = writeln!(out, "{:<8} {size:>4} nodes{note}", h.name());
@@ -679,31 +664,6 @@ fn run_simplify(blif: &str, heuristic: Option<Heuristic>) -> Result<String, CliE
     }
     let _ = writeln!(out, "total: {before} -> {after} BDD nodes");
     Ok(out)
-}
-
-fn run_bench() -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<10} {:<16} {:>7} {:>8} {:>6} {:>8}",
-        "paper", "stand-in", "inputs", "latches", "gates", "states"
-    );
-    for bench in generators::benchmark_suite() {
-        let mut fsm = SymbolicFsm::new(&bench.circuit);
-        let reached = Reachability::new().run(&mut fsm).reached;
-        let states = fsm.count_states(reached);
-        let _ = writeln!(
-            out,
-            "{:<10} {:<16} {:>7} {:>8} {:>6} {:>8}",
-            bench.paper_name,
-            bench.circuit.name(),
-            bench.circuit.num_inputs(),
-            bench.circuit.num_latches(),
-            bench.circuit.gates().len(),
-            states
-        );
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1233,14 +1193,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("ODC simplification"));
         assert!(out.contains("total:"));
-    }
-
-    #[test]
-    fn run_bench_lists_suite() {
-        let out = run(Command::Bench).unwrap();
-        assert!(out.contains("s344"));
-        assert!(out.contains("tlc"));
-        assert_eq!(out.lines().count(), 16); // header + 15 machines
     }
 
     fn argv(args: &[&str]) -> Vec<String> {

@@ -116,7 +116,7 @@ impl Heuristic {
     }
 
     /// The sibling-matcher configuration, for the heuristics that have one.
-    pub fn sibling_config(self) -> Option<SiblingConfig> {
+    fn sibling_config(self) -> Option<SiblingConfig> {
         let cfg = match self {
             Heuristic::Constrain => SiblingConfig::new(MatchCriterion::Osdm),
             Heuristic::Restrict => SiblingConfig::new(MatchCriterion::Osdm).no_new_vars(true),
@@ -163,6 +163,26 @@ impl Heuristic {
     /// guard discussed after paper Proposition 6).
     pub fn minimize_budgeted(self, bdd: &mut Bdd, isf: Isf, budget: Budget) -> (Edge, MinReport) {
         run_budgeted(bdd, isf, budget, |bdd, report| self.run(bdd, isf, report))
+    }
+
+    /// Runs the heuristic under `limits`: [`Heuristic::minimize`] with
+    /// no report when no limit is armed, else
+    /// [`Heuristic::minimize_budgeted`] with its report, on a budget built
+    /// at this call (so a wall-clock limit restarts per run). The one
+    /// place the CLI, the evaluation runner and the service choose
+    /// between the raw and the clamped result.
+    pub fn minimize_with(
+        self,
+        bdd: &mut Bdd,
+        isf: Isf,
+        limits: BudgetLimits,
+    ) -> (Edge, Option<MinReport>) {
+        if limits.armed() {
+            let (g, report) = self.minimize_budgeted(bdd, isf, limits.to_budget());
+            (g, Some(report))
+        } else {
+            (self.minimize(bdd, isf), None)
+        }
     }
 
     /// The step driver behind both entry points: runs the heuristic
@@ -237,8 +257,9 @@ pub struct BudgetLimits {
 }
 
 impl BudgetLimits {
-    /// True when any limit is armed. When false, callers run the plain
-    /// [`Heuristic::minimize`] and their output is the unbudgeted one.
+    /// True when any limit is armed. When false,
+    /// [`Heuristic::minimize_with`] runs the plain [`Heuristic::minimize`]
+    /// and its output is the unbudgeted one.
     pub fn armed(&self) -> bool {
         self.step_limit.is_some() || self.node_limit.is_some() || self.time_limit_ms.is_some()
     }

@@ -56,7 +56,9 @@ impl Isf {
         bdd.try_or(self.f, self.c.complement())
     }
 
-    /// Checked [`Isf::canonical_key`].
+    /// A canonical key identifying the ISF semantics: `(onset, care)`.
+    /// Two ISFs are the same function iff their keys are equal. A tripped
+    /// budget or depth guard is an `Err`.
     pub fn try_canonical_key(self, bdd: &mut Bdd) -> Result<(Edge, Edge), BudgetExceeded> {
         Ok((self.try_onset(bdd)?, self.c))
     }
@@ -105,20 +107,9 @@ impl Isf {
         self.c == other.c && bdd.agree(self.f, other.f, self.c)
     }
 
-    /// A canonical key identifying the ISF semantics: `(onset, care)`.
-    /// Two ISFs are the same function iff their keys are equal.
-    pub fn canonical_key(self, bdd: &mut Bdd) -> (Edge, Edge) {
-        (self.onset(bdd), self.c)
-    }
-
     /// True when every point is a don't care (`c = 0`).
     pub fn is_all_dc(self) -> bool {
         self.c.is_zero()
-    }
-
-    /// True when there are no don't cares (`c = 1`).
-    pub fn is_total(self) -> bool {
-        self.c.is_one()
     }
 }
 
@@ -169,7 +160,7 @@ mod tests {
         let (mut bdd, a, b, _) = setup();
         let f = bdd.or(a, b);
         let isf = Isf::total(f);
-        assert!(isf.is_total());
+        assert!(isf.c.is_one());
         assert!(isf.is_cover(&mut bdd, f));
         assert!(!isf.is_cover(&mut bdd, a));
     }
@@ -202,7 +193,7 @@ mod tests {
         let x = Isf::new(ab, a);
         let y = Isf::new(b, a);
         assert!(x.same_function(&mut bdd, y));
-        assert_eq!(x.canonical_key(&mut bdd), y.canonical_key(&mut bdd));
+        assert_eq!(x.try_canonical_key(&mut bdd), y.try_canonical_key(&mut bdd));
         let z = Isf::new(bdd.not(b), a);
         assert!(!x.same_function(&mut bdd, z));
     }
@@ -222,6 +213,6 @@ mod tests {
         let (_, a, _, _) = setup();
         assert!(Isf::new(a, Edge::ZERO).is_all_dc());
         assert!(!Isf::new(a, a).is_all_dc());
-        assert!(Isf::new(a, Edge::ONE).is_total());
+        assert!(Isf::total(a).c.is_one());
     }
 }

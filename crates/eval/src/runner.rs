@@ -337,15 +337,10 @@ pub fn measure_instance(
         // flush the caches of computations from earlier heuristics".
         bdd.clear_caches();
         let start = Instant::now();
-        let (size, skips) = if limits.armed() {
-            // The budget (and its wall-clock deadline) restarts per
-            // heuristic, so a blown run cannot starve its successors.
-            let (g, report) = h.minimize_budgeted(bdd, isf, limits.to_budget());
-            (bdd.size(g), report.skipped())
-        } else {
-            let g = h.minimize(bdd, isf);
-            (bdd.size(g), 0)
-        };
+        // The budget (and its wall-clock deadline) restarts per
+        // heuristic, so a blown run cannot starve its successors.
+        let (g, report) = h.minimize_with(bdd, isf, limits);
+        let (size, skips) = (bdd.size(g), report.map_or(0, |r| r.skipped()));
         let elapsed = start.elapsed();
         sizes.push(size);
         times.push(elapsed);

@@ -49,7 +49,7 @@ mod tr_min;
 pub use blif::{blif_round_trip, parse_blif, print_blif, ParseBlifError};
 pub use circuit::{Circuit, CircuitBuilder, Gate, GateKind, Latch, NetId, NetSource, OutputPort};
 pub use odc::{simplify_report, NetAnalysis, NetSimplification};
-pub use product::{is_from_machine_a, product_circuit, with_flipped_latch};
+pub use product::{product_circuit, with_flipped_latch};
 pub use range::range_of_vector;
 pub use reach::{
     frontier_fixpoint, verify_fsm_equivalence, verify_fsm_equivalence_with, Fixpoint,

@@ -159,7 +159,7 @@ impl NetAnalysis {
 
     /// Verifies that replacing `net`'s function by `replacement` preserves
     /// every observation point (output and latch input).
-    pub fn replacement_is_safe(&mut self, net: NetId, replacement: Edge) -> bool {
+    fn replacement_is_safe(&mut self, net: NetId, replacement: Edge) -> bool {
         let points = self.cone_functions(net);
         let original = self.net_fns[net.index()];
         for f in points {

@@ -29,7 +29,7 @@ pub struct LeafOrder {
 /// Computes the depth-first fanin order of inputs and latch outputs,
 /// starting from the primary outputs, then latch data inputs. Leaves never
 /// reached (dangling) are appended in declaration order.
-pub fn dfs_leaf_order(circuit: &Circuit) -> LeafOrder {
+fn dfs_leaf_order(circuit: &Circuit) -> LeafOrder {
     let mut seen_nets: HashSet<NetId> = HashSet::new();
     let mut inputs = Vec::new();
     let mut latches = Vec::new();
@@ -79,7 +79,7 @@ pub fn dfs_leaf_order(circuit: &Circuit) -> LeafOrder {
 /// # Panics
 ///
 /// Panics if `order` does not cover exactly the circuit's leaves.
-pub fn reorder_leaves(circuit: &Circuit, order: &LeafOrder) -> Circuit {
+fn reorder_leaves(circuit: &Circuit, order: &LeafOrder) -> Circuit {
     assert_eq!(
         order.inputs.len(),
         circuit.num_inputs(),
@@ -126,7 +126,9 @@ pub fn reorder_leaves(circuit: &Circuit, order: &LeafOrder) -> Circuit {
     b.build()
 }
 
-/// Convenience: [`dfs_leaf_order`] + [`reorder_leaves`].
+/// The circuit with its leaves renumbered in depth-first fanin order
+/// (see [`LeafOrder`]), so that [`SymbolicFsm`](crate::SymbolicFsm)
+/// assigns BDD variables in that order.
 pub fn ordered_circuit(circuit: &Circuit) -> Circuit {
     let order = dfs_leaf_order(circuit);
     reorder_leaves(circuit, &order)

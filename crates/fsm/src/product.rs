@@ -8,7 +8,7 @@
 //! (`o1_k ⊕ o2_k`); two machines are equivalent iff no reachable
 //! state/input combination raises any miter output.
 
-use crate::circuit::{Circuit, CircuitBuilder, GateKind, NetId, NetSource};
+use crate::circuit::{Circuit, CircuitBuilder, GateKind, NetId};
 
 /// Merges two circuits with identical input port lists into a product
 /// machine whose outputs are the pairwise XORs (miters) of the component
@@ -152,15 +152,6 @@ pub fn with_flipped_latch(src: &Circuit, latch_idx: usize) -> Circuit {
         builder.output(&port.name, map[port.net.index()].expect("output mapped"));
     }
     builder.build()
-}
-
-/// True if `net` in the product circuit originates from machine `a` (by
-/// the name prefix convention of [`product_circuit`]).
-pub fn is_from_machine_a(product: &Circuit, net: NetId) -> bool {
-    match product.net_source(net) {
-        NetSource::Input(_) => true, // shared
-        _ => product.net_name(net).starts_with("a."),
-    }
 }
 
 #[cfg(test)]

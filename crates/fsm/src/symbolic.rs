@@ -193,11 +193,6 @@ impl SymbolicFsm {
         &self.name
     }
 
-    /// Primary-input variables.
-    pub fn input_vars(&self) -> &[Var] {
-        &self.input_vars
-    }
-
     /// Present-state variables.
     pub fn present_vars(&self) -> &[Var] {
         &self.present_vars

@@ -62,17 +62,6 @@ impl SymbolicFsm {
             minimized_size: self.bdd().size(relation),
         }
     }
-
-    /// Image computation through an explicitly supplied transition
-    /// relation (e.g. one produced by
-    /// [`SymbolicFsm::minimize_transition_relation`]).
-    pub fn image_via(&mut self, relation: Edge, states: Edge) -> Edge {
-        let quant = self.img_quant_cube();
-        let ns_image = self.bdd_mut().and_exists(relation, states, quant);
-        let next = self.next_vars().to_vec();
-        let present = self.present_vars().to_vec();
-        self.bdd_mut().rename(ns_image, &next, &present)
-    }
 }
 
 #[cfg(test)]
@@ -82,6 +71,16 @@ mod tests {
 
     fn reachable(fsm: &mut SymbolicFsm) -> Edge {
         crate::Reachability::new().run(fsm).reached
+    }
+
+    /// The image of `states` through an explicitly supplied transition
+    /// relation, such as a minimized one.
+    fn image_via(fsm: &mut SymbolicFsm, relation: Edge, states: Edge) -> Edge {
+        let quant = fsm.img_quant_cube();
+        let ns_image = fsm.bdd_mut().and_exists(relation, states, quant);
+        let next = fsm.next_vars().to_vec();
+        let present = fsm.present_vars().to_vec();
+        fsm.bdd_mut().rename(ns_image, &next, &present)
     }
 
     #[test]
@@ -96,12 +95,12 @@ mod tests {
             for h in [Heuristic::Constrain, Heuristic::Restrict, Heuristic::OsmBt] {
                 let m = fsm.minimize_transition_relation(reached, h);
                 // Image from the full reachable set is identical.
-                let via_min = fsm.image_via(m.relation, reached);
+                let via_min = image_via(&mut fsm, m.relation, reached);
                 let via_orig = fsm.image(reached);
                 assert_eq!(via_min, via_orig, "{h} broke the image on {circuit}");
                 // And from the initial state alone.
                 let init = fsm.initial_states();
-                let one_min = fsm.image_via(m.relation, init);
+                let one_min = image_via(&mut fsm, m.relation, init);
                 let one_orig = fsm.image(init);
                 assert_eq!(one_min, one_orig);
             }
@@ -162,7 +161,7 @@ mod tests {
         let m = fsm.minimize_transition_relation(reached, Heuristic::TsmTd);
         let mut set = fsm.initial_states();
         loop {
-            let img = fsm.image_via(m.relation, set);
+            let img = image_via(&mut fsm, m.relation, set);
             let next = fsm.bdd_mut().or(set, img);
             if next == set {
                 break;

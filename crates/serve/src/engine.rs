@@ -7,7 +7,7 @@
 //!
 //! 1. **Cache provenance is decided at dispatch time, on the dispatcher
 //!    thread, in input order.** A job is a `hit` iff an identical job
-//!    (same exact ISF and width, same filter, budget and variable map)
+//!    (same parsed leaf spec, same filter, budget and variable map)
 //!    appeared *earlier in the input* — even if that earlier job is
 //!    still in flight on a worker. Had provenance been
 //!    decided at completion time, a fast shard could turn a hit into a
@@ -34,13 +34,14 @@
 //! state the panic left behind.
 //!
 //! A job's small functions live on machine words. A leaf spec holds its
-//! values and care set as packed truth tables, and both the
-//! dispatcher's probe and the worker build from them, creating the
-//! nodes the per-leaf recursion created, in its order. The cover line
-//! is [`Bdd::isop`] of the best result, which solves frames of at most
-//! 12 levels on tables: a job of up to 12 variables renders its cover
-//! without creating a node. An all-don't-care spec is an ordinary job:
-//! the heuristics return the constant 0 on an empty care set.
+//! values and care set as packed truth tables; the dispatcher keys the
+//! cache on those words and builds nothing, and only the worker builds
+//! from them, creating the nodes the per-leaf recursion created, in its
+//! order. The cover line is [`Bdd::isop`] of the best result, which
+//! solves frames of at most 12 levels on tables: a job of up to 12
+//! variables renders its cover without creating a node. An
+//! all-don't-care spec is an ordinary job: the heuristics return the
+//! constant 0 on an empty care set.
 //!
 //! # Event loop
 //!
@@ -63,15 +64,16 @@
 //!
 //! # Result cache
 //!
-//! Results are keyed by the exact request: the spec's `(f, c)` edges in
-//! one dispatcher-owned manager, its width, and the filter, budget and
-//! variable map. That manager is never collected or reordered, and
-//! hash-consing makes equal functions equal edges, so the edge pair
-//! identifies the ISF exactly and a key can never alias a wrong result.
-//! A leaf spec fixes `f` (don't cares complete to 1), so equal ISFs of
-//! one width always arrive as equal edges. The width is in the key because the
-//! worker's manager declares that many variables: two specs of different
-//! widths can build the same edges and still give different bodies.
+//! Results are keyed by the exact request: the parsed [`LeafSpec`]
+//! (packed value and care words plus the width), the filter, the budget
+//! and the variable map. The spec is the function, not a description of
+//! it: parsing is canonical (see [`CacheKey`]), so equal specs are equal
+//! ISFs at equal width and a key can never alias a wrong result. The
+//! width matters because the worker's manager declares that many
+//! variables: `01 d1` and `0011 dd11` are the same ISF over different
+//! widths, and under a step limit their level-pass reports differ. The
+//! dispatcher therefore owns no BDD manager; building and hash-consing
+//! happen only on the workers.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -79,25 +81,28 @@ use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 
-use bddmin_bdd::{Bdd, Edge, Var};
+use bddmin_bdd::{Bdd, Edge, LeafSpec, Var};
 use bddmin_core::{Heuristic, Isf};
 use bddmin_eval::shard;
 use bddmin_fsm::{parse_blif, simplify_report};
 
 use crate::json;
-use crate::protocol::{
-    error_body, parse_job, render_result, CacheLabel, Job, JobKind, SERVE_MAX_VARS,
-};
+use crate::protocol::{error_body, parse_job, render_result, CacheLabel, Job, JobKind};
 
 /// Everything that identifies a cacheable request.
+///
+/// The spec is an exact key because [`LeafSpec::parse`] is canonical:
+/// don't cares complete to 1, a table of fewer than 64 leaves fills its
+/// word by repetition, and the width is stored. Equal specs are then
+/// equal `(f, c)` at equal width and the reverse, so `01 d1` and its
+/// respelling `(0 1, - 1)` share an entry. `01` and `0101` fill their
+/// words to the same bits, and only the stored width keeps them apart
+/// (they are `x0` over one variable and `x1` over two).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// The spec's onset, built in the dispatcher's manager.
-    pub f: Edge,
-    /// The spec's care set, built in the dispatcher's manager.
-    pub c: Edge,
-    /// The spec's variable count: the worker's manager declares this many.
-    pub num_vars: usize,
+    /// The parsed spec: packed value and care words plus the width the
+    /// worker's manager declares.
+    pub spec: LeafSpec,
     /// Canonical selection: heuristic names in run order.
     pub filter: String,
     /// `(step_limit, node_limit, time_limit_ms)`.
@@ -121,10 +126,6 @@ pub enum CacheDecision {
 /// The cross-request result cache, keyed by the exact request. The name
 /// predates the exact key; ROADMAP item 12 renames it.
 pub struct SigCache {
-    /// Dispatcher-owned manager: every cached spec is built here, so
-    /// hash-consing turns exact-ISF comparison into edge equality. Never
-    /// collected or reordered, so its edges stay valid keys.
-    bdd: Bdd,
     /// Each entry's `(ok, body)`, once the seeding job completed.
     results: Vec<Option<(bool, String)>>,
     entries: HashMap<CacheKey, usize>,
@@ -134,10 +135,9 @@ pub struct SigCache {
 }
 
 impl SigCache {
-    /// An empty cache sized for [`SERVE_MAX_VARS`].
+    /// An empty cache.
     pub fn new() -> SigCache {
         SigCache {
-            bdd: Bdd::new(SERVE_MAX_VARS),
             results: Vec::new(),
             entries: HashMap::new(),
             collisions: 0,
@@ -149,12 +149,9 @@ impl SigCache {
         let JobKind::Spec { spec, var_map } = &job.kind else {
             return CacheDecision::Bypass;
         };
-        let (f, c) = spec.build(&mut self.bdd);
         let filter: Vec<&str> = job.filter.selected.iter().map(|h| h.name()).collect();
         let key = CacheKey {
-            f,
-            c,
-            num_vars: spec.num_vars(),
+            spec: spec.clone(),
             filter: filter.join(","),
             budget: (
                 job.budget.step_limit,
@@ -231,7 +228,7 @@ fn run_job(job: &Job, managers: &mut Managers) -> Result<String, String> {
 
 fn run_spec_job(
     job: &Job,
-    spec: &bddmin_bdd::LeafSpec,
+    spec: &LeafSpec,
     var_map: Option<&[u32]>,
     managers: &mut Managers,
 ) -> Result<String, String> {
@@ -261,12 +258,7 @@ fn run_spec_job(
         // per heuristic, so deterministic step budgets see the same
         // recursion every run.
         bdd.clear_caches();
-        let (g, report) = if job.budget.armed() {
-            let (g, report) = h.minimize_budgeted(bdd, isf, job.budget.to_budget());
-            (g, Some(report))
-        } else {
-            (h.minimize(bdd, isf), None)
-        };
+        let (g, report) = h.minimize_with(bdd, isf, job.budget);
         let size = bdd.size(g);
         if i > 0 {
             rows.push(',');
@@ -297,13 +289,7 @@ fn run_blif_job(job: &Job, source: &str) -> Result<String, String> {
     let circuit = parse_blif(source).map_err(|e| format!("bad blif: {e}"))?;
     let h = job.filter.selected[0];
     let budget = job.budget;
-    let report = simplify_report(&circuit, |bdd, isf| {
-        if budget.armed() {
-            h.minimize_budgeted(bdd, isf, budget.to_budget()).0
-        } else {
-            h.minimize(bdd, isf)
-        }
-    });
+    let report = simplify_report(&circuit, |bdd, isf| h.minimize_with(bdd, isf, budget).0);
     let mut nets = String::new();
     let (mut total_orig, mut total_min) = (0usize, 0usize);
     for (i, entry) in report.iter().enumerate() {

@@ -13,9 +13,10 @@
 //! [`bddmin_core::MinReport`], it never fails the stream), and answers
 //! one JSON result line per job in input order, as soon as that result
 //! and every earlier one are ready. Results are reused through a
-//! cross-request cache keyed by the exact request: the spec's `(f, c)`
-//! edges in one hash-consed dispatcher manager, its width, and the
-//! filter, budget and variable map.
+//! cross-request cache keyed by the exact request: the parsed leaf spec
+//! (its packed value and care words and its width, a canonical form of
+//! the ISF), the filter, the budget and the variable map. The
+//! dispatcher builds no BDD; only the workers do.
 //!
 //! The request path is panic-free by construction (checked
 //! `try_transfer`, the budget `try_*` ladder) and panic-contained by

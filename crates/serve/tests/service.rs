@@ -110,15 +110,17 @@ fn an_all_dont_care_job_is_answered() {
 
 #[test]
 fn cache_hits_pass_exact_confirmation_and_reuse_the_result() {
-    // Same ISF + filter + budget twice, with a different ISF in between;
-    // then two specs of different widths that build the same edges.
+    // Same ISF + filter + budget twice, with a different ISF in between,
+    // then once more respelled; then two specs of different widths that
+    // build the same edges.
     let narrow = r#"{"id":"a","spec":"01 d1","heuristic":"all","step_limit":3}"#;
     let wide = r#"{"id":"b","spec":"0011 dd11","heuristic":"all","step_limit":3}"#;
     let repeats = "\
 {\"id\":\"first\",\"spec\":\"d1 01 1d 01\",\"heuristic\":\"osm_bt\"}\n\
 {\"id\":\"other\",\"spec\":\"dd 01 10 11\",\"heuristic\":\"osm_bt\"}\n\
 {\"id\":\"again\",\"spec\":\"d1 01 1d 01\",\"heuristic\":\"osm_bt\"}\n\
-{\"id\":\"budgeted\",\"spec\":\"d1 01 1d 01\",\"heuristic\":\"osm_bt\",\"step_limit\":99}\n";
+{\"id\":\"budgeted\",\"spec\":\"d1 01 1d 01\",\"heuristic\":\"osm_bt\",\"step_limit\":99}\n\
+{\"id\":\"respelled\",\"spec\":\"(-1,01)(1D,0 1)\",\"heuristic\":\"osm_bt\"}\n";
     let input = format!("{repeats}{narrow}\n{wide}\n");
     let (out, summary) = run(&input, 2);
     let lines: Vec<json::Json> = out.lines().map(parsed).collect();
@@ -127,7 +129,10 @@ fn cache_hits_pass_exact_confirmation_and_reuse_the_result() {
     assert_eq!(field_str(&lines[2], "cache"), "hit");
     // A different budget is a different request: no hit.
     assert_eq!(field_str(&lines[3], "cache"), "miss");
-    assert_eq!(summary.cache_hits, 1);
+    // Another spelling of the same leaves is the same request.
+    assert_eq!(field_str(&lines[4], "cache"), "hit");
+    assert_eq!(field_str(&lines[4], "cover"), field_str(&lines[0], "cover"));
+    assert_eq!(summary.cache_hits, 2);
     // The hit reuses the seeding job's body verbatim.
     for key in ["f_size", "min_size"] {
         assert_eq!(field_u64(&lines[0], key), field_u64(&lines[2], key));
@@ -138,12 +143,12 @@ fn cache_hits_pass_exact_confirmation_and_reuse_the_result() {
     assert_eq!(field_u64(&lines[2], "index"), 2);
     // A different width is a different request, even on equal edges: the
     // level passes run over the wider manager's levels.
-    assert_eq!(field_str(&lines[4], "cache"), "miss");
     assert_eq!(field_str(&lines[5], "cache"), "miss");
+    assert_eq!(field_str(&lines[6], "cache"), "miss");
     let (ok, body) = process_job(&parse_job(wide).expect("a valid job"));
     assert!(ok, "{body}");
-    let alone = render_result(5, Some("b"), ok, CacheLabel::Miss, None, &body);
-    assert_eq!(out.lines().nth(5), Some(alone.as_str()));
+    let alone = render_result(6, Some("b"), ok, CacheLabel::Miss, None, &body);
+    assert_eq!(out.lines().nth(6), Some(alone.as_str()));
 }
 
 #[test]

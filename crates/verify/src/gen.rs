@@ -146,11 +146,6 @@ impl Instance {
         let (f, c) = spec.build(bdd);
         Isf::new(f, c)
     }
-
-    /// Evaluates the instance's care function on a leaf index.
-    pub fn care_at(&self, leaf: usize) -> bool {
-        self.leaves[leaf].is_some()
-    }
 }
 
 /// True when the instance's care set is a product term (cube): the

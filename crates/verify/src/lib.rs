@@ -23,7 +23,7 @@
 //! * [`gen`] — instance representation and the sweep generator,
 //! * [`oracle`] — the nine oracles plus the mutation harness that
 //!   proves they fire,
-//! * [`shrink`] — greedy, deterministic failure minimization,
+//! * [`mod@shrink`] — greedy, deterministic failure minimization,
 //! * [`corpus`] — reproducer serialization and strict parsing,
 //! * [`runner`] — the fuzz loop and its JSON stats report.
 

@@ -206,7 +206,7 @@ impl FuzzReport {
     }
 
     /// Total accepted shrink steps across all failures.
-    pub fn total_shrink_steps(&self) -> usize {
+    fn total_shrink_steps(&self) -> usize {
         self.failures.iter().map(|f| f.shrink_steps).sum()
     }
 

@@ -16,8 +16,8 @@
 //!
 //! Every accepted move strictly decreases [`instance_size`], so the loop
 //! terminates; every accepted move re-runs the oracle and keeps the move
-//! only if the verdict is still [`Verdict::Fail`], so the final
-//! reproducer provably demonstrates the original violation.
+//! only if the verdict is still [`Verdict::Fail`](crate::Verdict::Fail),
+//! so the final reproducer provably demonstrates the original violation.
 
 use crate::gen::{ChaosPlan, Instance};
 use crate::oracle::{check, Mutant, Oracle};

@@ -5,7 +5,10 @@
 #   build        tier-1 release build
 #   test         tier-1 cargo test -q (includes the corpus replay and
 #                mutation-gate suites via the verify crate)
-#   lint         zero-warning clippy pass over the whole workspace
+#   lint         zero-warning clippy pass over the whole workspace +
+#                zero-warning rustdoc (cargo doc --workspace --no-deps
+#                with RUSTDOCFLAGS="-D warnings": no broken or private
+#                intra-doc links)
 #   fmt          cargo fmt --all --check: the workspace stays rustfmt-clean
 #   invariance   cache-size invariance suites (bdd + core) + table3
 #                on the benchmark's 14 machines diffed against
@@ -179,6 +182,7 @@ stage_test() {
 
 stage_lint() {
     cargo clippy --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 }
 
 stage_fmt() {
