@@ -97,20 +97,18 @@ impl SymbolicFsm {
     ///
     /// Panics if `states` is the zero function.
     pub fn constrained_next_fns(&mut self, states: Edge) -> Vec<Edge> {
-        let next = self.next_fns().to_vec();
-        next.into_iter()
-            .map(|f| self.bdd_mut().constrain(f, states))
+        self.next_fns
+            .iter()
+            .map(|&f| self.bdd.constrain(f, states))
             .collect()
     }
 
     /// Range of an (already constrained) next-state vector, expressed over
     /// the **present** variables.
     pub fn image_of_constrained(&mut self, constrained: &[Edge]) -> Edge {
-        let next_vars = self.next_vars().to_vec();
-        let present_vars = self.present_vars().to_vec();
-        let bdd = self.bdd_mut();
-        let over_next = range_of_vector(bdd, constrained, &next_vars);
-        bdd.rename(over_next, &next_vars, &present_vars)
+        let over_next = range_of_vector(&mut self.bdd, constrained, &self.next_vars);
+        self.bdd
+            .rename(over_next, &self.next_vars, &self.present_vars)
     }
 
     /// The image of `states` computed by the transition-function method

@@ -4,7 +4,7 @@
 //! variables interleaved per latch — the standard order for transition
 //! relations (Touati et al. \[9\]).
 
-use bddmin_bdd::{Bdd, Edge, ReorderSettings, ReorderStats, Var};
+use bddmin_bdd::{Bdd, Budget, Edge, ReorderSettings, ReorderStats, Var};
 
 use crate::circuit::Circuit;
 
@@ -78,16 +78,22 @@ impl std::fmt::Display for ImageMethod {
 /// ```
 #[derive(Debug)]
 pub struct SymbolicFsm {
-    bdd: Bdd,
+    pub(crate) bdd: Bdd,
     input_vars: Vec<Var>,
-    present_vars: Vec<Var>,
-    next_vars: Vec<Var>,
-    next_fns: Vec<Edge>,
+    pub(crate) present_vars: Vec<Var>,
+    pub(crate) next_vars: Vec<Var>,
+    pub(crate) next_fns: Vec<Edge>,
     output_fns: Vec<Edge>,
     initial: Edge,
     transition: Edge,
     /// Cube of input ∪ present variables (quantified during image).
     img_quant_cube: Edge,
+    /// The relation [`SymbolicFsm::image`] conjoins with a state set:
+    /// `∃in. T` when it stayed small at compile time, else `T`.
+    image_relation: Edge,
+    /// The cube quantified along with `image_relation`: the present
+    /// variables for `∃in. T`, input ∪ present for `T`.
+    image_cube: Edge,
     name: String,
 }
 
@@ -150,9 +156,11 @@ impl SymbolicFsm {
             let lit = bdd.literal(present_vars[i], latch.init);
             initial = bdd.and(initial, lit);
         }
-        // Monolithic transition relation T(in, ps, ns) = ∧ (ns_i ≡ δ_i).
+        // Monolithic transition relation T(in, ps, ns) = ∧ (ns_i ≡ δ_i),
+        // conjoined from the last latch up: each partial product then
+        // spans only the bottom of the order.
         let mut transition = Edge::ONE;
-        for (i, &nf) in next_fns.iter().enumerate() {
+        for (i, &nf) in next_fns.iter().enumerate().rev() {
             let nv = bdd.var(next_vars[i]);
             let eq = bdd.xnor(nv, nf);
             transition = bdd.and(transition, eq);
@@ -163,6 +171,18 @@ impl SymbolicFsm {
             .copied()
             .collect();
         let img_quant_cube = bdd.cube_of_vars(&quant);
+        // Early input quantification: a state set never mentions an
+        // input, so Img(S) = ∃ps. S · (∃in. T). Computed once, if it
+        // allocates no more than |T| nodes; otherwise images keep T.
+        let in_cube = bdd.cube_of_vars(&input_vars);
+        let limit = bdd.stats().live_nodes + bdd.size(transition);
+        bdd.set_budget(Budget::default().nodes(limit));
+        let early = bdd.try_exists(transition, in_cube);
+        bdd.clear_budget();
+        let (image_relation, image_cube) = match early {
+            Ok(relation) => (relation, bdd.cube_of_vars(&present_vars)),
+            Err(_) => (transition, img_quant_cube),
+        };
         SymbolicFsm {
             bdd,
             input_vars,
@@ -173,6 +193,8 @@ impl SymbolicFsm {
             initial,
             transition,
             img_quant_cube,
+            image_relation,
+            image_cube,
             name: circuit.name().to_owned(),
         }
     }
@@ -219,28 +241,32 @@ impl SymbolicFsm {
         self.initial
     }
 
-    /// The monolithic transition relation `T(in, ps, ns)`.
+    /// The monolithic transition relation `T(in, ps, ns)`, with the
+    /// inputs still free. [`SymbolicFsm::image`] may use `∃in. T` instead;
+    /// `∃ in ∪ ps. S · T` over [`SymbolicFsm::img_quant_cube`] is the
+    /// same image.
     pub fn transition_relation(&self) -> Edge {
         self.transition
     }
 
-    /// The cube of input and present-state variables quantified during
-    /// image computation.
+    /// The cube of input and present-state variables: quantifying it from
+    /// `S · T` yields the image of `S` over the next-state variables.
     pub fn img_quant_cube(&self) -> Edge {
         self.img_quant_cube
     }
 
     /// The image of a state set `S(ps)`: all states reachable in one step,
     /// expressed over the **present** variables again.
+    ///
+    /// One fused `and_exists` computes `∃ps. S · (∃in. T)` when compile
+    /// could quantify the inputs out of `T` within `|T|` fresh nodes, and
+    /// `∃ in ∪ ps. S · T` otherwise; both give the same edge.
     pub fn image(&mut self, states: Edge) -> Edge {
         let ns_image = self
             .bdd
-            .and_exists(self.transition, states, self.img_quant_cube);
-        self.bdd.rename(
-            ns_image,
-            &self.next_vars.clone(),
-            &self.present_vars.clone(),
-        )
+            .and_exists(self.image_relation, states, self.image_cube);
+        self.bdd
+            .rename(ns_image, &self.next_vars, &self.present_vars)
     }
 
     /// Dispatches to the image computation selected by `method`.
@@ -252,8 +278,9 @@ impl SymbolicFsm {
     }
 
     /// Garbage-collects the manager, protecting the machine's own
-    /// functions (next-state, outputs, initial state, transition relation)
-    /// plus the given extra roots. Returns the number of reclaimed nodes.
+    /// functions (next-state, outputs, initial state, transition relation
+    /// and the relation images conjoin) plus the given extra roots.
+    /// Returns the number of reclaimed nodes.
     ///
     /// Long instrumented traversals that repeatedly build and discard
     /// minimized covers should call this between iterations to keep the
@@ -274,15 +301,18 @@ impl SymbolicFsm {
     }
 
     /// The machine's own functions (next-state, outputs, initial state,
-    /// transition relation, quantification cube) followed by `extra_roots`.
+    /// transition relation, quantification cube, and the image's relation
+    /// and cube) followed by `extra_roots`.
     fn roots_with(&self, extra_roots: &[Edge]) -> Vec<Edge> {
         let mut roots: Vec<Edge> =
-            Vec::with_capacity(self.next_fns.len() + self.output_fns.len() + extra_roots.len() + 3);
+            Vec::with_capacity(self.next_fns.len() + self.output_fns.len() + extra_roots.len() + 5);
         roots.extend_from_slice(&self.next_fns);
         roots.extend_from_slice(&self.output_fns);
         roots.push(self.initial);
         roots.push(self.transition);
         roots.push(self.img_quant_cube);
+        roots.push(self.image_relation);
+        roots.push(self.image_cube);
         roots.extend_from_slice(extra_roots);
         roots
     }
@@ -489,6 +519,59 @@ mod tests {
                     circuit.name()
                 );
                 set = fsm.bdd_mut().or(set, mono);
+            }
+        }
+    }
+
+    /// `Img(S)` through the unquantified relation: `∃ in ∪ ps. S · T`.
+    fn reference_image(fsm: &mut SymbolicFsm, states: Edge) -> Edge {
+        let (t, quant) = (fsm.transition_relation(), fsm.img_quant_cube());
+        let SymbolicFsm {
+            bdd,
+            next_vars,
+            present_vars,
+            ..
+        } = fsm;
+        let ns_image = bdd.and_exists(t, states, quant);
+        bdd.rename(ns_image, next_vars, present_vars)
+    }
+
+    /// Each product with itself takes one image path: serial_mult 9 keeps
+    /// `∃in. T`, minmax 6 falls back to `T` (its `∃in. T` is far larger).
+    /// Every BFS image equals the unquantified reference, also after the
+    /// collections and the sift between images, which must keep the
+    /// image's relation and cube alive as roots.
+    #[test]
+    fn early_relation_images_match_the_unquantified_relation() {
+        let machines = [
+            (crate::generators::serial_mult("sm", 9), Some(true)),
+            (crate::generators::minmax("mm", 6), Some(false)),
+            (crate::generators::random_fsm("r", 5, 3, 0x35), None),
+        ];
+        for (circuit, keeps_early) in machines {
+            let product = crate::product_circuit(&circuit, &circuit);
+            let mut fsm = SymbolicFsm::new(&product);
+            let kept = fsm.image_relation != fsm.transition;
+            if let Some(want) = keeps_early {
+                assert_eq!(kept, want, "{}: early relation kept", circuit.name());
+            }
+            if !kept {
+                assert_eq!(fsm.image_cube, fsm.img_quant_cube);
+            }
+            let mut reached = fsm.initial_states();
+            for step in 0.. {
+                let image = fsm.image(reached);
+                let want = reference_image(&mut fsm, reached);
+                assert_eq!(image, want, "{} step {step}", circuit.name());
+                let next = fsm.bdd_mut().or(reached, image);
+                if next == reached {
+                    break;
+                }
+                reached = next;
+                fsm.collect_garbage(&[reached]);
+                if step == 0 {
+                    fsm.reorder(&ReorderSettings::default(), &[reached]);
+                }
             }
         }
     }

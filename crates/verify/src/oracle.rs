@@ -14,7 +14,7 @@
 //! | `invariance`   | results unchanged under GC / cache-flush injection    | kernel contract  |
 //! | `budget`       | budget-exceeded paths still return a valid cover ≤ \|f\|| degradation ladder|
 //! | `reorder-invariance`| sift/swap sequences preserve semantics: each root transfers back to a fresh identity-order copy's exact edge, `sat_count` unchanged | dynamic-reordering contract |
-//! | `image-equivalence` | monolithic and range-method images agree edge for edge on random circuits | image-computation method transparency |
+//! | `image-equivalence` | the relational image (through `∃in. T` or `T`), the unquantified `∃ in ∪ ps. S · T` and the range-method image agree edge for edge on random circuits | image-computation method transparency |
 //!
 //! The [`Mutant`] enum injects one deliberate bug per oracle (used by CI
 //! and the `mutants` integration suite to prove each oracle actually
@@ -741,6 +741,8 @@ fn check_image_equivalence(inst: &Instance, mutant: Mutant) -> Verdict {
     if mutant == Mutant::BreakAndExists {
         fsm.bdd_mut().debug_break_and_exists();
     }
+    let (relation, quant) = (fsm.transition_relation(), fsm.img_quant_cube());
+    let (next, present) = (fsm.next_vars().to_vec(), fsm.present_vars().to_vec());
     let mut set = fsm.initial_states();
     for step in 0..4 {
         if inst.chaos.flush_between {
@@ -750,6 +752,16 @@ fn check_image_equivalence(inst: &Instance, mutant: Mutant) -> Verdict {
             fsm.collect_garbage(&[set]);
         }
         let mono = fsm.image(set);
+        // `image` may conjoin the early relation ∃in. T; the reference
+        // quantifies the inputs along with the present state.
+        let over_next = fsm.bdd_mut().and_exists(relation, set, quant);
+        let reference = fsm.bdd_mut().rename(over_next, &next, &present);
+        if mono != reference {
+            return Verdict::Fail(format!(
+                "relational image and the unquantified ∃ in ∪ ps. S · T diverged at BFS \
+                 step {step} on random_fsm(seed={seed:#x}, latches={latches}, inputs={inputs})"
+            ));
+        }
         let range = fsm.image_by_range(set);
         if mono != range {
             return Verdict::Fail(format!(

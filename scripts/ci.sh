@@ -30,7 +30,10 @@
 #   reorder      reorder-invariance oracle fuzz + break-reorder mutant
 #                gate + reorder-off and sifted-run determinism diffs
 #   image        image-equivalence oracle fuzz + break-and-exists mutant
-#                gate + mono-vs-range stdout determinism diff
+#                gate + mono-vs-range stdout diff over the whole
+#                table3 --quick suite at --jobs 2 (product machines that
+#                keep the early relation ∃in.T and ones that fall back
+#                to T)
 #   serve        service-layer gate: the 50-job and 300-job demo streams
 #                through 1, 2 and 4 shards must be byte-identical (workers
 #                recycle their managers across jobs), malformed and
@@ -321,11 +324,13 @@ stage_image() {
         --mutant break-and-exists --max-failures 1 --no-write --expect-failure \
         >/dev/null
     echo "    image determinism: --image range stdout is byte-identical to mono"
+    # The quick suite's product machines cover both mono paths: cbp.32.4,
+    # mult16b and tlc image through ∃in.T, s386 and minmax5 through T.
     local tmpdir
     tmpdir="$(mktemp -d)"
-    ./target/release/table3 --quick --only tlc --no-times --image mono \
+    ./target/release/table3 --quick --no-times --jobs 2 --image mono \
         >"$tmpdir/mono.txt"
-    ./target/release/table3 --quick --only tlc --no-times --image range \
+    ./target/release/table3 --quick --no-times --jobs 2 --image range \
         >"$tmpdir/range.txt"
     diff -u "$tmpdir/mono.txt" "$tmpdir/range.txt"
     rm -rf "$tmpdir"
